@@ -12,8 +12,9 @@
 //! (`serve.forced_abort`) if it has to abandon stragglers, and releases
 //! the daemon's `serve` claim on the store either way.
 //!
-//! While running, the daemon holds a heartbeated `serve` lockfile claim in
-//! the store's lock directory so two daemons cannot own one directory.
+//! From [`Server::bind`] until the server is dropped (or [`Server::run`]
+//! returns), the daemon holds a heartbeated `serve` lockfile claim in the
+//! store's lock directory so two daemons cannot own one directory.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -143,23 +144,43 @@ impl Shared {
     }
 }
 
-/// A bound, not-yet-running server.
+/// A bound, not-yet-running server. It already owns its store: the
+/// `serve` claim is taken by [`Server::bind`] and released when the server
+/// is dropped or [`Server::run`] returns.
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
     service: Arc<SweepService>,
     config: ServerConfig,
     stop: Arc<AtomicBool>,
+    /// Declared before `_claim` so the beat stops before the claim releases.
+    _heartbeat: dsmt_store::Heartbeat,
+    _claim: dsmt_store::LockFile,
 }
 
 impl Server {
-    /// Binds the listener (non-blocking, so the accept loop can observe
-    /// shutdown) without starting to serve.
+    /// Claims the service's store for this daemon, then binds the listener
+    /// (non-blocking, so the accept loop can observe shutdown) without
+    /// starting to serve.
     ///
     /// # Errors
     ///
-    /// Any bind failure (address in use, permission).
+    /// Failure to acquire the store's `serve` claim (another daemon owns
+    /// the directory), and any bind failure (address in use, permission).
     pub fn bind(config: ServerConfig, service: SweepService) -> std::io::Result<Self> {
+        let locks_dir = service.store_dir().join("locks");
+        let Some(claim) = dsmt_store::LockFile::acquire(&locks_dir, "serve")? else {
+            let holder = dsmt_store::LockFile::inspect(&locks_dir, "serve")
+                .map_or_else(|| "unknown holder".to_string(), |info| info.describe());
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::AddrInUse,
+                format!(
+                    "another daemon already serves this store (claim held by {holder}); \
+                     stop it or remove {}",
+                    locks_dir.join("serve.lock").display()
+                ),
+            ));
+        };
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         Ok(Server {
@@ -167,6 +188,8 @@ impl Server {
             service: Arc::new(service),
             config,
             stop: Arc::new(AtomicBool::new(false)),
+            _heartbeat: claim.spawn_heartbeat(Duration::from_secs(30)),
+            _claim: claim,
         })
     }
 
@@ -192,24 +215,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Failure to acquire the store's `serve` claim (another daemon owns
-    /// the directory) or to spawn worker threads.
+    /// Failure to spawn worker threads.
     pub fn run(self) -> std::io::Result<ServeSummary> {
-        let locks_dir = self.service.store_dir().join("locks");
-        let Some(claim) = dsmt_store::LockFile::acquire(&locks_dir, "serve")? else {
-            let holder = dsmt_store::LockFile::inspect(&locks_dir, "serve")
-                .map_or_else(|| "unknown holder".to_string(), |info| info.describe());
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::AddrInUse,
-                format!(
-                    "another daemon already serves this store (claim held by {holder}); \
-                     stop it or remove {}",
-                    locks_dir.join("serve.lock").display()
-                ),
-            ));
-        };
-        let heartbeat = claim.spawn_heartbeat(Duration::from_secs(30));
-
         let shared = Arc::new(Shared {
             service: Arc::clone(&self.service),
             queue: Mutex::new(VecDeque::new()),
@@ -290,8 +297,7 @@ impl Server {
             }
         }
         summary.requests = shared.requests.load(Ordering::SeqCst);
-        drop(heartbeat);
-        drop(claim); // releases the store's `serve` claim
+        drop(self); // stops the heartbeat, then releases the `serve` claim
         dsmt_obs::info!(
             "serve.stopped",
             connections = summary.connections,

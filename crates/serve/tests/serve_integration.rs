@@ -332,8 +332,8 @@ fn shutdown_drains_in_flight_requests_and_releases_the_serve_claim() {
         },
     );
 
-    // The daemon owns the store while running: a second daemon on the
-    // same directory is refused.
+    // The daemon owns the store from bind on: a second daemon on the same
+    // directory is refused before it ever listens.
     let second = SweepService::open(&dir, Box::new(|_| None)).expect("open service");
     let refused = Server::bind(
         ServerConfig {
@@ -341,9 +341,7 @@ fn shutdown_drains_in_flight_requests_and_releases_the_serve_claim() {
             ..ServerConfig::default()
         },
         second,
-    )
-    .expect("bind second")
-    .run();
+    );
     assert!(refused.is_err(), "second daemon must be refused");
     assert!(refused.unwrap_err().to_string().contains("another daemon"));
 

@@ -4,10 +4,18 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
+/// Distinguishes concurrent [`atomic_write`] temp files within one process.
+static WRITE_NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
 /// Writes `bytes` to `path` atomically: a temp file in the same directory
 /// (so the rename cannot cross filesystems) is written first, then renamed
 /// over the destination. Readers never observe a partial file; concurrent
 /// writers of identical content race harmlessly.
+///
+/// Every call writes its own temp file, named by pid, thread id and a
+/// process-wide counter, so concurrent writers — other processes or other
+/// threads of this one — never share (and never rename away) each other's
+/// temp file.
 ///
 /// Parent directories are created as needed.
 ///
@@ -31,7 +39,13 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()>
             )
         })?
         .to_string_lossy();
-    let tmp = path.with_file_name(format!(".{file_name}.tmp.{}", std::process::id()));
+    let nonce = WRITE_NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let thread = format!("{:?}", std::thread::current().id());
+    let thread: String = thread.chars().filter(char::is_ascii_digit).collect();
+    let tmp = path.with_file_name(format!(
+        ".{file_name}.tmp.{}.{thread}.{nonce:x}",
+        std::process::id()
+    ));
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path).inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
@@ -336,31 +350,29 @@ impl LockFile {
     /// Starts a background thread that re-touches this claim's lockfile
     /// mtime every `interval`, proving the holder alive, so fleets can run
     /// short [`LockFile::acquire_or_steal`] deadlines regardless of how
-    /// long honest work on the claim takes. The beat stops when the
-    /// returned [`Heartbeat`] guard drops (drop it *before* releasing the
-    /// claim) — or on its own when the lockfile no longer carries this
-    /// guard's ownership token, so a holder whose claim was stolen can
-    /// never freshen the thief's lockfile.
+    /// long honest work on the claim takes.
+    ///
+    /// The beat thread blocks for exactly `interval` between touches, on a
+    /// channel the returned [`Heartbeat`] guard owns: dropping the guard
+    /// (drop it *before* releasing the claim) disconnects the channel and
+    /// the thread exits at once, mid-interval. The beat also stops on its
+    /// own when the lockfile no longer carries this guard's ownership
+    /// token, so a holder whose claim was stolen can never freshen the
+    /// thief's lockfile.
     #[must_use]
     pub fn spawn_heartbeat(&self, interval: Duration) -> Heartbeat {
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (stop, stopped) = std::sync::mpsc::channel::<()>();
         let beats = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
         let path = self.path.clone();
         let token_line = self.token_line.clone();
         let handle = {
-            let stop = std::sync::Arc::clone(&stop);
             let beats = std::sync::Arc::clone(&beats);
             std::thread::spawn(move || {
-                use std::sync::atomic::Ordering;
-                let tick = Duration::from_millis(25);
-                let mut since_beat = Duration::ZERO;
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(tick);
-                    since_beat += tick;
-                    if since_beat < interval {
-                        continue;
-                    }
-                    since_beat = Duration::ZERO;
+                // Nothing is ever sent: the wait ends by timeout (time to
+                // beat) or by disconnection (the guard dropped).
+                while let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+                    stopped.recv_timeout(interval)
+                {
                     // Ownership check: only freshen a lockfile that still
                     // carries our token. Anything else means the claim was
                     // stolen or released under us — stop beating.
@@ -375,14 +387,14 @@ impl LockFile {
                     }
                     if let Ok(f) = std::fs::OpenOptions::new().write(true).open(&path) {
                         let _ = f.set_modified(SystemTime::now());
-                        beats.fetch_add(1, Ordering::Relaxed);
+                        beats.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         dsmt_obs::counter!("store.heartbeats").inc();
                     }
                 }
             })
         };
         Heartbeat {
-            stop,
+            stop: Some(stop),
             beats,
             handle: Some(handle),
         }
@@ -390,10 +402,12 @@ impl LockFile {
 }
 
 /// A running claim heartbeat (see [`LockFile::spawn_heartbeat`]). Dropping
-/// it stops and joins the beat thread.
+/// it wakes the beat thread out of its interval wait and joins it, so the
+/// drop returns as soon as any in-progress touch finishes.
 #[derive(Debug)]
 pub struct Heartbeat {
-    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    /// Never sent on; dropping it disconnects the beat thread's wait.
+    stop: Option<std::sync::mpsc::Sender<()>>,
     beats: std::sync::Arc<std::sync::atomic::AtomicU64>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -408,7 +422,7 @@ impl Heartbeat {
 
 impl Drop for Heartbeat {
     fn drop(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        drop(self.stop.take());
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -455,6 +469,28 @@ mod tests {
             .filter_map(Result::ok)
             .collect();
         assert_eq!(entries.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn threads_racing_atomic_writes_to_one_path_all_succeed() {
+        let dir = temp_dir("aw-race");
+        let path = dir.join("contended.bin");
+        let barrier = std::sync::Barrier::new(16);
+        std::thread::scope(|s| {
+            for t in 0..16u8 {
+                let (path, barrier) = (&path, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    for i in 0..100u8 {
+                        atomic_write(path, &[t, i]).expect("racing write");
+                    }
+                });
+            }
+        });
+        // Whichever write landed last is whole, and no temp file is left.
+        assert_eq!(std::fs::read(&path).unwrap().len(), 2);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -614,6 +650,22 @@ mod tests {
             other => panic!("expected Held while beating, got {other:?}"),
         }
         drop(hb);
+        drop(claim);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dropping_a_heartbeat_returns_without_waiting_out_its_interval() {
+        let dir = temp_dir("heartbeat-stop");
+        let claim = LockFile::acquire(&dir, "idle").unwrap().expect("claim");
+        let hb = claim.spawn_heartbeat(Duration::from_secs(30));
+        let started = std::time::Instant::now();
+        drop(hb);
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "heartbeat drop took {:?}",
+            started.elapsed()
+        );
         drop(claim);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -309,6 +309,25 @@ fn concurrent_writers_never_corrupt_the_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Cold opens racing on one fresh directory: every opener writes the
+/// `STORE.json` marker, and all of them must succeed and agree.
+#[test]
+fn racing_cold_opens_of_one_fresh_directory_all_succeed() {
+    let dir = temp_dir("cold-open-race");
+    let barrier = std::sync::Barrier::new(8);
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            let (dir, barrier) = (&dir, &barrier);
+            s.spawn(move || {
+                barrier.wait();
+                Store::open(dir, 1).expect("racing cold open");
+            });
+        }
+    });
+    assert_eq!(Store::open(&dir, 1).expect("reopen").record_count(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Racing claimants over the store's lock directory: exactly one wins per
 /// name, every loser sees the claim, and release frees it — the contract
 /// the shard `--missing` recovery path depends on.

@@ -10,10 +10,12 @@
 //! grid, and `ls`/GC touch segment metadata instead of streaming every
 //! entry.
 //!
-//! Entries are keyed by the scenario's stable cache key (see
-//! [`Scenario::cache_key`]) and carry a second, independently derived
-//! scenario hash that is re-verified on every hit — a collision on the key
-//! alone degrades to a miss instead of returning the wrong cell.
+//! Entries are keyed by the scenario's stable cache key and carry a
+//! second, independently derived scenario hash that is re-verified on every
+//! hit — a collision on the key alone degrades to a miss instead of
+//! returning the wrong cell. Both come from one serialization of the
+//! scenario ([`Scenario::cache_identity`]), computed once per lookup or
+//! store.
 //!
 //! Opening a directory still holding the v2 layout **fails stop** with a
 //! pointer to `dsmt sweep migrate`, which re-encodes every readable v2
@@ -62,10 +64,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
 use dsmt_core::SimResults;
-use dsmt_store::{fnv1a64, CompactOutcome, GcOutcome, SegmentInfo, Store};
+use dsmt_store::{CompactOutcome, GcOutcome, SegmentInfo, Store};
 use serde::{Deserialize, Serialize, Value};
 
-use crate::{Scenario, CACHE_SCHEMA_VERSION};
+use crate::{CacheIdentity, Scenario, CACHE_SCHEMA_VERSION};
 
 /// Pending misses are published as a segment once this many accumulate,
 /// bounding how much a crashed sweep can lose.
@@ -139,27 +141,19 @@ impl CacheStats {
     }
 }
 
-/// The independent verification hash stored inside every entry: a
-/// different derivation than [`Scenario::cache_key`] over the same
-/// canonical JSON, so returning a wrong cell requires two simultaneous
-/// 64-bit collisions.
-fn verify_hash(scenario: &Scenario) -> u64 {
-    fnv1a64(format!("verify:{}", serde::to_string(scenario)).as_bytes())
-}
-
 /// Encodes one cache entry as a store [`Value`].
-fn entry_value(scenario: &Scenario, results: &SimResults) -> Value {
+fn entry_value(id: CacheIdentity, results: &SimResults) -> Value {
     Value::Object(vec![
-        ("verify".to_string(), Value::U64(verify_hash(scenario))),
+        ("verify".to_string(), Value::U64(id.verify)),
         ("results".to_string(), results.to_value()),
     ])
 }
 
-/// Decodes a store entry back into results, verifying it belongs to
-/// `scenario`. Any mismatch or malformation is a miss.
-fn decode_entry(value: &Value, scenario: &Scenario) -> Option<SimResults> {
+/// Decodes a store entry back into results, verifying it belongs to the
+/// scenario `id` identifies. Any mismatch or malformation is a miss.
+fn decode_entry(value: &Value, id: CacheIdentity) -> Option<SimResults> {
     let verify = value.field("verify").ok()?.as_u64().ok()?;
-    if verify != verify_hash(scenario) {
+    if verify != id.verify {
         return None;
     }
     SimResults::from_value(value.field("results").ok()?).ok()
@@ -212,12 +206,18 @@ impl ResultCache {
     /// (see [`ResultCache::gc`]) tracks use, not just creation.
     #[must_use]
     pub fn lookup(&self, scenario: &Scenario) -> Option<SimResults> {
-        let key = scenario.cache_key();
+        self.lookup_identity(scenario.cache_identity())
+    }
+
+    /// [`lookup`](Self::lookup) for a caller that already derived the
+    /// scenario's [`CacheIdentity`].
+    fn lookup_identity(&self, id: CacheIdentity) -> Option<SimResults> {
+        let key = id.key;
         if let Some(value) = self.pending.lock().expect("pending lock").get(&key) {
-            return decode_entry(value, scenario);
+            return decode_entry(value, id);
         }
         let store = self.store.read().expect("store lock");
-        let results = decode_entry(store.get(key)?, scenario)?;
+        let results = decode_entry(store.get(key)?, id)?;
         if let Some(name) = store.segment_name_of(key) {
             if self
                 .touched
@@ -234,10 +234,15 @@ impl ResultCache {
     /// Buffers a scenario's results for the next segment publish
     /// (best-effort: caching failures only cost future re-simulation).
     pub fn store(&self, scenario: &Scenario, results: &SimResults) {
-        let key = scenario.cache_key();
+        self.store_identity(scenario.cache_identity(), results);
+    }
+
+    /// [`store`](Self::store) for a caller that already derived the
+    /// scenario's [`CacheIdentity`].
+    fn store_identity(&self, id: CacheIdentity, results: &SimResults) {
         let flush_now = {
             let mut pending = self.pending.lock().expect("pending lock");
-            pending.insert(key, entry_value(scenario, results));
+            pending.insert(id.key, entry_value(id, results));
             pending.len() >= FLUSH_THRESHOLD
         };
         if flush_now {
@@ -267,35 +272,38 @@ impl ResultCache {
     /// miss executes and stores. Counters update accordingly.
     #[must_use]
     pub fn run_cached(&self, scenario: &Scenario, stats: &CacheStats) -> SimResults {
-        if let Some(results) = self.try_hit(scenario, stats) {
+        let id = scenario.cache_identity();
+        if let Some(results) = self.try_hit(id, stats) {
             return results;
         }
         let results = scenario.execute();
-        self.publish_miss(scenario, &results, stats);
+        self.publish_miss(id, &results, stats);
         results
     }
 
-    /// The hit half of [`run_cached`](Self::run_cached): answers `scenario`
-    /// from the cache with full hit bookkeeping, or returns `None` without
-    /// touching any counter. The batched-cell drive loop uses this and
-    /// [`publish_miss`](Self::publish_miss) so several simulations can be
-    /// interleaved between the lookup and the store.
+    /// The hit half of [`run_cached`](Self::run_cached): answers the
+    /// scenario `id` identifies from the cache with full hit bookkeeping,
+    /// or returns `None` without touching any counter. The batched-cell
+    /// drive loop uses this and [`publish_miss`](Self::publish_miss) so
+    /// several simulations can be interleaved between the lookup and the
+    /// store; it derives `id` once per cell and reuses it for both halves
+    /// and for the record's key.
     #[must_use]
-    pub fn try_hit(&self, scenario: &Scenario, stats: &CacheStats) -> Option<SimResults> {
-        let results = self.lookup(scenario)?;
+    pub fn try_hit(&self, id: CacheIdentity, stats: &CacheStats) -> Option<SimResults> {
+        let results = self.lookup_identity(id)?;
         stats.hits.fetch_add(1, Ordering::Relaxed);
         dsmt_obs::counter!("sweep.cells_cache_hit").inc();
-        dsmt_obs::debug!("sweep.cache.hit", key = scenario.cache_key_hex());
+        dsmt_obs::debug!("sweep.cache.hit", key = id.key_hex());
         Some(results)
     }
 
     /// The miss half of [`run_cached`](Self::run_cached): stores a result
     /// the caller simulated itself, with full miss bookkeeping.
-    pub fn publish_miss(&self, scenario: &Scenario, results: &SimResults, stats: &CacheStats) {
-        self.store(scenario, results);
+    pub fn publish_miss(&self, id: CacheIdentity, results: &SimResults, stats: &CacheStats) {
+        self.store_identity(id, results);
         stats.misses.fetch_add(1, Ordering::Relaxed);
         dsmt_obs::counter!("sweep.cells_simulated").inc();
-        dsmt_obs::debug!("sweep.cache.miss", key = scenario.cache_key_hex());
+        dsmt_obs::debug!("sweep.cache.miss", key = id.key_hex());
     }
 
     /// Number of distinct cached scenarios (published + pending).
@@ -420,7 +428,8 @@ pub fn migrate_v2(dir: impl Into<PathBuf>) -> Result<MigrateOutcome, String> {
         outcome.bytes_before += entry.metadata().map(|m| m.len()).unwrap_or(0);
         match parse_v2_entry(&path) {
             Some((scenario, results)) => {
-                records.push((scenario.cache_key(), entry_value(&scenario, &results)));
+                let id = scenario.cache_identity();
+                records.push((id.key, entry_value(id, &results)));
                 outcome.migrated += 1;
             }
             // A v2-named file that does not parse is a corrupt cache

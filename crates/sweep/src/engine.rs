@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use crate::cache::{CacheMode, CacheStats, ResultCache};
-use crate::{batch, pool, CellPerf, RunRecord, SweepGrid, SweepReport};
+use crate::{batch, pool, CacheIdentity, CellPerf, RunRecord, SweepGrid, SweepReport};
 
 /// Executes [`SweepGrid`]s on a work-stealing pool with optional caching.
 #[derive(Debug)]
@@ -304,14 +304,20 @@ fn execute_batch(
     items: &[(&str, &CacheStats, &crate::Cell)],
 ) -> Vec<RunRecord> {
     // Answer what the cache already knows; collect the rest as one batch.
-    let mut resolved: Vec<Option<(dsmt_core::SimResults, f64)>> = items
+    // One serialization per cell: its cache identity serves the lookup,
+    // the miss's publish and the record's key.
+    let (ids, mut resolved): (
+        Vec<CacheIdentity>,
+        Vec<Option<(dsmt_core::SimResults, f64)>>,
+    ) = items
         .iter()
         .map(|(_, stats, cell)| {
             let started = Instant::now();
-            let hit = cache.and_then(|c| c.try_hit(&cell.scenario, stats));
-            hit.map(|r| (r, started.elapsed().as_secs_f64()))
+            let id = cell.scenario.cache_identity();
+            let hit = cache.and_then(|c| c.try_hit(id, stats));
+            (id, hit.map(|r| (r, started.elapsed().as_secs_f64())))
         })
-        .collect();
+        .unzip();
     let misses: Vec<usize> = (0..items.len())
         .filter(|&i| resolved[i].is_none())
         .collect();
@@ -319,9 +325,9 @@ fn execute_batch(
         let scenarios: Vec<&crate::Scenario> =
             misses.iter().map(|&i| &items[i].2.scenario).collect();
         for (&i, (results, wall_secs)) in misses.iter().zip(batch::drive(&scenarios)) {
-            let (_, stats, cell) = items[i];
+            let (_, stats, _) = items[i];
             match cache {
-                Some(cache) => cache.publish_miss(&cell.scenario, &results, stats),
+                Some(cache) => cache.publish_miss(ids[i], &results, stats),
                 None => stats.count_uncached_miss(),
             }
             resolved[i] = Some((results, wall_secs));
@@ -330,7 +336,8 @@ fn execute_batch(
     items
         .iter()
         .zip(resolved)
-        .map(|((grid_name, _, cell), slot)| {
+        .zip(ids)
+        .map(|(((grid_name, _, cell), slot), id)| {
             let (results, wall_secs) = slot.expect("every batched cell resolves");
             dsmt_obs::histogram!("sweep.cell_wall_us").record((wall_secs * 1e6) as u64);
             let perf = CellPerf::new(&results, wall_secs);
@@ -339,7 +346,7 @@ fn execute_batch(
                 grid: grid_name.to_string(),
                 workload: cell.workload_label.clone(),
                 labels: cell.labels.clone(),
-                key: cell.scenario.cache_key_hex(),
+                key: id.key_hex(),
                 scenario: cell.scenario.clone(),
                 results,
                 perf,

@@ -56,7 +56,7 @@ pub use cache::{migrate_v2, CacheMode, CacheStats, MigrateOutcome, ResultCache};
 pub use engine::SweepEngine;
 pub use grid::{Axis, Cell, SeedMode, Setting, SweepGrid};
 pub use record::{CellPerf, RunRecord, SweepReport};
-pub use scenario::{AsmSource, Scenario, WorkloadSpec};
+pub use scenario::{AsmSource, CacheIdentity, Scenario, WorkloadSpec};
 pub use telemetry::ProgressLine;
 
 // The persistence layer's hash and segment surface, re-exported so sweep

@@ -1,13 +1,14 @@
 //! One simulation cell: a configuration, a workload, a seed and a budget.
 
 use dsmt_core::{Processor, SimConfig, SimResults};
+use dsmt_store::Fnv64;
 use dsmt_trace::{
     spec_fp95_profile, BenchmarkProfile, Program, ProgramWorkload, SyntheticTrace, ThreadWorkload,
     TraceSource,
 };
 use serde::{Deserialize, Serialize};
 
-use crate::{fnv1a64, CACHE_SCHEMA_VERSION};
+use crate::CACHE_SCHEMA_VERSION;
 
 /// What the simulated threads execute.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -112,6 +113,43 @@ impl WorkloadSpec {
     }
 }
 
+/// A scenario's identity in the result cache. Both hashes come from one
+/// canonical JSON serialization of the scenario, under different prefixes:
+/// the store key, and an independent verification hash stored inside every
+/// cache entry and re-checked on every hit, so returning a wrong cell
+/// requires two simultaneous 64-bit collisions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheIdentity {
+    /// The store key, equal to [`Scenario::cache_key`].
+    pub key: u64,
+    /// FNV-1a of `verify:` followed by the canonical JSON.
+    pub verify: u64,
+}
+
+impl CacheIdentity {
+    /// The key as a fixed-width hex string, equal to
+    /// [`Scenario::cache_key_hex`].
+    #[must_use]
+    pub fn key_hex(&self) -> String {
+        format!("{:016x}", self.key)
+    }
+}
+
+/// FNV-1a over `prefix` followed by `canonical`, without concatenating them.
+fn prefixed_fnv(prefix: &[u8], canonical: &str) -> u64 {
+    let mut h = Fnv64::new();
+    h.update(prefix);
+    h.update(canonical.as_bytes());
+    h.finish()
+}
+
+/// The cache key of a scenario's canonical JSON: FNV-1a of
+/// `v{schema}+{version}:{json}`.
+fn key_of(canonical: &str) -> u64 {
+    let prefix = format!("v{}+{}:", CACHE_SCHEMA_VERSION, env!("CARGO_PKG_VERSION"));
+    prefixed_fnv(prefix.as_bytes(), canonical)
+}
+
 /// A fully specified simulation: deterministic given its fields.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
@@ -137,13 +175,19 @@ impl Scenario {
     /// `DSMT_SWEEP_CACHE=off` while iterating on the simulator itself.
     #[must_use]
     pub fn cache_key(&self) -> u64 {
-        let canonical = format!(
-            "v{}+{}:{}",
-            CACHE_SCHEMA_VERSION,
-            env!("CARGO_PKG_VERSION"),
-            serde::to_string(self)
-        );
-        fnv1a64(canonical.as_bytes())
+        key_of(&serde::to_string(self))
+    }
+
+    /// The cache key and the verification hash, from a single
+    /// serialization (see [`CacheIdentity`]) — what every cache lookup and
+    /// store derives once per cell.
+    #[must_use]
+    pub fn cache_identity(&self) -> CacheIdentity {
+        let canonical = serde::to_string(self);
+        CacheIdentity {
+            key: key_of(&canonical),
+            verify: prefixed_fnv(b"verify:", &canonical),
+        }
     }
 
     /// The cache key as a fixed-width hex string (file-name friendly).
@@ -267,6 +311,33 @@ mod tests {
         // And it is stable across calls.
         assert_eq!(base.cache_key(), tiny_scenario().cache_key());
         assert_eq!(base.cache_key_hex().len(), 16);
+    }
+
+    #[test]
+    fn cache_identity_matches_the_separately_serialized_hashes() {
+        let programs = Scenario {
+            workload: WorkloadSpec::programs(&[("loop", "top: br top")]),
+            ..tiny_scenario()
+        };
+        let benchmark = Scenario {
+            workload: WorkloadSpec::benchmark("swim"),
+            ..tiny_scenario()
+        };
+        for s in [tiny_scenario(), programs, benchmark] {
+            let json = serde::to_string(&s);
+            let id = s.cache_identity();
+            let key = format!(
+                "v{CACHE_SCHEMA_VERSION}+{}:{json}",
+                env!("CARGO_PKG_VERSION")
+            );
+            assert_eq!(id.key, crate::fnv1a64(key.as_bytes()));
+            assert_eq!(
+                id.verify,
+                crate::fnv1a64(format!("verify:{json}").as_bytes())
+            );
+            assert_eq!(id.key, s.cache_key());
+            assert_eq!(id.key_hex(), s.cache_key_hex());
+        }
     }
 
     #[test]
