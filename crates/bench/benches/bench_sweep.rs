@@ -30,15 +30,14 @@
 //!   comparable on the host that produced the snapshot, so this gate binds
 //!   when `host_cpus` matches and degrades to an informational print when
 //!   it does not (CI's coarse 30% cross-machine gate is the arbiter there);
-//! * the `store_open` row (cold open of a 10^4-record store, v2
-//!   header-indexed vs forced eager decode) must show a >=5x speedup.
-//!   The ratio pits two runs on the same host against each other, so it
-//!   gates everywhere; CI's store-scale job enforces the >=10x bar at
-//!   10^5 records.
+//! * the `store_open` row (cold `Store::open` of a 10^4-record store,
+//!   which reads segment headers only, vs reading and `Segment::decode`-ing
+//!   every segment file) must show a >=5x speedup. The ratio pits two
+//!   runs on the same host against each other, so it gates everywhere.
 
 use criterion::{criterion_group, criterion_main, summarize, Criterion, Throughput};
 use dsmt_core::SimConfig;
-use dsmt_store::{IndexMode, Store};
+use dsmt_store::{Segment, Store};
 use dsmt_sweep::{Axis, SweepEngine, SweepGrid, WorkloadSpec};
 use std::time::{Duration, Instant};
 
@@ -129,14 +128,14 @@ fn sample_cells_per_sec(
 }
 
 /// Records in the synthetic store the `store_open` row prices. 10^4 keeps
-/// the eager side affordable inside a bench run while leaving the
-/// indexed-vs-eager gap far above measurement noise.
+/// the decode-everything side affordable inside a bench run while leaving
+/// the gap to a header-only open far above measurement noise.
 const STORE_OPEN_RECORDS: usize = 10_000;
 
 /// Builds a store of [`STORE_OPEN_RECORDS`] sweep-cell-shaped records
 /// (numeric stats under shared field names, like the cache publishes).
 fn build_bench_store(dir: &std::path::Path) {
-    let mut store = Store::open_with(dir, 1, IndexMode::Indexed).expect("create bench store");
+    let mut store = Store::open(dir, 1).expect("create bench store");
     let mut batch = Vec::with_capacity(2048);
     for n in 0..STORE_OPEN_RECORDS as u64 {
         let h = n.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (n >> 7);
@@ -172,14 +171,40 @@ fn build_bench_store(dir: &std::path::Path) {
     }
 }
 
-/// Samples a cold `Store::open_with` repeatedly, in microseconds.
-fn sample_store_open(dir: &std::path::Path, mode: IndexMode, samples: usize) -> criterion::Summary {
+/// Samples a cold `Store::open` repeatedly, in microseconds.
+fn sample_store_open(dir: &std::path::Path, samples: usize) -> criterion::Summary {
     let runs: Vec<f64> = (0..samples)
         .map(|_| {
             let start = Instant::now();
-            let store = Store::open_with(dir, 1, mode).expect("open bench store");
+            let store = Store::open(dir, 1).expect("open bench store");
             let us = start.elapsed().as_micros() as f64;
             assert_eq!(store.record_count(), STORE_OPEN_RECORDS);
+            us
+        })
+        .collect();
+    summarize(&runs)
+}
+
+/// Samples the decode-everything baseline repeatedly, in microseconds:
+/// read every `segments/*.dsrs` file and fully verify it with
+/// `Segment::decode`, the reference reader.
+fn sample_decode_all(dir: &std::path::Path, samples: usize) -> criterion::Summary {
+    let runs: Vec<f64> = (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            let mut records = 0;
+            for entry in std::fs::read_dir(dir.join("segments")).expect("segments dir") {
+                let path = entry.expect("dir entry").path();
+                if path.extension().is_some_and(|x| x == "dsrs") {
+                    let bytes = std::fs::read(&path).expect("read segment");
+                    records += Segment::decode(&bytes)
+                        .expect("segment verifies")
+                        .records
+                        .len();
+                }
+            }
+            let us = start.elapsed().as_micros() as f64;
+            assert_eq!(records, STORE_OPEN_RECORDS);
             us
         })
         .collect();
@@ -237,13 +262,13 @@ fn write_snapshot() {
     let replay = cells_per_sec(parallel_workers, Some(&cache_dir));
     let _ = std::fs::remove_dir_all(&cache_dir);
 
-    // The store_open row: cold open cost of a 10^4-record store with the
-    // v2 key-directory header index vs forced eager decode-everything.
+    // The store_open row: cold open cost of a 10^4-record store (segment
+    // headers only) vs reading and decoding every segment in full.
     let store_dir = std::env::temp_dir().join(format!("dsmt-bench-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     build_bench_store(&store_dir);
-    let open_indexed = sample_store_open(&store_dir, IndexMode::Indexed, samples);
-    let open_eager = sample_store_open(&store_dir, IndexMode::Eager, samples);
+    let open_indexed = sample_store_open(&store_dir, samples);
+    let open_eager = sample_decode_all(&store_dir, samples);
     let _ = std::fs::remove_dir_all(&store_dir);
     let store_open_speedup = open_eager.median_ns / open_indexed.median_ns.max(1e-9);
 
@@ -353,8 +378,8 @@ fn write_snapshot() {
     // (both sides run on this machine), so it gates cross-host.
     assert!(
         store_open_speedup > 1.0,
-        "indexed store open not faster than eager: {:.0}us vs {:.0}us at {STORE_OPEN_RECORDS} \
-         records",
+        "indexed store open not faster than decoding every segment: {:.0}us vs {:.0}us at \
+         {STORE_OPEN_RECORDS} records",
         open_indexed.median_ns,
         open_eager.median_ns
     );
@@ -364,9 +389,9 @@ fn write_snapshot() {
     if strict_mode() {
         assert!(
             store_open_speedup >= 5.0,
-            "header-indexed store open is only {store_open_speedup:.1}x faster than eager \
-             decode-everything at {STORE_OPEN_RECORDS} records ({:.0}us vs {:.0}us); the \
-             O(keys)-open design point demands >=5x here (>=10x at 10^5, CI store-scale job)",
+            "header-indexed store open is only {store_open_speedup:.1}x faster than \
+             decoding every segment at {STORE_OPEN_RECORDS} records ({:.0}us vs {:.0}us); \
+             the O(keys)-open design point demands >=5x",
             open_indexed.median_ns,
             open_eager.median_ns
         );

@@ -160,7 +160,7 @@ pub fn plan_file_name(grid: &SweepGrid) -> String {
 /// replay run.
 ///
 /// Publishing is best-effort: the cells are already safe in the scenario
-/// cache, so a failure (e.g. a legacy cache directory that is not a store)
+/// cache, so a failure (e.g. a directory whose store schema differs)
 /// is reported in [`ShardedGridRun::published`] rather than aborting the
 /// run.
 ///

@@ -45,7 +45,8 @@ pub struct CellFetch {
     /// ETag matched and the record was never decoded or serialized.
     pub json: Option<String>,
     /// Strong ETag: the quoted 16-hex per-record FNV from the segment
-    /// header (or, for eagerly loaded legacy segments, of the JSON body).
+    /// header (or, for records this handle published itself, of the JSON
+    /// body).
     pub etag: String,
 }
 
@@ -75,7 +76,7 @@ impl SweepService {
     /// # Errors
     ///
     /// A human-readable message when the store cannot be opened (schema
-    /// mismatch, legacy layout, I/O) or `plans/` cannot be created.
+    /// mismatch, corrupt segment, I/O) or `plans/` cannot be created.
     pub fn open(store_dir: impl Into<PathBuf>, resolver: GridResolver) -> Result<Self, String> {
         let store_dir = store_dir.into();
         let transport = Transport::store(&store_dir)?;
@@ -286,9 +287,9 @@ impl SweepService {
     ///
     /// The ETag is the per-record FNV the segment header already records,
     /// so a matching `If-None-Match` is answered from the index alone —
-    /// no record decode, no serialization, no body. Records from eagerly
-    /// loaded segments (legacy v1 files record no per-record FNV) fall
-    /// back to hashing the rendered JSON.
+    /// no record decode, no serialization, no body. Records the daemon's
+    /// own handle published (held in memory, not indexed from a header)
+    /// fall back to hashing the rendered JSON.
     ///
     /// # Errors
     ///
@@ -301,11 +302,8 @@ impl SweepService {
             .transport
             .lock()
             .map_err(|_| ApiError::internal("service state poisoned"))?;
-        let Transport::Store(store) = &mut *transport else {
-            return Err(ApiError::internal("service transport is not a store"));
-        };
-        store.refresh();
-        let store = store.as_store();
+        transport.refresh();
+        let store = transport.as_store();
         if let Some(fnv) = store.record_fnv(numeric) {
             let etag = format!("\"{fnv:016x}\"");
             if if_none_match == Some(etag.as_str()) {
@@ -478,10 +476,10 @@ mod tests {
         // without decoding — and a matching If-None-Match short-circuits.
         {
             let transport = svc.transport.lock().unwrap();
-            let Transport::Store(store) = &*transport else {
-                panic!("store transport")
-            };
-            let fnv = store.as_store().record_fnv(key).expect("headered record");
+            let fnv = transport
+                .as_store()
+                .record_fnv(key)
+                .expect("headered record");
             assert_eq!(fetch.etag, format!("\"{fnv:016x}\""));
         }
         let revalidated = svc.cell("00ff", Some(fetch.etag.as_str())).unwrap();

@@ -1,6 +1,5 @@
 //! Runs one shard of a manifest and packages the result.
 
-use std::path::Path;
 use std::time::Duration;
 
 use dsmt_store::Claim;
@@ -18,17 +17,6 @@ pub struct ShardRun {
     pub report: SweepReport,
     /// The same records as a writable `.dsr` file.
     pub dsr: DsrFile,
-}
-
-/// The conventional file name for a shard's `.dsr` output:
-/// `<grid>.shard-<i>-of-<n>.dsr`.
-#[must_use]
-pub fn shard_file_name(manifest: &ShardManifest, shard_index: usize) -> String {
-    format!(
-        "{}.shard-{shard_index}-of-{}.dsr",
-        manifest.grid.name,
-        manifest.num_shards()
-    )
 }
 
 /// Validates the manifest and executes its `shard_index`-th shard on
@@ -66,7 +54,7 @@ pub fn run_shard(
     })
 }
 
-/// How one shard fared during a [`run_missing`] recovery pass.
+/// How one shard fared during a [`recover`] pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardDisposition {
     /// A verified output already existed; nothing to do.
@@ -112,8 +100,8 @@ pub struct StealRecord {
     pub previous: String,
 }
 
-/// The outcome of a [`run_missing`]/[`recover`] pass: one disposition per
-/// shard, in shard order, plus a record of every stale claim stolen.
+/// The outcome of a [`recover`] pass: one disposition per shard, in shard
+/// order, plus a record of every stale claim stolen.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MissingRun {
     /// Disposition per shard index.
@@ -157,27 +145,6 @@ impl MissingRun {
             .map(|(i, _)| i)
             .collect()
     }
-}
-
-/// Executes every shard of `manifest` that has no verified output under
-/// `dir` yet (loose-`.dsr` transport, no claim stealing) — shorthand for
-/// [`recover`] over [`Transport::loose`] with default options, kept as
-/// the stable entry point for scripts and tests of the PR 3 protocol.
-///
-/// # Errors
-///
-/// As for [`recover`].
-pub fn run_missing(
-    manifest: &ShardManifest,
-    dir: impl AsRef<Path>,
-    engine: &SweepEngine,
-) -> Result<MissingRun, ShardPlanError> {
-    recover(
-        manifest,
-        &mut Transport::loose(dir.as_ref()),
-        engine,
-        &RecoverOptions::default(),
-    )
 }
 
 /// Executes every shard of `manifest` that has no verified output on
@@ -290,7 +257,7 @@ mod tests {
     use super::*;
     use crate::{plan, ShardStrategy};
     use dsmt_core::SimConfig;
-    use dsmt_store::LockFile;
+    use dsmt_store::{LockFile, Store};
     use dsmt_sweep::{Axis, SweepGrid, WorkloadSpec};
 
     fn manifest() -> ShardManifest {
@@ -337,12 +304,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn shard_file_names_follow_the_convention() {
-        let m = manifest();
-        assert_eq!(shard_file_name(&m, 1), "exec.shard-1-of-3.dsr");
-    }
-
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir =
             std::env::temp_dir().join(format!("dsmt-missing-test-{}-{tag}", std::process::id()));
@@ -356,61 +317,15 @@ mod tests {
         let m = manifest();
         let dir = temp_dir("recover");
         let engine = SweepEngine::new(2).without_cache();
-        // Shard 0 was run normally; shard 1's output is corrupt; shard 2
-        // never ran.
-        let run0 = run_shard(&m, 0, &engine).unwrap();
-        run0.dsr.write(dir.join(shard_file_name(&m, 0))).unwrap();
-        std::fs::write(dir.join(shard_file_name(&m, 1)), b"garbage").unwrap();
-
-        let outcome = run_missing(&m, &dir, &engine).expect("recovery pass");
-        assert_eq!(outcome.already_done(), vec![0]);
-        assert_eq!(outcome.executed(), vec![1, 2]);
-        assert!(outcome.complete());
-        // Everything now merges into the full grid.
-        let files: Vec<DsrFile> = (0..m.num_shards())
-            .map(|i| DsrFile::read(dir.join(shard_file_name(&m, i))).expect("verified output"))
-            .collect();
-        let merged = crate::merge_shards(&m, &files).expect("merge");
-        assert_eq!(merged.records, engine.run(&m.grid).records);
-        // A second pass finds nothing to do, and the claims were released.
-        let again = run_missing(&m, &dir, &engine).expect("idempotent pass");
-        assert_eq!(again.executed(), Vec::<usize>::new());
-        assert_eq!(again.already_done(), vec![0, 1, 2]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn held_claims_are_respected_not_stolen() {
-        let m = manifest();
-        let dir = temp_dir("held");
-        let engine = SweepEngine::new(1).without_cache();
-        // Simulate a worker holding shard 1: its claim exists, no output.
-        let held = LockFile::acquire(dir.join("locks"), &shard_file_name(&m, 1))
-            .unwrap()
-            .expect("claim");
-        let outcome = run_missing(&m, &dir, &engine).expect("pass");
-        assert_eq!(outcome.executed(), vec![0, 2]);
-        assert_eq!(outcome.claimed_elsewhere(), vec![1]);
-        assert!(!outcome.complete());
-        assert!(!dir.join(shard_file_name(&m, 1)).exists());
-        // The holder is identifiable for stale-claim diagnostics.
-        assert!(LockFile::holder(dir.join("locks"), &shard_file_name(&m, 1)).is_some());
-        drop(held);
-        let retry = run_missing(&m, &dir, &engine).expect("retry");
-        assert_eq!(retry.executed(), vec![1]);
-        assert!(retry.complete());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recover_over_the_store_transport_heals_missing_shards() {
-        let m = manifest();
-        let dir = temp_dir("store-recover");
-        let engine = SweepEngine::new(2).without_cache();
-        // Shard 0 published normally; 1 and 2 never ran.
-        let mut transport = crate::Transport::store(&dir).expect("store transport");
+        // Shard 0 was run normally; shard 1's output is corrupt (a foreign
+        // value under its key); shard 2 never ran.
+        let mut transport = Transport::store(&dir).expect("store transport");
         let run0 = run_shard(&m, 0, &engine).unwrap();
         transport.publish(&m, &run0.dsr).expect("publish");
+        Store::open(&dir, dsmt_sweep::CACHE_SCHEMA_VERSION)
+            .unwrap()
+            .publish(vec![(m.shard_key(1), serde::Value::U64(7))])
+            .unwrap();
 
         let outcome = recover(&m, &mut transport, &engine, &RecoverOptions::default())
             .expect("recovery pass");
@@ -426,10 +341,37 @@ mod tests {
             DsrFile::from_report(&m.grid, &merged, 0, 1).encode(),
             DsrFile::from_report(&m.grid, &mono, 0, 1).encode(),
         );
-        // A second pass is a no-op, and all claims were released.
+        // A second pass finds nothing to do, and the claims were released.
         let again =
             recover(&m, &mut transport, &engine, &RecoverOptions::default()).expect("idempotent");
+        assert_eq!(again.executed(), Vec::<usize>::new());
         assert_eq!(again.already_done(), vec![0, 1, 2]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn held_claims_are_respected_not_stolen() {
+        let m = manifest();
+        let dir = temp_dir("held");
+        let engine = SweepEngine::new(1).without_cache();
+        let mut transport = Transport::store(&dir).expect("store transport");
+        // Simulate a worker holding shard 1: its claim exists, no output.
+        let held = LockFile::acquire(transport.locks_dir(), &m.claim_name(1))
+            .unwrap()
+            .expect("claim");
+        let outcome =
+            recover(&m, &mut transport, &engine, &RecoverOptions::default()).expect("pass");
+        assert_eq!(outcome.executed(), vec![0, 2]);
+        assert_eq!(outcome.claimed_elsewhere(), vec![1]);
+        assert!(!outcome.complete());
+        assert!(transport.read_verified(&m, 1).is_none());
+        // The holder is identifiable for stale-claim diagnostics.
+        assert!(LockFile::holder(transport.locks_dir(), &m.claim_name(1)).is_some());
+        drop(held);
+        let retry =
+            recover(&m, &mut transport, &engine, &RecoverOptions::default()).expect("retry");
+        assert_eq!(retry.executed(), vec![1]);
+        assert!(retry.complete());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -438,7 +380,7 @@ mod tests {
         let m = manifest();
         let dir = temp_dir("steal");
         let engine = SweepEngine::new(1).without_cache();
-        let mut transport = crate::Transport::store(&dir).expect("store transport");
+        let mut transport = Transport::store(&dir).expect("store transport");
         // A worker died without unwinding while holding shard 1: its claim
         // file survives. Backdate it so it reads as 1h old.
         let dead = LockFile::acquire(transport.locks_dir(), &m.claim_name(1))
@@ -498,7 +440,7 @@ mod tests {
             .with_budget(3_000);
         let m = plan(&grid, 1, ShardStrategy::Contiguous).unwrap();
         let dir = temp_dir("steal-race");
-        let setup = crate::Transport::store(&dir).expect("store transport");
+        let setup = Transport::store(&dir).expect("store transport");
         let dead = LockFile::acquire(setup.locks_dir(), &m.claim_name(0))
             .unwrap()
             .expect("claim");
@@ -515,7 +457,7 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         let engine = SweepEngine::new(1).without_cache();
-                        let mut transport = crate::Transport::store(&dir).expect("transport");
+                        let mut transport = Transport::store(&dir).expect("transport");
                         barrier.wait();
                         recover(
                             &m,
@@ -537,7 +479,7 @@ mod tests {
         assert_eq!(executed, 1, "the shard must be executed exactly once");
         assert_eq!(stolen, 1, "exactly one recoverer may steal the claim");
         // Whoever won, the output is now verified and merges.
-        let mut transport = crate::Transport::store(&dir).expect("transport");
+        let mut transport = Transport::store(&dir).expect("transport");
         assert!(transport.read_verified(&m, 0).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -548,8 +490,9 @@ mod tests {
         stale.grid.seed += 1;
         let dir = temp_dir("stale");
         let engine = SweepEngine::new(1).without_cache();
+        let mut transport = Transport::store(&dir).expect("store transport");
         assert!(matches!(
-            run_missing(&stale, &dir, &engine),
+            recover(&stale, &mut transport, &engine, &RecoverOptions::default()),
             Err(ShardPlanError::GridHashMismatch { .. })
         ));
         assert!(!dir.join("locks").exists(), "no claims were taken");

@@ -26,12 +26,12 @@
 //!   `.dsr` file; [`recover`] heals a fleet by claiming and re-running
 //!   every shard without a verified output, stealing claims whose holder
 //!   died ([`RecoverOptions::steal_after`]).
-//! * [`transport`] — where shard outputs travel: loose `.dsr` files
-//!   beside the plan, or published **into the result store** keyed by
-//!   `(grid content hash, shard index)` — one shared directory carrying
-//!   scenario cache and shard outputs alike, with checksums, atomic
-//!   publishes and LRU GC for free. [`Transport`] is the switch;
-//!   `dsmt shard status` reports done/claimed/missing per shard.
+//! * [`transport`] — where shard outputs travel: published **into the
+//!   result store** keyed by `(grid content hash, shard index)` — one
+//!   shared directory carrying scenario cache and shard outputs alike,
+//!   with checksums, atomic publishes and LRU GC for free. [`Transport`]
+//!   wraps the store; `dsmt shard status` reports done/claimed/missing
+//!   per shard.
 //! * [`merge`] — [`merge_shards`] (and the transport-aware
 //!   [`merge_from`]) reassembles shard outputs into a full
 //!   [`SweepReport`](dsmt_sweep::SweepReport), detecting missing,
@@ -39,7 +39,7 @@
 //!   order, so the merged `.dsr` is byte-identical to one produced by a
 //!   monolithic run.
 //!
-//! ## The multi-host workflow (store transport)
+//! ## The multi-host workflow
 //!
 //! ```text
 //! host 0:  dsmt shard plan demo --shards 4 --out plan.json
@@ -81,13 +81,11 @@ pub mod transport;
 
 pub use dsr::{DsrError, DsrFile, DsrRecord, DSR_FORMAT_VERSION};
 pub use executor::{
-    recover, run_missing, run_shard, shard_file_name, MissingRun, RecoverOptions, ShardDisposition,
-    ShardRun, StealRecord, DEFAULT_HEARTBEAT,
+    recover, run_shard, MissingRun, RecoverOptions, ShardDisposition, ShardRun, StealRecord,
+    DEFAULT_HEARTBEAT,
 };
 pub use merge::{merge_from, merge_shards, MergeError};
 pub use partition::{
     grid_content_hash, plan, ShardManifest, ShardPlanError, ShardStrategy, MANIFEST_SCHEMA_VERSION,
 };
-pub use transport::{
-    ShardState, ShardStatus, ShardStore, StatusReport, Transport, SHARD_VALUE_SCHEMA,
-};
+pub use transport::{ShardState, ShardStatus, StatusReport, Transport, SHARD_VALUE_SCHEMA};

@@ -23,10 +23,10 @@ pub enum MergeError {
     /// No file covers this shard index.
     MissingShard(usize),
     /// An output for this shard exists on the transport but cannot be
-    /// used: a corrupt/truncated loose `.dsr` file (the decode error is
-    /// carried), or a store record that fails verification. Distinct from
-    /// [`MergeError::MissingShard`] so the operator repairs the right
-    /// thing — `--missing` re-runs both, but a corrupt file on disk is
+    /// used: its store record fails verification (corrupt bytes, a
+    /// foreign value, a key collision; the reason is carried). Distinct
+    /// from [`MergeError::MissingShard`] so the operator repairs the right
+    /// thing — `--missing` re-runs both, but a corrupt record on disk is
     /// worth knowing about.
     UnusableShard {
         /// The shard whose output is unusable.
@@ -174,14 +174,14 @@ pub fn merge_shards(
 }
 
 /// Collects every shard of the plan from `transport` and merges them —
-/// the transport-aware face of [`merge_shards`]. Store transports refresh
-/// their handle first (via [`Transport::read_for_merge`]), so a merger
-/// can run the moment `dsmt shard status` reports the store complete.
+/// the transport-aware face of [`merge_shards`]. The transport refreshes
+/// its handle first (via [`Transport::read_for_merge`]), so a merger can
+/// run the moment `dsmt shard status` reports the store complete.
 ///
 /// Diagnostics stay precise: an absent shard reports
 /// [`MergeError::MissingShard`], while an output that *exists* but cannot
-/// be used (truncated or corrupt loose file, unverifiable store record)
-/// reports [`MergeError::UnusableShard`] carrying the reason. Either way,
+/// be used (an unverifiable store record) reports
+/// [`MergeError::UnusableShard`] carrying the reason. Either way,
 /// `dsmt shard run --missing` heals the shard for a retry.
 ///
 /// # Errors
@@ -295,29 +295,33 @@ mod tests {
     fn merge_from_reports_missing_and_unusable_shards_distinctly() {
         let dir = std::env::temp_dir().join(format!("dsmt-merge-from-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let m = manifest();
         let files = shard_files(&m);
-        let mut transport = Transport::loose(&dir);
+        let mut transport = Transport::store(&dir).expect("store transport");
 
-        // Nothing on disk: the first absent shard is named.
+        // Nothing in the store: the first absent shard is named.
         assert_eq!(
             merge_from(&m, &mut transport),
             Err(MergeError::MissingShard(0))
         );
-        // Shards 0 and 2 published, shard 1 corrupt on disk: the corrupt
-        // file is reported as unusable (with its decode error), not as
-        // missing.
+        // Shards 0 and 2 published, a foreign value under shard 1's key:
+        // shard 1 is reported as unusable (with the reason), not missing.
         for file in [&files[0], &files[2]] {
             transport.publish(&m, file).unwrap();
         }
-        std::fs::write(dir.join(crate::shard_file_name(&m, 1)), b"junk").unwrap();
+        dsmt_store::Store::open(&dir, dsmt_sweep::CACHE_SCHEMA_VERSION)
+            .unwrap()
+            .publish(vec![(
+                m.shard_key(1),
+                serde::Value::Str("junk".to_string()),
+            )])
+            .unwrap();
         match merge_from(&m, &mut transport) {
             Err(MergeError::UnusableShard {
                 shard_index: 1,
                 why,
             }) => {
-                assert!(why.contains(".dsr"), "{why}");
+                assert!(why.contains("shard-output"), "{why}");
             }
             other => panic!("expected UnusableShard for shard 1, got {other:?}"),
         }

@@ -1,11 +1,7 @@
-//! How shard outputs travel between hosts: loose `.dsr` files or the
-//! result store.
+//! How shard outputs travel between hosts: published into the result
+//! store.
 //!
-//! The original (PR 3) protocol shipped each shard as a standalone `.dsr`
-//! file next to the plan — simple, but it left shard outputs outside the
-//! one layer that already knows how to share a directory safely. The
-//! **store transport** publishes each shard's records *into* a
-//! [`dsmt_store::Store`] instead, keyed by
+//! Each shard's records go *into* a [`dsmt_store::Store`], keyed by
 //! [`ShardManifest::shard_key`] (grid content hash + shard index + shard
 //! count, in the `shard-output` key namespace):
 //!
@@ -18,12 +14,9 @@
 //! * the merger and `dsmt shard status` observe other hosts' publishes on
 //!   a live handle via [`dsmt_store::Store::refresh`].
 //!
-//! Both transports hang their recovery claims off the same [`LockFile`]
-//! protocol, so [`crate::recover`] (and `dsmt shard run --missing
-//! --steal-after`) works identically over either. The loose transport
-//! remains fully supported — existing fixtures, golden files and scripts
-//! keep working — and [`Transport`] is the one switch that selects
-//! between them.
+//! Recovery claims are [`LockFile`]s in the store's `locks/` directory,
+//! named by [`ShardManifest::claim_name`] so unrelated plans can share one
+//! directory.
 //!
 //! A shard output is stored as a [`Value`] tree (same codec as every other
 //! store record):
@@ -42,7 +35,7 @@
 //! (or a hand-copied foreign store) degrades to "shard missing", never to
 //! merging someone else's cells.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
 use dsmt_core::SimResults;
@@ -50,104 +43,59 @@ use dsmt_store::{Claim, ClaimInfo, LockFile, Store};
 use dsmt_sweep::CACHE_SCHEMA_VERSION;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::{shard_file_name, DsrFile, DsrRecord, ShardManifest};
+use crate::{DsrFile, DsrRecord, ShardManifest};
 
 /// Bumped on any change to the shard-output [`Value`] layout; readers
 /// treat other schemas as missing (re-run), never misread them.
 pub const SHARD_VALUE_SCHEMA: u64 = 1;
 
-/// A store opened for shard-output traffic.
+/// Where shard outputs live: a [`Store`] opened for shard-output traffic.
+/// Executor, merger, status and recovery all work through it.
 ///
-/// Thin wrapper over [`Store`] fixing the client schema to the sweep
-/// cache's ([`CACHE_SCHEMA_VERSION`]) — deliberately, so one directory can
-/// serve as both the fleet's scenario cache and its shard transport.
+/// The client schema is fixed to the sweep cache's
+/// ([`CACHE_SCHEMA_VERSION`]) — deliberately, so one directory can serve
+/// as both the fleet's scenario cache and its shard transport.
 #[derive(Debug)]
-pub struct ShardStore {
+pub struct Transport {
     store: Store,
 }
 
-impl ShardStore {
+impl Transport {
     /// Opens (creating if needed) `dir` as a shard-output store.
     ///
     /// # Errors
     ///
-    /// A human-readable message for any [`Store::open`] failure (legacy v2
-    /// layout, schema mismatch, corrupt segment, I/O).
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, String> {
+    /// A human-readable message for any [`Store::open`] failure (schema
+    /// mismatch, corrupt segment, I/O).
+    pub fn store(dir: impl Into<PathBuf>) -> Result<Self, String> {
         let dir = dir.into();
         Store::open(&dir, CACHE_SCHEMA_VERSION)
-            .map(|store| ShardStore { store })
+            .map(|store| Transport { store })
             .map_err(|e| format!("{}: {e}", dir.display()))
     }
 
-    /// The store's root directory.
+    /// One line describing the transport, for CLI output.
     #[must_use]
-    pub fn dir(&self) -> &Path {
-        self.store.dir()
+    pub fn describe(&self) -> String {
+        format!("store at {}", self.store.dir().display())
     }
 
-    /// Picks up segments other workers published since open (or the last
-    /// refresh). Errors (e.g. a corrupt foreign segment) are reported as a
-    /// warning event and otherwise ignored: the snapshot stays usable, and
-    /// the cost is re-running a shard, never a wrong merge.
+    /// Read access to the underlying [`Store`], for clients (the serve
+    /// daemon's `/cells/{key}` endpoint) that look up raw records beside
+    /// the shard-output traffic.
+    #[must_use]
+    pub fn as_store(&self) -> &Store {
+        &self.store
+    }
+
+    /// Picks up segments other workers published (and drops segments they
+    /// removed) since open or the last refresh. Errors (e.g. a corrupt
+    /// foreign segment) are reported as a warning event and otherwise
+    /// ignored: the snapshot stays usable, and the cost is re-running a
+    /// shard, never a wrong merge.
     pub fn refresh(&mut self) {
         if let Err(e) = self.store.refresh() {
             dsmt_obs::warn!("shard.store_refresh_failed", error = e.to_string());
-        }
-    }
-
-    /// Publishes one shard's output as a new segment (atomic, idempotent:
-    /// re-publishing identical records lands on the same content-addressed
-    /// file). Returns the segment file name.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message on filesystem failure.
-    pub fn publish(&mut self, manifest: &ShardManifest, dsr: &DsrFile) -> Result<String, String> {
-        let key = manifest.shard_key(dsr.shard_index);
-        let value = shard_value(manifest, dsr);
-        let info = self
-            .store
-            .publish(vec![(key, value)])
-            .map_err(|e| e.to_string())?;
-        Ok(info.expect("non-empty batch").name)
-    }
-
-    /// The verified output of shard `index`, if the store holds one for
-    /// exactly this manifest. Reads the current snapshot; call
-    /// [`ShardStore::refresh`] first to observe other hosts' publishes.
-    #[must_use]
-    pub fn get(&self, manifest: &ShardManifest, index: usize) -> Option<DsrFile> {
-        shard_from_value(manifest, index, self.store.get(manifest.shard_key(index))?)
-    }
-
-    /// Like [`ShardStore::get`], but distinguishes "nothing under this
-    /// shard's key" (`Ok(None)`) from "a record exists but does not
-    /// verify as this plan's shard output" (`Err(why)`) — so a merger can
-    /// report a collision, foreign record, or byte-level corruption
-    /// (surfaced by the store's lazy verify-on-read) instead of calling
-    /// it absent.
-    ///
-    /// # Errors
-    ///
-    /// A description of why the stored record failed verification.
-    pub fn get_checked(
-        &self,
-        manifest: &ShardManifest,
-        index: usize,
-    ) -> Result<Option<DsrFile>, String> {
-        match self.store.try_get(manifest.shard_key(index)) {
-            Ok(None) => Ok(None),
-            Err(e) => Err(format!(
-                "the store record under shard {index}'s key failed verification: {e}"
-            )),
-            Ok(Some(value)) => match shard_from_value(manifest, index, value) {
-                Some(file) => Ok(Some(file)),
-                None => Err(format!(
-                    "the store record under shard {index}'s key is not a verifiable \
-                     shard-output of this plan (foreign, malformed, or a key collision)"
-                )),
-            },
         }
     }
 
@@ -157,12 +105,100 @@ impl ShardStore {
         self.store.locks_dir()
     }
 
-    /// Read access to the underlying [`Store`], for clients (the serve
-    /// daemon's `/cells/{key}` endpoint) that look up raw records beside
-    /// the shard-output traffic.
+    /// Tries to claim shard `index`, stealing a stale claim when
+    /// `steal_after` says so (see [`LockFile::acquire_or_steal`]).
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error other than the expected claim races.
+    pub fn claim(
+        &self,
+        manifest: &ShardManifest,
+        index: usize,
+        steal_after: Option<Duration>,
+    ) -> std::io::Result<Claim> {
+        LockFile::acquire_or_steal(self.locks_dir(), &manifest.claim_name(index), steal_after)
+    }
+
+    /// The verified output of shard `index`, or `None` when it is absent,
+    /// corrupt, or belongs to a different plan. Refreshes first, so
+    /// publishes by other live workers are observed.
     #[must_use]
-    pub fn as_store(&self) -> &Store {
-        &self.store
+    pub fn read_verified(&mut self, manifest: &ShardManifest, index: usize) -> Option<DsrFile> {
+        self.refresh();
+        shard_from_value(manifest, index, self.store.get(manifest.shard_key(index))?)
+    }
+
+    /// Reads shard `index` for a merge, preserving precise diagnostics
+    /// instead of [`Transport::read_verified`]'s everything-is-missing
+    /// collapse: "nothing under this shard's key" is `Ok(None)`, while a
+    /// record that exists but does not verify as this plan's shard output
+    /// explains itself — so a merger can report a collision, a foreign
+    /// record, or byte-level corruption (surfaced by the store's lazy
+    /// verify-on-read) instead of calling it absent.
+    ///
+    /// # Errors
+    ///
+    /// Why a *present* output could not be used.
+    pub fn read_for_merge(
+        &mut self,
+        manifest: &ShardManifest,
+        index: usize,
+    ) -> Result<Option<DsrFile>, String> {
+        self.refresh();
+        match self.store.try_get(manifest.shard_key(index)) {
+            Ok(None) => Ok(None),
+            Err(e) => Err(format!(
+                "the store record under shard {index}'s key failed verification: {e}"
+            )),
+            Ok(Some(value)) => shard_from_value(manifest, index, value)
+                .map(Some)
+                .ok_or_else(|| {
+                    format!(
+                        "the store record under shard {index}'s key is not a verifiable \
+                         shard-output of this plan (foreign, malformed, or a key collision)"
+                    )
+                }),
+        }
+    }
+
+    /// Publishes one shard's output as a new segment (atomic, idempotent:
+    /// re-publishing identical records lands on the same content-addressed
+    /// file).
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message on filesystem failure.
+    pub fn publish(&mut self, manifest: &ShardManifest, dsr: &DsrFile) -> Result<(), String> {
+        let key = manifest.shard_key(dsr.shard_index);
+        self.store
+            .publish(vec![(key, shard_value(manifest, dsr))])
+            .map(|_| ())
+            .map_err(|e| e.to_string())
+    }
+
+    /// One status probe over every shard of the plan: done / claimed (by
+    /// whom, how long ago) / missing. Refreshes first, so a polling
+    /// watcher sees the store fill up live.
+    #[must_use]
+    pub fn status(&mut self, manifest: &ShardManifest) -> StatusReport {
+        let shards = (0..manifest.num_shards())
+            .map(|index| {
+                let state = match self.read_verified(manifest, index) {
+                    Some(file) => ShardState::Done {
+                        records: file.records.len(),
+                    },
+                    None => {
+                        match LockFile::inspect(self.locks_dir(), &manifest.claim_name(index)) {
+                            Some(info) => ShardState::Claimed(info),
+                            None => ShardState::Missing,
+                        }
+                    }
+                };
+                ShardStatus { index, state }
+            })
+            .collect();
+        StatusReport { shards }
     }
 }
 
@@ -236,181 +272,6 @@ fn shard_from_value(manifest: &ShardManifest, index: usize, value: &Value) -> Op
         shard_count: manifest.num_shards(),
         records,
     })
-}
-
-/// Where shard outputs live: the one switch between the legacy
-/// loose-`.dsr` protocol and the store transport. Executor, merger,
-/// status and recovery all work over either.
-#[derive(Debug)]
-pub enum Transport {
-    /// Standalone `.dsr` files named [`shard_file_name`] under a
-    /// directory, with recovery claims under `<dir>/locks` (the PR 3
-    /// protocol; golden fixtures and existing scripts use this).
-    Loose {
-        /// The output directory.
-        dir: PathBuf,
-    },
-    /// Shard outputs published into a [`ShardStore`].
-    Store(ShardStore),
-}
-
-impl Transport {
-    /// A loose-file transport rooted at `dir`.
-    #[must_use]
-    pub fn loose(dir: impl Into<PathBuf>) -> Self {
-        Transport::Loose { dir: dir.into() }
-    }
-
-    /// A store transport rooted at `dir`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardStore::open`].
-    pub fn store(dir: impl Into<PathBuf>) -> Result<Self, String> {
-        ShardStore::open(dir).map(Transport::Store)
-    }
-
-    /// One line describing the transport, for CLI output.
-    #[must_use]
-    pub fn describe(&self) -> String {
-        match self {
-            Transport::Loose { dir } => format!("loose .dsr files in {}", dir.display()),
-            Transport::Store(store) => format!("store at {}", store.dir().display()),
-        }
-    }
-
-    /// The directory recovery claims live in.
-    #[must_use]
-    pub fn locks_dir(&self) -> PathBuf {
-        match self {
-            Transport::Loose { dir } => dir.join("locks"),
-            Transport::Store(store) => store.locks_dir(),
-        }
-    }
-
-    /// The claim name guarding shard `index` on this transport. Loose mode
-    /// keeps the historical file-name claims; the store transport scopes
-    /// claims by grid hash so unrelated plans can share one directory.
-    #[must_use]
-    pub fn claim_name(&self, manifest: &ShardManifest, index: usize) -> String {
-        match self {
-            Transport::Loose { .. } => shard_file_name(manifest, index),
-            Transport::Store(_) => manifest.claim_name(index),
-        }
-    }
-
-    /// Tries to claim shard `index`, stealing a stale claim when
-    /// `steal_after` says so (see [`LockFile::acquire_or_steal`]).
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error other than the expected claim races.
-    pub fn claim(
-        &self,
-        manifest: &ShardManifest,
-        index: usize,
-        steal_after: Option<Duration>,
-    ) -> std::io::Result<Claim> {
-        LockFile::acquire_or_steal(
-            self.locks_dir(),
-            &self.claim_name(manifest, index),
-            steal_after,
-        )
-    }
-
-    /// The verified output of shard `index`, or `None` when it is absent,
-    /// corrupt, or belongs to a different plan. Store transports refresh
-    /// first, so publishes by other live workers are observed.
-    #[must_use]
-    pub fn read_verified(&mut self, manifest: &ShardManifest, index: usize) -> Option<DsrFile> {
-        match self {
-            Transport::Loose { dir } => {
-                let path = dir.join(shard_file_name(manifest, index));
-                let file = DsrFile::read(path).ok()?;
-                (file.grid == manifest.grid
-                    && file.shard_index == index
-                    && file.shard_count == manifest.num_shards())
-                .then_some(file)
-            }
-            Transport::Store(store) => {
-                store.refresh();
-                store.get(manifest, index)
-            }
-        }
-    }
-
-    /// Reads shard `index` for a merge, preserving precise diagnostics
-    /// instead of [`Transport::read_verified`]'s everything-is-missing
-    /// collapse: an absent output is `Ok(None)`; a loose file that exists
-    /// but fails to decode keeps its [`crate::DsrError`] text (checksum
-    /// mismatch, truncation, version skew); an unverifiable store record
-    /// explains itself. Provenance checks (foreign grid, wrong shard
-    /// count) are left to `merge_shards`, which reports them per shard.
-    ///
-    /// # Errors
-    ///
-    /// Why a *present* output could not be used.
-    pub fn read_for_merge(
-        &mut self,
-        manifest: &ShardManifest,
-        index: usize,
-    ) -> Result<Option<DsrFile>, String> {
-        match self {
-            Transport::Loose { dir } => {
-                let path = dir.join(shard_file_name(manifest, index));
-                if !path.exists() {
-                    return Ok(None);
-                }
-                DsrFile::read(&path)
-                    .map(Some)
-                    .map_err(|e| format!("{}: {e}", path.display()))
-            }
-            Transport::Store(store) => {
-                store.refresh();
-                store.get_checked(manifest, index)
-            }
-        }
-    }
-
-    /// Publishes one shard's output (atomically, on either transport).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message on filesystem failure.
-    pub fn publish(&mut self, manifest: &ShardManifest, dsr: &DsrFile) -> Result<(), String> {
-        match self {
-            Transport::Loose { dir } => {
-                let path = dir.join(shard_file_name(manifest, dsr.shard_index));
-                dsr.write(path).map_err(|e| e.to_string())
-            }
-            Transport::Store(store) => store.publish(manifest, dsr).map(|_| ()),
-        }
-    }
-
-    /// One status probe over every shard of the plan: done / claimed (by
-    /// whom, how long ago) / missing. Store transports refresh first, so a
-    /// polling watcher sees the store fill up live.
-    #[must_use]
-    pub fn status(&mut self, manifest: &ShardManifest) -> StatusReport {
-        let shards = (0..manifest.num_shards())
-            .map(|index| {
-                let state = match self.read_verified(manifest, index) {
-                    Some(file) => ShardState::Done {
-                        records: file.records.len(),
-                    },
-                    None => {
-                        match LockFile::inspect(self.locks_dir(), &self.claim_name(manifest, index))
-                        {
-                            Some(info) => ShardState::Claimed(info),
-                            None => ShardState::Missing,
-                        }
-                    }
-                };
-                ShardStatus { index, state }
-            })
-            .collect();
-        StatusReport { shards }
-    }
 }
 
 /// What one shard looks like from the outside right now.
@@ -592,102 +453,110 @@ mod tests {
         let engine = SweepEngine::new(1).without_cache();
         let run = run_shard(&m, 0, &engine).unwrap();
 
-        let mut store = ShardStore::open(&dir).expect("open");
-        assert!(store.get(&m, 0).is_none());
-        store.publish(&m, &run.dsr).expect("publish");
-        let back = store.get(&m, 0).expect("stored shard");
+        let mut transport = Transport::store(&dir).expect("open");
+        assert!(transport.read_verified(&m, 0).is_none());
+        transport.publish(&m, &run.dsr).expect("publish");
+        let back = transport.read_verified(&m, 0).expect("stored shard");
         assert_eq!(back, run.dsr);
         // Byte-exact once packaged: the store transport preserves the
         // subsystem's bit-identity guarantee.
         assert_eq!(back.encode(), run.dsr.encode());
         // Shard 1 is still missing; a foreign manifest sees nothing.
-        assert!(store.get(&m, 1).is_none());
+        assert!(transport.read_verified(&m, 1).is_none());
         let mut foreign = m.clone();
         foreign.grid.seed += 1;
         foreign.grid_hash = format!("{:016x}", crate::grid_content_hash(&foreign.grid));
-        assert!(store.get(&foreign, 0).is_none());
+        assert!(transport.read_verified(&foreign, 0).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn publishes_are_idempotent_and_visible_via_refresh() {
+    fn publishes_are_idempotent_and_visible_to_other_handles() {
         let dir = temp_dir("refresh");
         let m = manifest();
         let engine = SweepEngine::new(1).without_cache();
         let run = run_shard(&m, 1, &engine).unwrap();
 
-        let mut writer = ShardStore::open(&dir).expect("open writer");
-        let mut reader = ShardStore::open(&dir).expect("open reader");
-        let a = writer.publish(&m, &run.dsr).expect("publish");
-        let b = writer.publish(&m, &run.dsr).expect("republish");
-        assert_eq!(a, b, "identical outputs collapse to one segment");
-        // The reader's snapshot predates the publish; refresh catches up.
-        assert!(reader.get(&m, 1).is_none());
-        reader.refresh();
-        assert_eq!(reader.get(&m, 1).expect("refreshed"), run.dsr);
+        let mut writer = Transport::store(&dir).expect("open writer");
+        let mut reader = Transport::store(&dir).expect("open reader");
+        writer.publish(&m, &run.dsr).expect("publish");
+        writer.publish(&m, &run.dsr).expect("republish");
+        assert_eq!(
+            writer.as_store().segment_count(),
+            1,
+            "identical outputs collapse to one segment"
+        );
+        // The reader opened before the publish; its reads refresh first.
+        assert!(reader.as_store().get(m.shard_key(1)).is_none());
+        assert_eq!(reader.read_verified(&m, 1).expect("refreshed"), run.dsr);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Publishes shard 0 and flips the first byte of its record in the
+    /// segment file. The header still verifies, so stores still open; the
+    /// damage surfaces when the record is read.
+    fn publish_then_corrupt_shard_0(dir: &std::path::Path, m: &ShardManifest) {
+        let engine = SweepEngine::new(1).without_cache();
+        let run = run_shard(m, 0, &engine).unwrap();
+        let mut transport = Transport::store(dir).expect("open");
+        transport.publish(m, &run.dsr).expect("publish");
+        assert_eq!(transport.read_verified(m, 0).expect("verified"), run.dsr);
+        let segment = dir.join("segments").join(
+            transport
+                .as_store()
+                .segment_name_of(m.shard_key(0))
+                .unwrap(),
+        );
+        let mut bytes = std::fs::read(&segment).unwrap();
+        let header = dsmt_store::SegmentHeader::parse(&bytes).unwrap();
+        bytes[header.records_base as usize] ^= 0xff;
+        std::fs::write(&segment, &bytes).unwrap();
+    }
+
+    #[test]
+    fn corrupt_outputs_read_as_missing() {
+        let dir = temp_dir("corrupt");
+        let m = manifest();
+        publish_then_corrupt_shard_0(&dir, &m);
+        let mut transport = Transport::store(&dir).expect("headers still verify");
+        assert!(transport.read_verified(&m, 0).is_none());
+        assert!(transport.read_verified(&m, 1).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn transports_publish_and_read_back_verified_outputs() {
-        let m = manifest();
-        let engine = SweepEngine::new(1).without_cache();
-        let run = run_shard(&m, 0, &engine).unwrap();
-        let loose_dir = temp_dir("loose");
-        let store_dir = temp_dir("store");
-        let mut loose = Transport::loose(&loose_dir);
-        let mut store = Transport::store(&store_dir).expect("store transport");
-        for transport in [&mut loose, &mut store] {
-            assert!(transport.read_verified(&m, 0).is_none());
-            transport.publish(&m, &run.dsr).expect("publish");
-            assert_eq!(transport.read_verified(&m, 0).expect("verified"), run.dsr);
-            assert!(transport.read_verified(&m, 1).is_none());
-        }
-        // The loose transport wrote the conventional file; a corrupt file
-        // reads as missing, not as an error.
-        let path = loose_dir.join(shard_file_name(&m, 0));
-        assert!(path.is_file());
-        std::fs::write(&path, b"garbage").unwrap();
-        assert!(loose.read_verified(&m, 0).is_none());
-        let _ = std::fs::remove_dir_all(&loose_dir);
-        let _ = std::fs::remove_dir_all(&store_dir);
-    }
-
-    #[test]
-    fn get_checked_distinguishes_absent_from_unverifiable() {
+    fn read_for_merge_distinguishes_absent_from_foreign() {
         let dir = temp_dir("checked");
         let m = manifest();
-        let mut store = ShardStore::open(&dir).expect("open");
+        let mut transport = Transport::store(&dir).expect("open");
         // Nothing at all under shard 1's key: absent.
-        assert_eq!(store.get_checked(&m, 1), Ok(None));
+        assert_eq!(transport.read_for_merge(&m, 1), Ok(None));
         // A foreign record squatting on shard 0's key (what a key
         // collision or a hand-copied store would look like): reported,
         // not silently "missing".
-        store
+        transport
             .store
             .publish(vec![(m.shard_key(0), Value::U64(42))])
             .unwrap();
-        assert!(store.get_checked(&m, 0).is_err());
+        let why = transport.read_for_merge(&m, 0).expect_err("foreign record");
+        assert!(why.contains("not a verifiable shard-output"), "{why}");
         assert!(
-            store.get(&m, 0).is_none(),
+            transport.read_verified(&m, 0).is_none(),
             "read_verified still treats it as missing"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn read_for_merge_keeps_corrupt_file_diagnostics() {
+    fn read_for_merge_keeps_corrupt_record_diagnostics() {
         let dir = temp_dir("merge-diag");
-        std::fs::create_dir_all(&dir).unwrap();
         let m = manifest();
-        let mut loose = Transport::loose(&dir);
-        // Absent: Ok(None).
-        assert_eq!(loose.read_for_merge(&m, 0), Ok(None));
-        // Present but truncated: the decode error (with the path) survives.
-        let path = dir.join(shard_file_name(&m, 0));
-        std::fs::write(&path, b"garbage").unwrap();
-        let why = loose.read_for_merge(&m, 0).expect_err("corrupt file");
-        assert!(why.contains(path.to_str().unwrap()), "{why}");
+        publish_then_corrupt_shard_0(&dir, &m);
+        let mut transport = Transport::store(&dir).expect("headers still verify");
+        // The store's verify-on-read error, naming the segment, survives.
+        let why = transport.read_for_merge(&m, 0).expect_err("corrupt record");
+        assert!(why.contains("failed verification"), "{why}");
+        assert!(why.contains("seg-"), "{why}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -202,15 +202,12 @@ fn on_disk_plan_run_merge_round_trip() {
     for index in 0..loaded.num_shards() {
         let run = run_shard(&loaded, index, &engine).expect("run");
         run.dsr
-            .write(work_dir.join(dsmt_shard::shard_file_name(&loaded, index)))
+            .write(work_dir.join(format!("shard-{index}.dsr")))
             .expect("write dsr");
     }
 
     let files: Vec<DsrFile> = (0..loaded.num_shards())
-        .map(|index| {
-            DsrFile::read(work_dir.join(dsmt_shard::shard_file_name(&loaded, index)))
-                .expect("read dsr")
-        })
+        .map(|index| DsrFile::read(work_dir.join(format!("shard-{index}.dsr"))).expect("read dsr"))
         .collect();
     let merged = merge_shards(&loaded, &files).expect("merge");
     let mono = SweepEngine::new(1).without_cache().run(&grid);

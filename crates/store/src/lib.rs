@@ -22,7 +22,7 @@
 //!   folds every live record into a single fresh segment.
 //! * [`lock`] — `O_EXCL` **lockfile claims** ([`LockFile`]) and the
 //!   [`atomic_write`] publish helper. Any number of workers can race to
-//!   claim a unit of work (a shard, a migration) and exactly one wins;
+//!   claim a unit of work (a shard, a GC pass) and exactly one wins;
 //!   everything published lands via temp-file + rename. Claims whose
 //!   holder died without unwinding can be reaped after a deadline with
 //!   [`LockFile::acquire_or_steal`] — the self-healing half of the fleet
@@ -47,13 +47,8 @@ pub mod store;
 
 pub use codec::{get_raw_str, get_value, put_value, CodecError, StrTable};
 pub use lock::{atomic_write, Claim, ClaimInfo, Heartbeat, LockFile};
-pub use segment::{
-    RecordEntry, Segment, SegmentHeader, LEGACY_SEGMENT_FORMAT_VERSION, SEGMENT_FORMAT_VERSION,
-};
-pub use store::{
-    is_v2_entry_name, CompactOutcome, GcOutcome, IndexMode, SegmentInfo, SegmentRecords, Store,
-    StoreError,
-};
+pub use segment::{RecordEntry, Segment, SegmentHeader, SEGMENT_FORMAT_VERSION};
+pub use store::{CompactOutcome, GcOutcome, SegmentInfo, SegmentRecords, Store, StoreError};
 
 /// Stable 64-bit FNV-1a hash: cache keys, seed derivation, segment names
 /// and every checksum in the persistence layer use this one function.

@@ -1,7 +1,7 @@
 //! Immutable, checksummed segment files (`.dsrs`).
 //!
 //! A segment is a batch of `(u64 key, Value)` records that were published
-//! together — one sweep's cache misses, one migration, one compaction. Like
+//! together — one sweep's cache misses, one shard output, one compaction. Like
 //! `.dsr` shard files, every decode error is fail-stop: a segment either
 //! verifies completely or is rejected as a unit.
 //!
@@ -27,15 +27,13 @@
 //! open a segment by reading and checksum-verifying the header alone —
 //! O(keys), not O(bytes) — and decode individual records lazily from their
 //! `(offset, len)` slice, verifying the per-record FNV at that point. The
-//! trailing `file_fnv` lets an eager reader ([`Segment::decode`]) verify
-//! the whole file in one pass, exactly like v1.
+//! trailing `file_fnv` lets a full reader ([`Segment::decode`]) verify
+//! the whole file in one pass.
 //!
 //! The `seq` field makes shadow precedence a recorded fact instead of an
 //! mtime artifact: a store stamps each published segment with
 //! `max(seq seen) + 1`, and duplicate keys resolve to the segment with the
-//! highest `(seq, mtime, name)`. Legacy v1 segments (headerless; decoded
-//! eagerly) rank as `seq 0`, so they keep their old mtime order among
-//! themselves and any v2 segment shadows them.
+//! highest `(seq, mtime, name)`. A file with any other version is corrupt.
 //!
 //! Encoding is canonical (records in the order given, first-use string
 //! table, shortest varints, contiguous record slices), so the same records
@@ -55,11 +53,6 @@ use crate::{fnv1a64, Fnv64};
 
 /// Bumped on any change to the segment byte layout.
 pub const SEGMENT_FORMAT_VERSION: u32 = 2;
-
-/// The headerless layout this crate shipped first: no seq, no directory,
-/// one trailing checksum. Still readable (eagerly); rewritten to the
-/// current version by [`crate::Store::compact`].
-pub const LEGACY_SEGMENT_FORMAT_VERSION: u32 = 1;
 
 const MAGIC: [u8; 4] = *b"DSRS";
 
@@ -122,8 +115,8 @@ impl SegmentHeader {
         let version = u32::from_le_bytes(version);
         if version != SEGMENT_FORMAT_VERSION {
             return Err(CodecError::Malformed(format!(
-                "segment version {version} has no key-directory header \
-                 (this build indexes v{SEGMENT_FORMAT_VERSION})"
+                "unsupported segment version {version} \
+                 (this build reads v{SEGMENT_FORMAT_VERSION} only)"
             )));
         }
         let seq = buf.get_u64_le();
@@ -194,28 +187,6 @@ impl SegmentHeader {
     }
 }
 
-/// Reads the format version out of a segment file prefix (first 8 bytes),
-/// checking the magic. This is how a reader decides between the header
-/// path (v2) and the eager legacy path (v1) before parsing anything else.
-///
-/// # Errors
-///
-/// [`CodecError::Truncated`] under 8 bytes, [`CodecError::Malformed`] on a
-/// bad magic.
-pub fn peek_version(prefix: &[u8]) -> Result<u32, CodecError> {
-    if prefix.len() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    if prefix[..4] != MAGIC {
-        return Err(CodecError::Malformed(
-            "not a .dsrs segment (bad magic)".to_string(),
-        ));
-    }
-    Ok(u32::from_le_bytes(
-        prefix[4..8].try_into().expect("4 bytes"),
-    ))
-}
-
 /// An in-memory segment: the records it persists, in write order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
@@ -278,34 +249,8 @@ impl Segment {
         buf
     }
 
-    /// Serializes the segment in the headerless v1 layout. Nothing in the
-    /// write path uses this anymore — it exists so tests (and the
-    /// migration story they pin) can fabricate the legacy files a
-    /// pre-upgrade store left behind.
-    #[must_use]
-    pub fn encode_legacy(&self) -> Vec<u8> {
-        let mut table = StrTable::default();
-        for (_, value) in &self.records {
-            table.collect(value);
-        }
-        let mut buf = Vec::with_capacity(64 + 64 * self.records.len());
-        buf.put_slice(&MAGIC);
-        buf.put_slice(&LEGACY_SEGMENT_FORMAT_VERSION.to_le_bytes());
-        put_uvarint(&mut buf, table.strings().len() as u64);
-        for s in table.strings() {
-            put_raw_str(&mut buf, s);
-        }
-        put_uvarint(&mut buf, self.records.len() as u64);
-        for (key, value) in &self.records {
-            buf.put_u64_le(*key);
-            put_value(&mut buf, value, &table);
-        }
-        buf.put_u64_le(fnv1a64(&buf));
-        buf
-    }
-
-    /// Parses and fully verifies a segment byte image (either version),
-    /// discarding the sequence number.
+    /// Parses and fully verifies a segment byte image, discarding the
+    /// sequence number.
     ///
     /// # Errors
     ///
@@ -316,24 +261,12 @@ impl Segment {
     }
 
     /// Parses and fully verifies a segment byte image, returning the
-    /// records and the recorded sequence number (`0` for legacy v1 files,
-    /// which predate sequence numbers).
+    /// records and the recorded sequence number.
     ///
     /// # Errors
     ///
     /// As for [`Segment::decode`].
     pub fn decode_with_seq(bytes: &[u8]) -> Result<(Self, u64), CodecError> {
-        match peek_version(bytes)? {
-            LEGACY_SEGMENT_FORMAT_VERSION => Self::decode_v1(bytes).map(|s| (s, 0)),
-            SEGMENT_FORMAT_VERSION => Self::decode_v2(bytes),
-            other => Err(CodecError::Malformed(format!(
-                "unsupported segment version {other} (this build reads \
-                 v{LEGACY_SEGMENT_FORMAT_VERSION} and v{SEGMENT_FORMAT_VERSION})"
-            ))),
-        }
-    }
-
-    fn decode_v2(bytes: &[u8]) -> Result<(Self, u64), CodecError> {
         if bytes.len() < 8 {
             return Err(CodecError::Truncated);
         }
@@ -380,49 +313,12 @@ impl Segment {
         Ok((Segment { records }, header.seq))
     }
 
-    fn decode_v1(bytes: &[u8]) -> Result<Self, CodecError> {
-        // Fixed header + two varints + checksum.
-        if bytes.len() < MAGIC.len() + 4 + 2 + 8 {
-            return Err(CodecError::Truncated);
-        }
-        let (content, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if fnv1a64(content) != stored {
-            return Err(CodecError::Malformed(
-                "segment checksum mismatch (corrupt or truncated file)".to_string(),
-            ));
-        }
-        let mut buf = &content[8..]; // magic + version verified by peek
-        let n_strings = get_uvarint(&mut buf)?;
-        let mut strings = Vec::new();
-        for _ in 0..n_strings {
-            strings.push(get_raw_str(&mut buf)?);
-        }
-        let n_records = get_uvarint(&mut buf)?;
-        let mut records = Vec::new();
-        for _ in 0..n_records {
-            if buf.remaining() < 8 {
-                return Err(CodecError::Truncated);
-            }
-            let key = buf.get_u64_le();
-            records.push((key, get_value(&mut buf, &strings)?));
-        }
-        if buf.has_remaining() {
-            return Err(CodecError::Malformed(format!(
-                "{} trailing bytes after the last record",
-                buf.remaining()
-            )));
-        }
-        Ok(Segment { records })
-    }
-
     /// The content-addressed file name for this segment's `bytes`
-    /// (`seg-<identity hash, hex>.dsrs`). For v2 bytes the identity hash
-    /// skips the `seq` field and both checksums, so identical record
-    /// batches produce identical names *no matter when they were
-    /// published* — a re-publish is idempotent (it rewrites the same file
-    /// with a fresher seq). Anything else (legacy v1 files, arbitrary
-    /// bytes) hashes whole, preserving the names v1 stores already used.
+    /// (`seg-<identity hash, hex>.dsrs`). The identity hash skips the
+    /// `seq` field and both checksums, so identical record batches produce
+    /// identical names *no matter when they were published* — a re-publish
+    /// is idempotent (it rewrites the same file with a fresher seq). Bytes
+    /// that are not a valid segment hash whole.
     #[must_use]
     pub fn content_name(bytes: &[u8]) -> String {
         format!("seg-{:016x}.dsrs", identity_hash(bytes))
@@ -435,9 +331,6 @@ fn identity_hash(bytes: &[u8]) -> u64 {
 }
 
 fn v2_identity(bytes: &[u8]) -> Option<u64> {
-    if peek_version(bytes).ok()? != SEGMENT_FORMAT_VERSION {
-        return None;
-    }
     let header = SegmentHeader::parse(bytes).ok()?;
     let base = usize::try_from(header.records_base).ok()?;
     if bytes.len() < base + 8 {
@@ -561,23 +454,6 @@ mod tests {
             Segment::decode(&skew),
             Err(CodecError::Malformed(why)) if why.contains("version")
         ));
-    }
-
-    #[test]
-    fn legacy_v1_bytes_still_decode_and_still_reject_corruption() {
-        let seg = sample();
-        let bytes = seg.encode_legacy();
-        assert_eq!(peek_version(&bytes).unwrap(), 1);
-        let (back, seq) = Segment::decode_with_seq(&bytes).expect("decode v1");
-        assert_eq!(back, seg);
-        assert_eq!(seq, 0, "v1 predates sequence numbers");
-        // v1 has no header to parse.
-        assert!(SegmentHeader::parse(&bytes).is_err());
-        for pos in [0, 5, bytes.len() / 2, bytes.len() - 1] {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 0x10;
-            assert!(Segment::decode(&corrupt).is_err(), "flip at {pos}");
-        }
     }
 
     #[test]

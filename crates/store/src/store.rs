@@ -5,9 +5,7 @@
 //! headers**: open reads and checksum-verifies each segment's header —
 //! O(keys), not O(total bytes) — and record values are decoded lazily on
 //! first [`Store::get`], verified against the per-record FNV recorded in
-//! the directory, then memoized. Legacy v1 segments (no header) still load
-//! through the old decode-everything path, and [`Store::compact`] rewrites
-//! them into headered form.
+//! the directory, then memoized.
 
 use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom};
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize, Value};
 use crate::codec::{get_value, CodecError};
 use crate::fnv1a64;
 use crate::lock::{atomic_write, LockFile};
-use crate::segment::{peek_version, RecordEntry, Segment, SegmentHeader, SEGMENT_FORMAT_VERSION};
+use crate::segment::{RecordEntry, Segment, SegmentHeader};
 
 /// The schema marker file kept at the store root. Its presence is what
 /// distinguishes a store directory from anything else; its `schema` field
@@ -48,12 +46,6 @@ pub enum StoreError {
         /// Schema this build expects.
         expected: u32,
     },
-    /// The directory predates the store: it holds per-scenario JSON entries
-    /// (the v2 cache layout) and no marker. Migrate or point elsewhere.
-    LegacyLayout {
-        /// How many legacy `.json` entries were found.
-        json_files: usize,
-    },
     /// A segment file failed verification (checksum, truncation, codec).
     Corrupt {
         /// The offending file name.
@@ -70,12 +62,7 @@ impl std::fmt::Display for StoreError {
             StoreError::SchemaMismatch { found, expected } => write!(
                 f,
                 "store schema v{found} does not match this build (v{expected}); \
-                 delete the directory or migrate it"
-            ),
-            StoreError::LegacyLayout { json_files } => write!(
-                f,
-                "directory holds {json_files} legacy per-scenario JSON cache entries \
-                 (v2 layout); run `dsmt sweep migrate` to convert it to the v3 store"
+                 delete the directory or point elsewhere"
             ),
             StoreError::Corrupt { file, why } => {
                 write!(
@@ -95,41 +82,15 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// How a [`Store`] builds its key index at open.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexMode {
-    /// Index v2 segments from their checksummed headers alone and decode
-    /// records lazily on first access. The default.
-    Indexed,
-    /// Decode and verify every record of every segment at open — the
-    /// pre-header behavior, kept as an escape hatch (`DSMT_STORE_EAGER=1`)
-    /// and as the baseline the `store_open` bench and CI gate measure
-    /// against.
-    Eager,
-}
-
-impl IndexMode {
-    /// [`IndexMode::Eager`] when `DSMT_STORE_EAGER` is set to `1`/`true`/
-    /// `yes`, [`IndexMode::Indexed`] otherwise.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("DSMT_STORE_EAGER") {
-            Ok(v) if matches!(v.as_str(), "1" | "true" | "yes") => IndexMode::Eager,
-            _ => IndexMode::Indexed,
-        }
-    }
-}
-
 /// How one segment's records are held in memory.
 #[derive(Debug)]
 enum SegmentData {
-    /// Fully decoded records: legacy v1 files, [`IndexMode::Eager`] opens,
-    /// and segments this handle itself published (their records were
+    /// Records of a segment this handle itself published (they were
     /// already in memory).
     Eager(Vec<(u64, Value)>),
-    /// Header-indexed v2 segment: records decode lazily from their
-    /// `(offset, len)` slice, each memoized in its `OnceLock` cell after
-    /// its FNV verifies.
+    /// Header-indexed segment read from disk: records decode lazily from
+    /// their `(offset, len)` slice, each memoized in its `OnceLock` cell
+    /// after its FNV verifies.
     Lazy {
         strings: Vec<String>,
         records_base: u64,
@@ -145,7 +106,6 @@ struct LoadedSegment {
     path: PathBuf,
     bytes: u64,
     modified: SystemTime,
-    version: u32,
     seq: u64,
     data: SegmentData,
 }
@@ -163,10 +123,6 @@ impl LoadedSegment {
             SegmentData::Eager(records) => records[rec].0,
             SegmentData::Lazy { entries, .. } => entries[rec].key,
         }
-    }
-
-    fn is_lazy(&self) -> bool {
-        matches!(self.data, SegmentData::Lazy { .. })
     }
 
     /// The store's one precedence order, ascending (later entries win):
@@ -190,13 +146,8 @@ pub struct SegmentInfo {
     pub records: usize,
     /// Last use (mtime: written on publish, re-touched on hit).
     pub modified: SystemTime,
-    /// Segment format version (1 = legacy headerless, 2 = key-directory).
-    pub version: u32,
-    /// Publish sequence number recorded in the header (0 for legacy v1).
+    /// Publish sequence number recorded in the header.
     pub seq: u64,
-    /// Whether this handle indexed the segment from its header alone
-    /// (records decode lazily) rather than decoding it eagerly.
-    pub lazy: bool,
 }
 
 /// One segment's fully decoded records, yielded by
@@ -205,9 +156,7 @@ pub struct SegmentInfo {
 pub struct SegmentRecords {
     /// Segment file name.
     pub name: String,
-    /// Segment format version.
-    pub version: u32,
-    /// Publish sequence number (0 for legacy v1).
+    /// Publish sequence number.
     pub seq: u64,
     /// The `(key, value)` records in write order.
     pub records: Vec<(u64, Value)>,
@@ -292,7 +241,6 @@ pub struct Store {
     /// Highest sequence number seen across loaded segments; the next
     /// publish stamps `max_seq + 1`.
     max_seq: u64,
-    mode: IndexMode,
 }
 
 /// How much older than "now" the segments directory's mtime must be before
@@ -302,38 +250,23 @@ pub struct Store {
 /// invisible to a pure mtime compare; within this window we always rescan.
 const REFRESH_MTIME_GUARD: std::time::Duration = std::time::Duration::from_secs(2);
 
-/// First read issued against a v2 segment at open. Headers are ~20 bytes
+/// First read issued against a segment at open. Headers are ~20 bytes
 /// per record plus the string table, so one 64 KiB read covers segments of
 /// roughly 3000 records; larger headers double the read until it fits.
 const HEADER_PREFIX_BYTES: u64 = 64 * 1024;
 
 impl Store {
     /// Opens (creating if needed) a store at `dir` for client schema
-    /// `schema`, with the index mode taken from the environment
-    /// ([`IndexMode::from_env`]; `DSMT_STORE_EAGER=1` forces eager opens).
+    /// `schema`, indexing every segment from its header. The time the open
+    /// took is recorded in the `store.open_us` histogram.
     ///
     /// # Errors
     ///
-    /// [`StoreError::LegacyLayout`] if the directory holds a v2 JSON cache,
     /// [`StoreError::SchemaMismatch`] if the marker disagrees with
-    /// `schema`, [`StoreError::Corrupt`] if a segment fails verification,
-    /// or [`StoreError::Io`].
+    /// `schema`, [`StoreError::Corrupt`] if a segment header fails
+    /// verification (or records a version other than 2), or
+    /// [`StoreError::Io`].
     pub fn open(dir: impl Into<PathBuf>, schema: u32) -> Result<Self, StoreError> {
-        Self::open_with(dir, schema, IndexMode::from_env())
-    }
-
-    /// Opens (creating if needed) a store at `dir` for client schema
-    /// `schema` with an explicit [`IndexMode`]. The time the open took is
-    /// recorded in the `store.open_us` histogram.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Store::open`].
-    pub fn open_with(
-        dir: impl Into<PathBuf>,
-        schema: u32,
-        mode: IndexMode,
-    ) -> Result<Self, StoreError> {
         let started = std::time::Instant::now();
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
@@ -358,10 +291,6 @@ impl Store {
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                let legacy = count_legacy_json(&dir)?;
-                if legacy > 0 {
-                    return Err(StoreError::LegacyLayout { json_files: legacy });
-                }
                 let marker = Marker {
                     format: "dsmt-store".to_string(),
                     version: 1,
@@ -378,7 +307,6 @@ impl Store {
             index: HashMap::new(),
             scanned_dir_mtime: None,
             max_seq: 0,
-            mode,
         };
         store.load_segments()?;
         let open_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -387,7 +315,6 @@ impl Store {
             "store.open",
             segments = store.segments.len(),
             records = store.index.len(),
-            eager = matches!(mode, IndexMode::Eager),
             open_us = open_us
         );
         Ok(store)
@@ -428,12 +355,6 @@ impl Store {
         &self.dir
     }
 
-    /// How this handle indexes segments (see [`IndexMode`]).
-    #[must_use]
-    pub fn mode(&self) -> IndexMode {
-        self.mode
-    }
-
     fn segments_dir(&self) -> PathBuf {
         self.dir.join("segments")
     }
@@ -444,7 +365,7 @@ impl Store {
         self.dir.join("locks")
     }
 
-    /// Loads (or header-indexes) every segment on disk.
+    /// Header-indexes every segment on disk.
     fn load_segments(&mut self) -> Result<(), StoreError> {
         self.segments.clear();
         self.index.clear();
@@ -478,10 +399,7 @@ impl Store {
         Ok(())
     }
 
-    /// Builds a [`LoadedSegment`] from one on-disk file: header-indexed
-    /// for v2 files under [`IndexMode::Indexed`], fully decoded otherwise
-    /// (legacy v1 has nothing else to offer; eager mode verifies
-    /// everything up front by design).
+    /// Builds a header-indexed [`LoadedSegment`] from one on-disk file.
     fn load_segment_file(
         &self,
         name: String,
@@ -493,25 +411,9 @@ impl Store {
             file: name.to_string(),
             why,
         };
-        let first = read_prefix(&path, HEADER_PREFIX_BYTES.min(bytes))?;
-        let version = peek_version(&first).map_err(|e| corrupt(&name, e.to_string()))?;
-        if version != SEGMENT_FORMAT_VERSION || self.mode == IndexMode::Eager {
-            let raw = std::fs::read(&path)?;
-            let (segment, seq) =
-                Segment::decode_with_seq(&raw).map_err(|e| corrupt(&name, e.to_string()))?;
-            return Ok(LoadedSegment {
-                name,
-                path,
-                bytes,
-                modified,
-                version,
-                seq,
-                data: SegmentData::Eager(segment.records),
-            });
-        }
-        // v2, indexed: parse the checksummed header from a bounded prefix,
-        // doubling the read until the whole header is in.
-        let mut prefix = first;
+        // Parse the checksummed header from a bounded prefix, doubling the
+        // read until the whole header is in.
+        let mut prefix = read_prefix(&path, HEADER_PREFIX_BYTES.min(bytes))?;
         let header = loop {
             match SegmentHeader::parse(&prefix) {
                 Ok(h) => break h,
@@ -548,7 +450,6 @@ impl Store {
             path,
             bytes,
             modified,
-            version,
             seq: header.seq,
             data: SegmentData::Lazy {
                 strings: header.strings,
@@ -645,11 +546,11 @@ impl Store {
     /// Looks up the record stored under `key` with the highest precedence.
     ///
     /// A record whose bytes fail verification at this point (possible only
-    /// for lazily indexed segments — eager opens verified everything
-    /// already) reads as *absent*: the corruption is counted
-    /// (`store.record_corrupt`) and logged, and callers that re-simulate
-    /// on miss heal the store by publishing a fresh copy. Callers that
-    /// must distinguish corrupt from missing use [`Store::try_get`].
+    /// for header-indexed segments read from disk) reads as *absent*: the
+    /// corruption is counted (`store.record_corrupt`) and logged, and
+    /// callers that re-simulate on miss heal the store by publishing a
+    /// fresh copy. Callers that must distinguish corrupt from missing use
+    /// [`Store::try_get`].
     #[must_use]
     pub fn get(&self, key: u64) -> Option<&Value> {
         let &(seg, rec) = self.index.get(&key)?;
@@ -684,8 +585,8 @@ impl Store {
     /// The FNV-1a checksum recorded in the segment header for the record
     /// winning `key` — a content identity that is known *without decoding
     /// the record* (serve derives `/cells` ETags from it). `None` when the
-    /// key is absent or its segment was loaded eagerly (legacy v1 files
-    /// record no per-record checksums).
+    /// key is absent or this handle published the winning segment itself
+    /// (it holds those records, not their header).
     #[must_use]
     pub fn record_fnv(&self, key: u64) -> Option<u64> {
         let &(seg, rec) = self.index.get(&key)?;
@@ -778,7 +679,6 @@ impl Store {
         };
         Ok(SegmentRecords {
             name: s.name.clone(),
-            version: s.version,
             seq: s.seq,
             records,
         })
@@ -834,7 +734,6 @@ impl Store {
             path,
             bytes: meta.len(),
             modified: meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
-            version: SEGMENT_FORMAT_VERSION,
             seq,
             // The records were just in our hands; no reason to drop them
             // and lazily re-read our own write.
@@ -851,9 +750,7 @@ impl Store {
             bytes: s.bytes,
             records: s.records_len(),
             modified: s.modified,
-            version: s.version,
             seq: s.seq,
-            lazy: s.is_lazy(),
         }
     }
 
@@ -865,7 +762,7 @@ impl Store {
     /// records over a newer publish (the hazard the old mtime rule had for
     /// clients that overwrite keys with different values). Records decoded
     /// in memory stay readable even if another process evicts the file
-    /// meanwhile.
+    /// meanwhile, until the next [`Store::refresh`] drops the segment.
     pub fn touch(&self, key: u64) {
         if let Some(&(seg, _)) = self.index.get(&key) {
             if let Ok(f) = std::fs::OpenOptions::new()
@@ -885,18 +782,23 @@ impl Store {
             .ok()
     }
 
-    /// Picks up segments published by other processes since open (or the
-    /// last refresh). In-memory state for already-loaded segments is kept.
+    /// Brings the handle up to date with the segments directory: picks up
+    /// segments other processes published since open (or the last
+    /// refresh), and drops segments whose files are gone (a peer's
+    /// [`Store::gc`] or [`Store::compact`] removed them), re-resolving
+    /// their keys from the segments that remain. In-memory state for
+    /// surviving segments is kept. Returns how many new segments were
+    /// found.
     ///
     /// Polling callers (`dsmt shard status --watch`, the serve daemon's
     /// status endpoint) hit this every few seconds; re-statting every
-    /// segment each poll is wasted work when nothing was published. A new
-    /// segment file always bumps the `segments/` directory's own mtime, so
-    /// an unchanged dir mtime means an unchanged listing — the scan is
-    /// skipped (counted by `store.refresh_skipped`). Because directory
-    /// mtimes can be coarse, the skip only triggers once the mtime is at
-    /// least `REFRESH_MTIME_GUARD` old: a publish racing our previous
-    /// scan inside one mtime granule is rescanned, never missed.
+    /// segment each poll is wasted work when nothing changed. Adding or
+    /// removing a segment file always bumps the `segments/` directory's
+    /// own mtime, so an unchanged dir mtime means an unchanged listing —
+    /// the scan is skipped (counted by `store.refresh_skipped`). Because
+    /// directory mtimes can be coarse, the skip only triggers once the
+    /// mtime is at least `REFRESH_MTIME_GUARD` old: a change racing our
+    /// previous scan inside one mtime granule is rescanned, never missed.
     ///
     /// # Errors
     ///
@@ -915,6 +817,7 @@ impl Store {
         self.scanned_dir_mtime = dir_mtime;
         let known: std::collections::HashSet<String> =
             self.segments.iter().map(|s| s.name.clone()).collect();
+        let mut listed: std::collections::HashSet<String> = std::collections::HashSet::new();
         let mut fresh: Vec<(SystemTime, String, PathBuf, u64)> = Vec::new();
         for entry in std::fs::read_dir(self.segments_dir())?.filter_map(Result::ok) {
             let path = entry.path();
@@ -925,16 +828,23 @@ impl Store {
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_default();
-            if known.contains(&name) {
-                continue;
+            if !known.contains(&name) {
+                let meta = entry.metadata()?;
+                fresh.push((
+                    meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
+                    name.clone(),
+                    path,
+                    meta.len(),
+                ));
             }
-            let meta = entry.metadata()?;
-            fresh.push((
-                meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
-                name,
-                path,
-                meta.len(),
-            ));
+            listed.insert(name);
+        }
+        let before = self.segments.len();
+        self.segments.retain(|s| listed.contains(&s.name));
+        if self.segments.len() < before {
+            dsmt_obs::counter!("store.segments_vanished")
+                .add((before - self.segments.len()) as u64);
+            self.reindex();
         }
         fresh.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         let found = fresh.len();
@@ -1046,9 +956,7 @@ impl Store {
 
     /// Folds every live record into one fresh segment (in ascending key
     /// order, so compaction is deterministic) and removes the old
-    /// segments. Shadowed duplicates are dropped, and legacy headerless
-    /// v1 segments are rewritten into the current headered form — this is
-    /// the in-place migration path for pre-upgrade store directories.
+    /// segments. Shadowed duplicates are dropped.
     ///
     /// Segments stream through one at a time ([`Store::iter_segments`]),
     /// so peak memory is the live records plus a single decoded segment —
@@ -1128,37 +1036,6 @@ fn read_prefix(path: &Path, cap: u64) -> std::io::Result<Vec<u8>> {
 impl GcOutcome {
     fn is_noop(&self) -> bool {
         self.evicted == 0
-    }
-}
-
-/// Whether `name` looks like a v2 cache entry file: `<16 hex digits>.json`
-/// (the old per-scenario layout named files by the scenario's hex cache
-/// key). Deliberately narrow so unrelated JSON sitting in the directory —
-/// a `plan.json`, an exported report — is neither flagged at open nor
-/// touched by migration.
-pub fn is_v2_entry_name(name: &str) -> bool {
-    name.strip_suffix(".json")
-        .is_some_and(|stem| stem.len() == 16 && stem.bytes().all(|b| b.is_ascii_hexdigit()))
-}
-
-/// Counts v2-style per-scenario JSON entries directly under `dir`.
-fn count_legacy_json(dir: &Path) -> std::io::Result<usize> {
-    let mut n = 0;
-    match std::fs::read_dir(dir) {
-        Ok(rd) => {
-            for entry in rd.filter_map(Result::ok) {
-                if entry
-                    .path()
-                    .file_name()
-                    .is_some_and(|f| is_v2_entry_name(&f.to_string_lossy()))
-                {
-                    n += 1;
-                }
-            }
-            Ok(n)
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
-        Err(e) => Err(e),
     }
 }
 
@@ -1258,7 +1135,7 @@ mod tests {
     }
 
     #[test]
-    fn schema_mismatch_and_legacy_layout_fail_stop() {
+    fn schema_mismatch_fails_stop() {
         let dir = temp_store("schema");
         drop(Store::open(&dir, 2).expect("open v2"));
         assert_eq!(Store::marker_schema(&dir), Ok(Some(2)));
@@ -1269,16 +1146,8 @@ mod tests {
                 expected: 3
             }
         );
-        let legacy = temp_store("legacy");
-        std::fs::create_dir_all(&legacy).unwrap();
-        std::fs::write(legacy.join("0011223344556677.json"), "{}").unwrap();
-        assert_eq!(Store::marker_schema(&legacy), Ok(None));
-        assert_eq!(
-            Store::open(&legacy, 3).unwrap_err(),
-            StoreError::LegacyLayout { json_files: 1 }
-        );
+        assert_eq!(Store::marker_schema(temp_store("no-marker")), Ok(None));
         let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&legacy);
     }
 
     #[test]
@@ -1301,7 +1170,29 @@ mod tests {
     }
 
     #[test]
-    fn record_corruption_fails_at_get_not_open_and_eagerly_at_open() {
+    fn segments_of_any_other_version_are_corrupt() {
+        let dir = temp_store("version");
+        let mut store = Store::open(&dir, 1).expect("open");
+        let info = store.publish(vec![(1, value(1))]).unwrap().unwrap();
+        drop(store);
+        let path = dir.join("segments").join(&info.name);
+        let mut bytes = std::fs::read(&path).unwrap();
+        for version in [1u32, 3] {
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            match Store::open(&dir, 1) {
+                Err(StoreError::Corrupt { file, why }) => {
+                    assert_eq!(file, info.name);
+                    assert!(why.contains("version"), "{why}");
+                }
+                other => panic!("v{version}: expected Corrupt, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn record_corruption_fails_at_get_not_open() {
         let dir = temp_store("record-corrupt");
         let mut store = Store::open(&dir, 1).expect("open");
         let info = store
@@ -1328,13 +1219,6 @@ mod tests {
             Err(StoreError::Corrupt { file, .. }) if file == info.name
         ));
         assert_eq!(store.get(2), None, "corrupt reads as absent via get()");
-        drop(store);
-
-        // Eager mode keeps the old verify-everything-at-open contract.
-        match Store::open_with(&dir, 1, IndexMode::Eager) {
-            Err(StoreError::Corrupt { file, .. }) => assert_eq!(file, info.name),
-            other => panic!("expected eager open to fail, got {other:?}"),
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1345,7 +1229,7 @@ mod tests {
         let info = store.publish(vec![(5, value(5))]).unwrap().unwrap();
         drop(store);
         let store = Store::open(&dir, 1).expect("reopen");
-        assert!(store.segment_infos()[0].lazy);
+        assert!(store.record_fnv(5).is_some(), "indexed from the header");
         assert_eq!(store.get(5), Some(&value(5)), "first get decodes");
         // Remove the file out from under the handle: a memoized record
         // must keep reading without touching disk.
@@ -1382,96 +1266,6 @@ mod tests {
         drop(store);
         let store = Store::open(&dir, 1).expect("reopen");
         assert_eq!(store.get(7), Some(&value(1)), "reopened view agrees");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mixed_directories_read_both_versions_with_v2_winning() {
-        let dir = temp_store("mixed");
-        let mut store = Store::open(&dir, 1).expect("open");
-        store.publish(vec![(7, value(2)), (8, value(8))]).unwrap();
-        drop(store);
-        // Fabricate a legacy headerless v1 segment that also claims key 7
-        // — written *after* the v2 publish, so under the old mtime rule it
-        // would win. As seq 0 it must lose to any v2 segment.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let legacy = Segment::new(vec![(7, value(1)), (9, value(9))]).encode_legacy();
-        let legacy_name = Segment::content_name(&legacy);
-        std::fs::write(dir.join("segments").join(&legacy_name), &legacy).unwrap();
-
-        let store = Store::open(&dir, 1).expect("mixed open");
-        assert_eq!(store.get(7), Some(&value(2)), "v2 outranks newer-mtime v1");
-        assert_eq!(store.get(8), Some(&value(8)));
-        assert_eq!(store.get(9), Some(&value(9)), "v1-only keys still read");
-        let infos = store.segment_infos();
-        let v1 = infos.iter().find(|i| i.version == 1).expect("v1 listed");
-        let v2 = infos.iter().find(|i| i.version == 2).expect("v2 listed");
-        assert_eq!(v1.seq, 0);
-        assert!(!v1.lazy, "headerless segments load eagerly");
-        assert!(v2.lazy, "headered segments index lazily");
-        drop(store);
-
-        // refresh() discovering the legacy file late must resolve the
-        // same way as a cold open.
-        let dir2 = temp_store("mixed-refresh");
-        let mut a = Store::open(&dir2, 1).expect("open a");
-        let mut b = Store::open(&dir2, 1).expect("open b");
-        a.publish(vec![(7, value(2))]).unwrap();
-        std::fs::write(dir2.join("segments").join(&legacy_name), &legacy).unwrap();
-        assert_eq!(b.refresh().expect("refresh"), 2);
-        assert_eq!(b.get(7), Some(&value(2)), "refresh agrees with reopen");
-        assert_eq!(b.get(9), Some(&value(9)));
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&dir2);
-    }
-
-    #[test]
-    fn compact_rewrites_legacy_segments_into_headered_form() {
-        let dir = temp_store("compact-migrate");
-        let mut store = Store::open(&dir, 1).expect("open");
-        store.publish(vec![(7, value(2))]).unwrap();
-        let legacy = Segment::new(vec![(7, value(1)), (9, value(9))]).encode_legacy();
-        std::fs::write(
-            dir.join("segments").join(Segment::content_name(&legacy)),
-            &legacy,
-        )
-        .unwrap();
-        store.refresh().expect("see the legacy file");
-        let outcome = store.compact().expect("compact");
-        assert_eq!(outcome.records, 2);
-        assert_eq!(store.segment_count(), 1);
-        let info = &store.segment_infos()[0];
-        assert_eq!(info.version, SEGMENT_FORMAT_VERSION, "migrated in place");
-        assert_eq!(store.get(7), Some(&value(2)), "winner preserved");
-        assert_eq!(store.get(9), Some(&value(9)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v2_entry_names_are_detected_narrowly() {
-        assert!(is_v2_entry_name("00112233aabbccdd.json"));
-        assert!(is_v2_entry_name("FFFFFFFFFFFFFFFF.json"));
-        for foreign in [
-            "plan.json",
-            "STORE.json",
-            "report.json",
-            "00112233aabbccdd.dsr",
-            "0011.json",
-            "00112233aabbccddee.json",
-            "00112233aabbccdg.json",
-            "00112233aabbccdd",
-        ] {
-            assert!(!is_v2_entry_name(foreign), "{foreign}");
-        }
-    }
-
-    #[test]
-    fn foreign_json_does_not_trigger_the_legacy_fail_stop() {
-        let dir = temp_store("foreign-json");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("plan.json"), "{}").unwrap();
-        let store = Store::open(&dir, 3).expect("foreign JSON is not a v2 cache");
-        assert_eq!(store.record_count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1552,6 +1346,44 @@ mod tests {
         assert_eq!(b.get(1), Some(&value(1)));
         assert_eq!(b.refresh().expect("refresh again"), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The counts and lookups a live handle must agree with a fresh open on.
+    fn view(store: &Store, keys: std::ops::Range<u64>) -> (usize, usize, Vec<bool>) {
+        (
+            store.record_count(),
+            store.segment_count(),
+            keys.map(|k| store.contains(k)).collect(),
+        )
+    }
+
+    #[test]
+    fn refresh_drops_segments_a_peer_removed() {
+        for peer_compacts in [false, true] {
+            let dir = temp_store(&format!("refresh-vanish-{peer_compacts}"));
+            let mut a = Store::open(&dir, 1).expect("open a");
+            for n in 0..4 {
+                a.publish(vec![(n, value(n)), (9, value(n))]).unwrap();
+            }
+            // A decodes from disk, as a long-lived daemon handle would.
+            let mut a = Store::open(&dir, 1).expect("reopen a");
+            assert_eq!(a.get(9), Some(&value(3)));
+            let mut b = Store::open(&dir, 1).expect("open b");
+            if peer_compacts {
+                b.compact().expect("compact");
+            } else {
+                assert_eq!(b.gc(0).evicted, 4);
+            }
+            a.refresh().expect("refresh");
+            let fresh = Store::open(&dir, 1).expect("fresh open");
+            assert_eq!(
+                view(&a, 0..10),
+                view(&fresh, 0..10),
+                "compact: {peer_compacts}"
+            );
+            assert_eq!(a.get(9), fresh.get(9));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// Forces the segments directory's mtime into the past so the refresh

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use serde::Value;
 
-use dsmt_store::{fnv1a64, IndexMode, Segment, SegmentHeader, Store};
+use dsmt_store::{fnv1a64, Segment, SegmentHeader, Store};
 
 /// A small random [`Value`] generator: scalars at the leaves, arrays and
 /// objects down to `depth`. Floats are generated from bits so NaN and
@@ -192,35 +192,48 @@ proptest! {
         prop_assert!(Segment::decode(&bytes).is_err(), "byte {pos}");
     }
 
-    /// A store opened lazily (header index only) and one opened eagerly
-    /// (decode everything up front) must agree on every record, bit for
-    /// bit — lazy decode is an optimization, never a semantic change.
+    /// A header-indexed open must agree, bit for bit, with two oracles on
+    /// every key: a full [`Segment::decode`] of the file that
+    /// `segment_name_of(key)` names, and this test's own last-write-wins
+    /// model of what it published. Lazy decode is an optimization, never a
+    /// semantic change.
     #[test]
-    fn lazy_and_eager_opens_agree_on_every_record(
+    fn indexed_opens_agree_with_full_decode_and_the_publish_model(
         case in any::<u64>(),
         batches in prop::collection::vec(
             prop::collection::vec(any::<u64>(), 1..5),
             1..4,
         ),
     ) {
-        let dir = temp_dir(&format!("lazy-eager-{case}"));
-        let mut store = Store::open_with(&dir, 1, IndexMode::Indexed).expect("open");
-        let mut keys = std::collections::HashSet::new();
+        let dir = temp_dir(&format!("indexed-oracle-{case}"));
+        let mut store = Store::open(&dir, 1).expect("open");
+        let mut model: std::collections::HashMap<u64, Value> = Default::default();
         for (b, batch) in batches.iter().enumerate() {
             let records: Vec<(u64, Value)> = batch
                 .iter()
                 .map(|&s| (s % 6, random_value(s ^ (b as u64) << 40, 2)))
                 .collect();
-            keys.extend(records.iter().map(|(k, _)| *k));
+            for (k, v) in &records {
+                model.insert(*k, v.clone());
+            }
             store.publish(records).expect("publish");
         }
-        let lazy = Store::open_with(&dir, 1, IndexMode::Indexed).expect("lazy open");
-        let eager = Store::open_with(&dir, 1, IndexMode::Eager).expect("eager open");
-        prop_assert_eq!(lazy.record_count(), eager.record_count());
-        for &k in &keys {
-            let a = lazy.get(k).expect("lazy has key");
-            let b = eager.get(k).expect("eager has key");
-            prop_assert!(bits_equal(a, b), "key {k} diverged between modes");
+        let indexed = Store::open(&dir, 1).expect("indexed open");
+        prop_assert_eq!(indexed.record_count(), model.len());
+        for (&k, want) in &model {
+            let got = indexed.get(k).expect("indexed has key");
+            prop_assert!(bits_equal(got, want), "key {k} diverged from the model");
+            let name = indexed.segment_name_of(k).expect("a winning segment");
+            let raw = std::fs::read(dir.join("segments").join(name)).expect("segment file");
+            let full = Segment::decode(&raw).expect("the winning segment verifies");
+            // Within one segment a repeated key resolves to its last write.
+            let (_, decoded) = full
+                .records
+                .iter()
+                .rev()
+                .find(|(key, _)| *key == k)
+                .expect("the winning segment holds the key");
+            prop_assert!(bits_equal(got, decoded), "key {k} diverged from {name}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -229,7 +242,7 @@ proptest! {
 /// A hand-crafted v2 segment whose directory claims more record bytes
 /// than the file holds — with *valid* header and file checksums, so only
 /// the bounds check can catch it — must be rejected both by the segment
-/// decoder and by an indexed store open.
+/// decoder and by a store open.
 #[test]
 fn directory_extents_past_the_records_region_are_rejected() {
     // magic | version 2 | seq | n_strings=0 | n_records=1
@@ -262,13 +275,11 @@ fn directory_extents_past_the_records_region_are_rejected() {
     drop(Store::open(&dir, 1).expect("create"));
     let name = format!("seg-{:016x}.dsrs", fnv1a64(&bytes));
     std::fs::write(dir.join("segments").join(name), &bytes).unwrap();
-    for mode in [IndexMode::Indexed, IndexMode::Eager] {
-        let err = Store::open_with(&dir, 1, mode).expect_err("open must fail-stop");
-        assert!(
-            err.to_string().contains("seg-"),
-            "error names the bad segment: {err}"
-        );
-    }
+    let err = Store::open(&dir, 1).expect_err("open must fail-stop");
+    assert!(
+        err.to_string().contains("seg-"),
+        "error names the bad segment: {err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -17,10 +17,6 @@
 //! scenario ([`Scenario::cache_identity`]), computed once per lookup or
 //! store.
 //!
-//! Opening a directory still holding the v2 layout **fails stop** with a
-//! pointer to `dsmt sweep migrate`, which re-encodes every readable v2
-//! entry into one v3 segment (see [`migrate_v2`]).
-//!
 //! **Visibility contract**: a cache handle reads an open-time snapshot of
 //! the store. Segments another process publishes *while* a sweep is
 //! running are not consulted (each engine run opens a fresh handle, so
@@ -181,10 +177,8 @@ impl ResultCache {
     ///
     /// # Errors
     ///
-    /// An I/O error for filesystem failures — including, fail-stop, a
-    /// directory still in the v2 one-JSON-per-scenario layout (the error
-    /// text points at `dsmt sweep migrate`) and schema/corruption
-    /// mismatches detected by the store.
+    /// An I/O error for filesystem failures, including schema and
+    /// corruption mismatches detected by the store.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let store = Store::open(dir, CACHE_SCHEMA_VERSION)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
@@ -368,107 +362,6 @@ impl Drop for ResultCache {
     }
 }
 
-/// What a [`migrate_v2`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MigrateOutcome {
-    /// v2 entries re-encoded into the v3 store.
-    pub migrated: usize,
-    /// v2 files skipped (unreadable, foreign schema, malformed).
-    pub skipped: usize,
-    /// Total bytes of the v2 JSON entries.
-    pub bytes_before: u64,
-    /// Total bytes of the v3 store segments afterwards.
-    pub bytes_after: u64,
-}
-
-/// Migrates a v2 cache directory (one pretty-JSON file per scenario) into
-/// the v3 store layout, in place: every readable v2 entry is re-keyed
-/// under the v3 cache schema and published as one segment; the JSON files
-/// are then removed. Unreadable or foreign entries are skipped and
-/// counted — their cells will simply re-simulate.
-///
-/// The migration claims a `migrate` lock inside the directory, so two
-/// racing migrators cannot interleave.
-///
-/// # Errors
-///
-/// A human-readable message on I/O failure, on a directory already (or
-/// half) migrated with a different schema, or when another migrator holds
-/// the claim.
-pub fn migrate_v2(dir: impl Into<PathBuf>) -> Result<MigrateOutcome, String> {
-    let dir = dir.into();
-    let _claim = dsmt_store::LockFile::acquire(dir.join("locks"), "migrate")
-        .map_err(|e| format!("{}: cannot claim migrate lock: {e}", dir.display()))?
-        .ok_or_else(|| {
-            format!(
-                "{}: another migration holds the claim ({})",
-                dir.display(),
-                dsmt_store::LockFile::holder(dir.join("locks"), "migrate")
-                    .unwrap_or_else(|| "unknown holder".to_string())
-            )
-        })?;
-
-    let mut outcome = MigrateOutcome::default();
-    let mut records: Vec<(u64, Value)> = Vec::new();
-    let mut legacy_files: Vec<PathBuf> = Vec::new();
-    let rd = std::fs::read_dir(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    for entry in rd.filter_map(Result::ok) {
-        let path = entry.path();
-        // Only files named like v2 entries (`<16-hex-key>.json`) are cache
-        // data; anything else — a plan.json, an exported report — is left
-        // strictly alone (and does not trigger the fail-stop either, see
-        // `dsmt_store::is_v2_entry_name`).
-        if !path
-            .file_name()
-            .is_some_and(|f| dsmt_store::is_v2_entry_name(&f.to_string_lossy()))
-        {
-            continue;
-        }
-        legacy_files.push(path.clone());
-        outcome.bytes_before += entry.metadata().map(|m| m.len()).unwrap_or(0);
-        match parse_v2_entry(&path) {
-            Some((scenario, results)) => {
-                let id = scenario.cache_identity();
-                records.push((id.key, entry_value(id, &results)));
-                outcome.migrated += 1;
-            }
-            // A v2-named file that does not parse is a corrupt cache
-            // entry: worthless, and leaving it would re-trigger the
-            // fail-stop. It is counted and removed with the rest.
-            None => outcome.skipped += 1,
-        }
-    }
-    if legacy_files.is_empty() {
-        return Err(format!(
-            "{}: no v2 entries found (nothing to migrate)",
-            dir.display()
-        ));
-    }
-    // Remove the legacy entries *before* opening the store: their presence
-    // is exactly what makes Store::open fail-stop. Losing entries on a
-    // crash in this window costs re-simulation, never correctness.
-    for path in &legacy_files {
-        let _ = std::fs::remove_file(path);
-    }
-    records.sort_by_key(|(k, _)| *k);
-    let mut store = Store::open(&dir, CACHE_SCHEMA_VERSION).map_err(|e| e.to_string())?;
-    store.publish(records).map_err(|e| e.to_string())?;
-    outcome.bytes_after = store.total_bytes();
-    Ok(outcome)
-}
-
-/// Parses one v2 cache file: `{schema: 2, scenario, results}`.
-fn parse_v2_entry(path: &std::path::Path) -> Option<(Scenario, SimResults)> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let value: Value = serde::from_str(&text).ok()?;
-    if value.field("schema").ok()?.as_u64().ok()? != 2 {
-        return None;
-    }
-    let scenario = Scenario::from_value(value.field("scenario").ok()?).ok()?;
-    let results = SimResults::from_value(value.field("results").ok()?).ok()?;
-    Some((scenario, results))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,16 +433,6 @@ mod tests {
         }
         let cache = ResultCache::open(&dir).expect("reopen");
         assert_eq!(cache.lookup(&s).expect("hit after drop"), results);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v2_layout_fails_stop_with_migrate_hint() {
-        let dir = temp_dir("v2-failstop");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("00112233aabbccdd.json"), "{\"schema\": 2}").unwrap();
-        let err = ResultCache::open(&dir).expect_err("v2 dirs must fail stop");
-        assert!(err.to_string().contains("migrate"), "got: {err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -645,56 +528,6 @@ mod tests {
             assert_eq!(cache.lookup(s).expect("hit"), s.execute());
         }
         let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
-    fn migrate_v2_reencodes_entries_in_place() {
-        let dir = temp_dir("migrate");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Build a v2 layout by hand: {schema: 2, scenario, results} pretty
-        // JSON under <any-hex>.json (the v2 file name is not load-bearing;
-        // keys are re-derived from the scenario).
-        let scenarios: Vec<Scenario> = (40..43).map(scenario).collect();
-        let mut v2_bytes = 0u64;
-        for (i, s) in scenarios.iter().enumerate() {
-            let entry = Value::Object(vec![
-                ("schema".to_string(), Value::U64(2)),
-                ("scenario".to_string(), s.to_value()),
-                ("results".to_string(), s.execute().to_value()),
-            ]);
-            let text = serde::to_string_pretty(&entry);
-            v2_bytes += text.len() as u64;
-            std::fs::write(dir.join(format!("{i:016x}.json")), text).unwrap();
-        }
-        // Plus one corrupt v2-named entry (skipped + removed) and one
-        // unrelated JSON file (never touched, never counted).
-        std::fs::write(dir.join("ffffffffffffffff.json"), "{ not json").unwrap();
-        std::fs::write(dir.join("plan.json"), "{\"mine\": true}").unwrap();
-
-        let outcome = migrate_v2(&dir).expect("migrate");
-        assert_eq!(outcome.migrated, 3);
-        assert_eq!(outcome.skipped, 1);
-        assert_eq!(
-            std::fs::read_to_string(dir.join("plan.json")).unwrap(),
-            "{\"mine\": true}",
-            "foreign JSON survives migration untouched"
-        );
-        assert!(!dir.join("ffffffffffffffff.json").exists());
-        assert!(outcome.bytes_before >= v2_bytes);
-        assert!(
-            outcome.bytes_after * 2 < outcome.bytes_before,
-            "v3 ({}) should be far smaller than v2 ({})",
-            outcome.bytes_after,
-            outcome.bytes_before
-        );
-        // The migrated store opens and hits.
-        let cache = ResultCache::open(&dir).expect("open migrated");
-        for s in &scenarios {
-            assert_eq!(cache.lookup(s).expect("migrated hit"), s.execute());
-        }
-        // Migrating again: nothing left to migrate.
-        assert!(migrate_v2(&dir).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

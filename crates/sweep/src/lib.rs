@@ -52,7 +52,7 @@ pub mod record;
 pub mod scenario;
 pub mod telemetry;
 
-pub use cache::{migrate_v2, CacheMode, CacheStats, MigrateOutcome, ResultCache};
+pub use cache::{CacheMode, CacheStats, ResultCache};
 pub use engine::SweepEngine;
 pub use grid::{Axis, Cell, SeedMode, Setting, SweepGrid};
 pub use record::{CellPerf, RunRecord, SweepReport};
@@ -67,8 +67,7 @@ pub use dsmt_store::{fnv1a64, GcOutcome, SegmentInfo};
 /// changes; stale entries then miss instead of deserializing garbage.
 /// Version 2: `SimConfig` gained the `fetch_policy` knob.
 /// Version 3: entries moved from per-scenario JSON files into the
-/// `dsmt-store` segment layout (see [`cache`]; `dsmt sweep migrate`
-/// converts v2 directories).
+/// `dsmt-store` segment layout (see [`cache`]).
 pub const CACHE_SCHEMA_VERSION: u32 = 3;
 
 /// SplitMix64 step, used to derive per-cell seeds from a grid seed.

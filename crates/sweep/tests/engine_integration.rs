@@ -1,9 +1,11 @@
 //! Integration tests for the sweep engine's two load-bearing guarantees:
 //! bit-identical records at any worker count, and a fully-cached second run
-//! that simulates nothing.
+//! that simulates nothing — plus the store-backed cache's size and
+//! concurrent-writer guarantees.
 
 use dsmt_core::SimConfig;
-use dsmt_sweep::{Axis, SeedMode, SweepEngine, SweepGrid, SweepReport, WorkloadSpec};
+use dsmt_sweep::{Axis, ResultCache, SeedMode, SweepEngine, SweepGrid, SweepReport, WorkloadSpec};
+use serde::{Serialize, Value};
 
 fn figure_like_grid(seed_mode: SeedMode) -> SweepGrid {
     // A miniature Figure-4-shaped grid: threads × decoupling × latency,
@@ -148,4 +150,86 @@ fn telemetry_enabled_run_keeps_records_identical_and_trace_parses() {
     }
     assert!(text.lines().any(|l| l.contains("\"sweep.done\"")));
     let _ = std::fs::remove_file(&trace);
+}
+
+/// The 12-cell grid shape shared by `bench_sweep`, the CLI `demo` grid and
+/// the CI size assertion.
+fn bench_grid() -> SweepGrid {
+    SweepGrid::new(
+        "bench",
+        SimConfig::paper_multithreaded(1).with_queue_scaling(true),
+    )
+    .with_workload(WorkloadSpec::spec_mix(3_000))
+    .with_axis(Axis::threads(&[1, 2]))
+    .with_axis(Axis::decoupled(&[true, false]))
+    .with_axis(Axis::l2_latencies(&[16, 64, 256]))
+    .with_budget(10_000)
+}
+
+/// Renders a record the way the v2 cache did: one pretty-JSON
+/// `{schema: 2, scenario, results}` file per scenario. Only its size is
+/// used, as the baseline the v3 store must beat.
+fn v2_entry_text(scenario: &dsmt_sweep::Scenario, results: &dsmt_core::SimResults) -> String {
+    let entry = Value::Object(vec![
+        ("schema".to_string(), Value::U64(2)),
+        ("scenario".to_string(), scenario.to_value()),
+        ("results".to_string(), results.to_value()),
+    ]);
+    serde::to_string_pretty(&entry)
+}
+
+#[test]
+fn warm_v3_store_is_at_least_5x_smaller_than_the_v2_layout() {
+    let dir = temp_dir("size");
+    let grid = bench_grid();
+    let report = SweepEngine::new(2).with_cache_dir(&dir).run(&grid);
+    assert_eq!(report.cache_misses, grid.len());
+
+    let cache = ResultCache::open(&dir).expect("reopen");
+    let v3_bytes = cache.total_bytes();
+    assert!(v3_bytes > 0);
+    // What the same entries would have cost in the v2 layout.
+    let v2_bytes: u64 = report
+        .records
+        .iter()
+        .map(|r| v2_entry_text(&r.scenario, &r.results).len() as u64)
+        .sum();
+    assert!(
+        v3_bytes * 5 <= v2_bytes,
+        "v3 store ({v3_bytes} bytes) must be >=5x smaller than the v2 layout ({v2_bytes} bytes)"
+    );
+
+    // The warm store then answers a second engine run completely.
+    let warm = SweepEngine::new(4).with_cache_dir(&dir).run(&grid);
+    assert!(warm.fully_cached());
+    assert_eq!(warm.records, report.records);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_sweeps_share_one_store_without_corruption() {
+    // Two engines over overlapping subsets racing into one store — the
+    // shard executors' sharing pattern. Both publish; a fresh open then
+    // verifies every segment and replays the union.
+    let dir = temp_dir("race");
+    let grid = bench_grid();
+    let indices: Vec<usize> = (0..grid.len()).collect();
+    std::thread::scope(|s| {
+        for half in [&indices[..8], &indices[4..]] {
+            let dir = &dir;
+            let grid = &grid;
+            s.spawn(move || {
+                let _ = SweepEngine::new(2)
+                    .with_cache_dir(dir)
+                    .run_subset(grid, half);
+            });
+        }
+    });
+    let replay = SweepEngine::new(2).with_cache_dir(&dir).run(&grid);
+    assert!(replay.fully_cached(), "union of subsets covers the grid");
+    assert_eq!(
+        replay.records,
+        SweepEngine::new(1).without_cache().run(&grid).records
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

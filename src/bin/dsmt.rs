@@ -8,15 +8,14 @@
 //! dsmt asm inspect <file.s|file.dsmtasm> [--expand N] [--seed S]
 //! dsmt shard plan <grid> --shards N [--strategy S] [--out plan.json]
 //! dsmt shard run <plan.json> --index I | --missing [--steal-after SECS]
-//!                [--store DIR | --out-dir DIR] [--workers W]
-//! dsmt shard status <plan.json> [--store DIR | --dir DIR] [--watch SECS]
-//! dsmt shard merge <plan.json> [--store DIR | --dir DIR] [--wait SECS]
+//!                --store DIR [--workers W]
+//! dsmt shard status <plan.json> --store DIR [--watch SECS]
+//! dsmt shard merge <plan.json> --store DIR [--wait SECS]
 //!                  [--out r.json] [--csv r.csv] [--dsr r.dsr]
 //! dsmt sweep run <grid> [--workers W] [--progress] [--out r.json] [--csv r.csv] [--dsr r.dsr]
 //! dsmt sweep ls
 //! dsmt sweep gc [--max-bytes N]
 //! dsmt sweep compact
-//! dsmt sweep migrate [--dir DIR]
 //! dsmt store stat <dir>
 //! dsmt store synth <dir> --records N [--per-segment M] [--schema S]
 //! dsmt report <file.dsr|report.json> [--json out.json] [--csv out.csv] [--canonical]
@@ -41,13 +40,12 @@
 //! honour `DSMT_INSTS`; caching honours `DSMT_SWEEP_CACHE` and
 //! `DSMT_SWEEP_CACHE_MAX_BYTES` like every other binary.
 //!
-//! `--store DIR` selects the **store transport**: shard outputs are
-//! published into (and merged back out of) a `dsmt-store` directory,
-//! keyed by grid content hash + shard index, instead of living as loose
-//! `.dsr` files. Point it at the same directory as `DSMT_SWEEP_CACHE` and
-//! one shared directory carries the fleet's scenario cache *and* its
-//! shard outputs. `shard status` reports each shard as done /
-//! claimed-by-whom / missing (`--watch` polls until complete).
+//! `--store DIR` names the store shard outputs are published into (and
+//! merged back out of), keyed by grid content hash + shard index. Point it
+//! at the same directory as `DSMT_SWEEP_CACHE` and one shared directory
+//! carries the fleet's scenario cache *and* its shard outputs.
+//! `shard status` reports each shard as done / claimed-by-whom / missing
+//! (`--watch` polls until complete).
 //!
 //! `shard run --missing` is the fleet-healing path: it claims every shard
 //! that has no verified output yet (O_EXCL lockfiles) and executes the
@@ -56,8 +54,6 @@
 //! deadline is presumed dead (its worker was killed without unwinding)
 //! and is stolen — exactly one racing stealer wins — so fleets recover
 //! from SIGKILLed hosts without an operator removing lockfiles by hand.
-//! `sweep migrate` converts a v2 cache directory (one JSON file per
-//! scenario) into the v3 `dsmt-store` segment layout.
 //!
 //! Every command honours `DSMT_LOG` (structured tracing: `pretty`,
 //! `jsonl:FILE`, `off`) and `DSMT_METRICS` (dump the metrics registry to a
@@ -74,13 +70,12 @@ use dsmt_experiments::{
     ExperimentParams,
 };
 use dsmt_shard::{
-    merge_from, plan, recover, run_shard, shard_file_name, DsrFile, RecoverOptions, ShardManifest,
-    ShardState, ShardStrategy, Transport, DEFAULT_HEARTBEAT,
+    merge_from, plan, recover, run_shard, DsrFile, RecoverOptions, ShardManifest, ShardState,
+    ShardStrategy, Transport, DEFAULT_HEARTBEAT,
 };
-use dsmt_store::{IndexMode, Store};
+use dsmt_store::Store;
 use dsmt_sweep::{
-    export, migrate_v2, Axis, CacheMode, ResultCache, SweepEngine, SweepGrid, SweepReport,
-    WorkloadSpec,
+    export, Axis, CacheMode, ResultCache, SweepEngine, SweepGrid, SweepReport, WorkloadSpec,
 };
 
 const USAGE: &str = "\
@@ -91,14 +86,13 @@ USAGE:
   dsmt asm inspect <file.s|file.dsmtasm> [--expand N] [--seed S]
   dsmt shard plan <grid> --shards N [--strategy contiguous|strided|hashed] [--out plan.json]
   dsmt shard run <plan.json> --index I | --missing [--steal-after SECS]
-                 [--store DIR | --out-dir DIR] [--workers W]
-  dsmt shard status <plan.json> [--store DIR | --dir DIR] [--watch SECS] [--json]
-  dsmt shard merge <plan.json> [--store DIR | --dir DIR] [--wait SECS] [--out report.json] [--csv report.csv] [--dsr merged.dsr]
+                 --store DIR [--workers W]
+  dsmt shard status <plan.json> --store DIR [--watch SECS] [--json]
+  dsmt shard merge <plan.json> --store DIR [--wait SECS] [--out report.json] [--csv report.csv] [--dsr merged.dsr]
   dsmt sweep run <grid> [--workers W] [--progress] [--out report.json] [--csv report.csv] [--dsr report.dsr]
   dsmt sweep ls
   dsmt sweep gc [--max-bytes N]
   dsmt sweep compact
-  dsmt sweep migrate [--dir DIR]
   dsmt store stat <dir>
   dsmt store synth <dir> --records N [--per-segment M] [--schema S]
   dsmt report <file.dsr|report.json> [--json out.json] [--csv out.csv] [--canonical]
@@ -110,12 +104,10 @@ USAGE:
   dsmt client cell <key> [--addr HOST:PORT]
   dsmt client metrics [--addr HOST:PORT]
 
-TRANSPORTS:
+SHARD OUTPUTS:
   --store DIR   publish/read shard outputs in a dsmt-store directory (keyed
                 by grid hash + shard index; share it with DSMT_SWEEP_CACHE
                 for the one-directory fleet protocol)
-  --out-dir/--dir DIR
-                loose .dsr files named <grid>.shard-<i>-of-<n>.dsr (default .)
 
 GRIDS:
   a path to a SweepGrid JSON file, or a built-in name:
@@ -127,8 +119,6 @@ ENVIRONMENT:
   DSMT_INSTS                  instructions per cell for built-in figure grids
   DSMT_SWEEP_CACHE            result store dir, or `off`
   DSMT_SWEEP_CACHE_MAX_BYTES  LRU size cap applied after sweeps and by `sweep gc`
-  DSMT_STORE_EAGER            1|true|yes: decode every record at store open
-                              instead of indexing segment headers lazily
   DSMT_LOG                    structured tracing: off | pretty | jsonl[:FILE]
                               (unset = warnings only, pretty, on stderr)
   DSMT_METRICS                write the metrics registry to this JSON file on exit
@@ -382,15 +372,13 @@ fn shard_cmd(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Resolves the shard transport from `--store DIR` (store transport) or a
-/// plain directory flag (`--out-dir`/`--dir`, loose `.dsr` files,
-/// defaulting to the current directory).
-fn transport_from(p: &Parsed, dir_flag: &str) -> Result<Transport, String> {
-    match (p.flag("store"), p.flag(dir_flag)) {
-        (Some(_), Some(_)) => Err(format!("pass at most one of --store and --{dir_flag}")),
-        (Some(store), None) => Transport::store(store),
-        (None, dir) => Ok(Transport::loose(dir.unwrap_or("."))),
-    }
+/// Opens the shard transport on the store named by the required
+/// `--store DIR` flag.
+fn transport_from(p: &Parsed, usage: &str) -> Result<Transport, String> {
+    Transport::store(
+        p.flag("store")
+            .ok_or_else(|| format!("--store DIR is required\n{usage}"))?,
+    )
 }
 
 fn shard_plan(args: &[String]) -> Result<(), String> {
@@ -424,11 +412,7 @@ fn shard_plan(args: &[String]) -> Result<(), String> {
         manifest.grid_hash,
     );
     for (i, cells) in manifest.shards.iter().enumerate() {
-        println!(
-            "  shard {i}: {:>4} cells -> {}",
-            cells.len(),
-            shard_file_name(&manifest, i)
-        );
+        println!("  shard {i}: {:>4} cells", cells.len());
     }
     println!("manifest: {}", out.display());
     Ok(())
@@ -437,22 +421,15 @@ fn shard_plan(args: &[String]) -> Result<(), String> {
 fn shard_run(args: &[String]) -> Result<(), String> {
     let p = parse(
         args,
-        &[
-            "index",
-            "missing",
-            "out-dir",
-            "workers",
-            "store",
-            "steal-after",
-        ],
+        &["index", "missing", "workers", "store", "steal-after"],
     )?;
     let usage = "usage: dsmt shard run <plan.json> --index I | --missing [--steal-after SECS] \
-                 [--store DIR | --out-dir DIR] [--workers W]";
+                 --store DIR [--workers W]";
     let [plan_path] = p.positional.as_slice() else {
         return Err(usage.into());
     };
     let manifest = ShardManifest::load(plan_path).map_err(|e| e.to_string())?;
-    let mut transport = transport_from(&p, "out-dir")?;
+    let mut transport = transport_from(&p, usage)?;
     let engine = engine(p.usize_flag("workers")?);
     let index = p.usize_flag("index")?;
     let missing = p.flag("missing").is_some();
@@ -523,16 +500,13 @@ fn shard_run(args: &[String]) -> Result<(), String> {
 }
 
 fn shard_status(args: &[String]) -> Result<(), String> {
-    let p = parse_with(args, &["store", "dir", "watch", "json"], &["json"])?;
+    let p = parse_with(args, &["store", "watch", "json"], &["json"])?;
+    let usage = "usage: dsmt shard status <plan.json> --store DIR [--watch SECS] [--json]";
     let [plan_path] = p.positional.as_slice() else {
-        return Err(
-            "usage: dsmt shard status <plan.json> [--store DIR | --dir DIR] \
-                    [--watch SECS] [--json]"
-                .into(),
-        );
+        return Err(usage.into());
     };
     let manifest = ShardManifest::load(plan_path).map_err(|e| e.to_string())?;
-    let mut transport = transport_from(&p, "dir")?;
+    let mut transport = transport_from(&p, usage)?;
     let watch = p.usize_flag("watch")?;
     let json = p.flag("json").is_some();
     loop {
@@ -595,16 +569,14 @@ fn shard_status(args: &[String]) -> Result<(), String> {
 }
 
 fn shard_merge(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["store", "dir", "wait", "out", "csv", "dsr"])?;
+    let p = parse(args, &["store", "wait", "out", "csv", "dsr"])?;
+    let usage = "usage: dsmt shard merge <plan.json> --store DIR [--wait SECS] \
+                 [--out FILE] [--csv FILE] [--dsr FILE]";
     let [plan_path] = p.positional.as_slice() else {
-        return Err(
-            "usage: dsmt shard merge <plan.json> [--store DIR | --dir DIR] [--wait SECS] \
-             [--out FILE] [--csv FILE] [--dsr FILE]"
-                .into(),
-        );
+        return Err(usage.into());
     };
     let manifest = ShardManifest::load(plan_path).map_err(|e| e.to_string())?;
-    let mut transport = transport_from(&p, "dir")?;
+    let mut transport = transport_from(&p, usage)?;
     // --wait: the `status --watch` polling loop, inlined — block until
     // every shard has a verified output, then merge in the same process.
     if let Some(secs) = p.usize_flag("wait")? {
@@ -645,9 +617,8 @@ fn sweep_cmd(args: &[String]) -> Result<(), String> {
         Some("ls") => sweep_ls(),
         Some("gc") => sweep_gc(&args[1..]),
         Some("compact") => sweep_compact(),
-        Some("migrate") => sweep_migrate(&args[1..]),
         _ => Err(format!(
-            "usage: dsmt sweep run|ls|gc|compact|migrate ...\n\n{USAGE}"
+            "usage: dsmt sweep run|ls|gc|compact ...\n\n{USAGE}"
         )),
     }
 }
@@ -706,14 +677,8 @@ fn sweep_ls() -> Result<(), String> {
             .map(|d| d.as_secs())
             .unwrap_or(0);
         println!(
-            "  {}  v{} seq {:>4}  {:>8} bytes  {:>6} records  {}  last used {:>6}s ago",
-            e.name,
-            e.version,
-            e.seq,
-            e.bytes,
-            e.records,
-            segment_mode(e),
-            age
+            "  {}  seq {:>4}  {:>8} bytes  {:>6} records  last used {:>6}s ago",
+            e.name, e.seq, e.bytes, e.records, age
         );
     }
     if let Some(cap) = CacheMode::max_bytes_from_env() {
@@ -733,33 +698,6 @@ fn sweep_compact() -> Result<(), String> {
         outcome.bytes_before,
         outcome.bytes_after,
         outcome.records,
-    );
-    Ok(())
-}
-
-fn sweep_migrate(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["dir"])?;
-    let dir = match p.flag("dir") {
-        Some(d) => PathBuf::from(d),
-        None => match CacheMode::from_env() {
-            CacheMode::Disabled => {
-                return Err("the sweep cache is disabled (DSMT_SWEEP_CACHE=off); \
-                            pass --dir to migrate an explicit directory"
-                    .into())
-            }
-            CacheMode::Dir(dir) => dir,
-        },
-    };
-    let outcome = migrate_v2(&dir)?;
-    println!(
-        "migrated {}: {} entries re-encoded ({} skipped), {} bytes (v2 JSON) -> {} bytes \
-         (v3 store, {:.1}x smaller)",
-        dir.display(),
-        outcome.migrated,
-        outcome.skipped,
-        outcome.bytes_before,
-        outcome.bytes_after,
-        outcome.bytes_before as f64 / outcome.bytes_after.max(1) as f64,
     );
     Ok(())
 }
@@ -799,18 +737,7 @@ fn store_cmd(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// `legacy` marks a pre-header segment that still rides the
-/// decode-everything path even in indexed mode.
-fn segment_mode(e: &dsmt_store::SegmentInfo) -> &'static str {
-    match (e.lazy, e.version) {
-        (true, _) => "indexed",
-        (false, dsmt_store::LEGACY_SEGMENT_FORMAT_VERSION) => "legacy ",
-        (false, _) => "eager  ",
-    }
-}
-
-/// Opens the store (honouring `DSMT_STORE_EAGER`), then prints the open
-/// cost, the header-index counters and a per-segment listing. The
+/// Opens the store, then prints the open cost, the header-index counters and a per-segment listing. The
 /// `open_us:` / `header_index_hits:` / `records_lazy_decoded:` lines are
 /// stable, machine-parseable output — CI's store-scale gate greps them.
 fn store_stat(args: &[String]) -> Result<(), String> {
@@ -822,10 +749,8 @@ fn store_stat(args: &[String]) -> Result<(), String> {
     let schema = Store::marker_schema(&dir)
         .map_err(|e| format!("{}: {e}", dir.display()))?
         .ok_or_else(|| format!("{}: not a store (no STORE.json marker)", dir.display()))?;
-    let mode = IndexMode::from_env();
     let started = std::time::Instant::now();
-    let store =
-        Store::open_with(&dir, schema, mode).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let store = Store::open(&dir, schema).map_err(|e| format!("{}: {e}", dir.display()))?;
     let open_us = started.elapsed().as_micros();
     let segments = store.segment_infos();
     println!(
@@ -836,11 +761,7 @@ fn store_stat(args: &[String]) -> Result<(), String> {
         store.record_count(),
         store.total_bytes(),
     );
-    let mode_name = match mode {
-        IndexMode::Indexed => "indexed",
-        IndexMode::Eager => "eager",
-    };
-    println!("open_us: {open_us} (mode: {mode_name})");
+    println!("open_us: {open_us}");
     let registry = dsmt_obs::registry();
     println!(
         "header_index_hits: {}",
@@ -857,14 +778,8 @@ fn store_stat(args: &[String]) -> Result<(), String> {
             .map(|d| d.as_secs())
             .unwrap_or(0);
         println!(
-            "  {}  v{} seq {:>4}  {:>8} bytes  {:>6} records  {}  modified {:>6}s ago",
-            e.name,
-            e.version,
-            e.seq,
-            e.bytes,
-            e.records,
-            segment_mode(e),
-            age
+            "  {}  seq {:>4}  {:>8} bytes  {:>6} records  modified {:>6}s ago",
+            e.name, e.seq, e.bytes, e.records, age
         );
     }
     Ok(())
@@ -874,8 +789,8 @@ fn store_stat(args: &[String]) -> Result<(), String> {
 /// shaped like sweep cells (a handful of numeric stats plus a small
 /// string-coded enum, so record bodies dominate the segment and the
 /// header directory stays compact), published `--per-segment M` at a
-/// time. CI's store-scale gate uses this to compare indexed vs eager
-/// open cost at 10^5 records without running 10^5 simulations.
+/// time. CI's store-scale gate uses this to check a header-only open at
+/// 10^5 records without running 10^5 simulations.
 fn store_synth(args: &[String]) -> Result<(), String> {
     let p = parse(args, &["records", "per-segment", "schema"])?;
     let [dir] = p.positional.as_slice() else {
@@ -893,8 +808,7 @@ fn store_synth(args: &[String]) -> Result<(), String> {
             .map_err(|_| format!("--schema expects a number, got `{v}`"))?,
         None => 1,
     };
-    let mut store =
-        Store::open_with(dir, schema, IndexMode::Indexed).map_err(|e| format!("{dir}: {e}"))?;
+    let mut store = Store::open(dir, schema).map_err(|e| format!("{dir}: {e}"))?;
     let mut batch = Vec::with_capacity(per_segment.min(records));
     let mut segments = 0usize;
     for n in 0..records as u64 {
@@ -930,8 +844,8 @@ fn synth_key(n: u64) -> u64 {
 }
 
 /// A record shaped like a cached sweep cell: mostly numeric stats under
-/// shared field names (interned once per segment), so eager open pays a
-/// realistic per-record decode cost while the header stays small.
+/// shared field names (interned once per segment), so a full decode pays
+/// a realistic per-record cost while the header stays small.
 fn synth_value(n: u64) -> serde::Value {
     use serde::Value;
     const MIXES: [&str; 4] = ["int", "fp", "mem", "branchy"];

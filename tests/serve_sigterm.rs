@@ -5,8 +5,17 @@
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader};
-use std::process::{Command, Stdio};
+use std::path::Path;
+use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::RecvTimeoutError;
 use std::time::{Duration, Instant};
+
+extern "C" {
+    fn kill(pid: i32, sig: i32) -> i32;
+}
+
+/// How long the test may run before it counts as hung.
+const WATCHDOG: Duration = Duration::from_secs(60);
 
 #[test]
 fn sigterm_stops_the_daemon_gracefully_and_releases_the_claim() {
@@ -15,7 +24,7 @@ fn sigterm_stops_the_daemon_gracefully_and_releases_the_claim() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let store = dir.join("store");
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_dsmt"))
+    let child = Command::new(env!("CARGO_BIN_EXE_dsmt"))
         .args([
             "serve",
             "--store",
@@ -28,6 +37,27 @@ fn sigterm_stops_the_daemon_gracefully_and_releases_the_claim() {
         .spawn()
         .expect("spawn dsmt serve");
 
+    // Drive the daemon on its own thread under a watchdog: a hang fails the
+    // test (and kills the daemon) instead of stalling the suite.
+    let pid = child.id() as i32;
+    let (done, finished) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        drive(child, &store);
+        let _ = done.send(());
+    });
+    if finished.recv_timeout(WATCHDOG) == Err(RecvTimeoutError::Timeout) {
+        // SAFETY: kill(2) takes plain integers and touches no memory of
+        // this process; `pid` is the daemon this test spawned.
+        unsafe { kill(pid, 9) };
+        panic!("test still running after {WATCHDOG:?}; the daemon or a socket is hung");
+    }
+    if let Err(panic) = worker.join() {
+        std::panic::resume_unwind(panic);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn drive(mut child: Child, store: &Path) {
     // The daemon prints the bound address before accepting; read it.
     let stdout = child.stdout.take().expect("piped stdout");
     let mut lines = BufReader::new(stdout).lines();
@@ -45,12 +75,9 @@ fn sigterm_stops_the_daemon_gracefully_and_releases_the_claim() {
     assert!(store.join("locks").join("serve.lock").exists());
 
     // SIGTERM → clean exit with the stop summary on stdout.
-    unsafe {
-        extern "C" {
-            fn kill(pid: i32, sig: i32) -> i32;
-        }
-        assert_eq!(kill(child.id() as i32, 15), 0, "deliver SIGTERM");
-    }
+    // SAFETY: as above, kill(2) only signals the daemon this test spawned.
+    let sent = unsafe { kill(child.id() as i32, 15) };
+    assert_eq!(sent, 0, "deliver SIGTERM");
     let deadline = Instant::now() + Duration::from_secs(30);
     let status = loop {
         if let Some(status) = child.try_wait().expect("try_wait") {
@@ -70,5 +97,4 @@ fn sigterm_stops_the_daemon_gracefully_and_releases_the_claim() {
     // take the directory immediately.
     assert!(!store.join("locks").join("serve.lock").exists());
     assert!(client.get("/healthz").is_err(), "socket should be closed");
-    let _ = std::fs::remove_dir_all(&dir);
 }
