@@ -45,8 +45,7 @@ pub struct CellFetch {
     /// ETag matched and the record was never decoded or serialized.
     pub json: Option<String>,
     /// Strong ETag: the quoted 16-hex per-record FNV from the segment
-    /// header (or, for records this handle published itself, of the JSON
-    /// body).
+    /// header.
     pub etag: String,
 }
 
@@ -287,9 +286,9 @@ impl SweepService {
     ///
     /// The ETag is the per-record FNV the segment header already records,
     /// so a matching `If-None-Match` is answered from the index alone —
-    /// no record decode, no serialization, no body. Records the daemon's
-    /// own handle published (held in memory, not indexed from a header)
-    /// fall back to hashing the rendered JSON.
+    /// no record decode, no serialization, no body. Every present record
+    /// has one, whichever handle published it, so a cell keeps its ETag
+    /// across daemon restarts.
     ///
     /// # Errors
     ///
@@ -304,27 +303,18 @@ impl SweepService {
             .map_err(|_| ApiError::internal("service state poisoned"))?;
         transport.refresh();
         let store = transport.as_store();
-        if let Some(fnv) = store.record_fnv(numeric) {
-            let etag = format!("\"{fnv:016x}\"");
-            if if_none_match == Some(etag.as_str()) {
-                return Ok(CellFetch { json: None, etag });
-            }
+        let fnv = store
+            .record_fnv(numeric)
+            .ok_or_else(|| ApiError::unknown_cell(key))?;
+        let etag = format!("\"{fnv:016x}\"");
+        if if_none_match == Some(etag.as_str()) {
+            return Ok(CellFetch { json: None, etag });
         }
         match store.try_get(numeric) {
-            Ok(Some(value)) => {
-                let json = serde::to_string(value);
-                let etag = match store.record_fnv(numeric) {
-                    Some(fnv) => format!("\"{fnv:016x}\""),
-                    None => format!("\"{:016x}\"", fnv1a64(json.as_bytes())),
-                };
-                if if_none_match == Some(etag.as_str()) {
-                    return Ok(CellFetch { json: None, etag });
-                }
-                Ok(CellFetch {
-                    json: Some(json),
-                    etag,
-                })
-            }
+            Ok(Some(value)) => Ok(CellFetch {
+                json: Some(serde::to_string(&value)),
+                etag,
+            }),
             Ok(None) => Err(ApiError::unknown_cell(key)),
             Err(e) => Err(ApiError::internal(e.to_string())),
         }
@@ -487,6 +477,32 @@ mod tests {
         assert_eq!(revalidated.etag, fetch.etag);
         let miss = svc.cell("00ff", Some("\"0000000000000000\"")).unwrap();
         assert!(miss.json.is_some(), "stale ETag gets the body again");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cell_keeps_its_etag_across_a_daemon_restart() {
+        let (svc, dir) = service("cell-etag-restart");
+        let out = svc.submit(br#"{"builtin":"tiny","shards":1}"#).unwrap();
+        let hash = out.field("grid_hash").unwrap().as_str().unwrap();
+        let manifest = ShardManifest::load(dir.join("plans").join(format!("{hash}.plan.json")))
+            .expect("plan readable");
+        let engine = SweepEngine::new(1).without_cache();
+        let run = dsmt_shard::run_shard(&manifest, 0, &engine).expect("shard runs");
+        // The daemon's own store handle publishes the record...
+        svc.transport
+            .lock()
+            .unwrap()
+            .publish(&manifest, &run.dsr)
+            .expect("publish");
+        let key = format!("{:016x}", manifest.shard_key(0));
+        let before = svc.cell(&key, None).expect("published cell");
+        drop(svc);
+        // ...and a restarted daemon, indexing it from disk, names it alike.
+        let restarted = SweepService::open(&dir, Box::new(|_| None)).expect("reopen service");
+        let after = restarted.cell(&key, None).expect("cell after restart");
+        assert_eq!(after.etag, before.etag);
+        assert_eq!(after.json, before.json);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

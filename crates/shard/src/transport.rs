@@ -126,7 +126,7 @@ impl Transport {
     #[must_use]
     pub fn read_verified(&mut self, manifest: &ShardManifest, index: usize) -> Option<DsrFile> {
         self.refresh();
-        shard_from_value(manifest, index, self.store.get(manifest.shard_key(index))?)
+        shard_from_value(manifest, index, &self.store.get(manifest.shard_key(index))?)
     }
 
     /// Reads shard `index` for a merge, preserving precise diagnostics
@@ -151,7 +151,7 @@ impl Transport {
             Err(e) => Err(format!(
                 "the store record under shard {index}'s key failed verification: {e}"
             )),
-            Ok(Some(value)) => shard_from_value(manifest, index, value)
+            Ok(Some(value)) => shard_from_value(manifest, index, &value)
                 .map(Some)
                 .ok_or_else(|| {
                     format!(

@@ -212,6 +212,14 @@ impl Segment {
     /// given publish sequence number into the header.
     #[must_use]
     pub fn encode_with_seq(&self, seq: u64) -> Vec<u8> {
+        self.encode_indexed(seq).0
+    }
+
+    /// [`Segment::encode_with_seq`] that also returns the parsed form of
+    /// the header it wrote — the directory the encoder computed anyway —
+    /// so a publisher can index its own segment without re-reading it.
+    #[must_use]
+    pub fn encode_indexed(&self, seq: u64) -> (Vec<u8>, SegmentHeader) {
         let mut table = StrTable::default();
         for (_, value) in &self.records {
             table.collect(value);
@@ -233,20 +241,36 @@ impl Segment {
             put_raw_str(&mut buf, s);
         }
         put_uvarint(&mut buf, self.records.len() as u64);
+        let mut entries = Vec::with_capacity(self.records.len());
         let mut offset = 0u64;
         for ((key, _), body) in self.records.iter().zip(&bodies) {
-            buf.put_u64_le(*key);
-            put_uvarint(&mut buf, offset);
-            put_uvarint(&mut buf, body.len() as u64);
-            buf.put_u64_le(fnv1a64(body));
-            offset += body.len() as u64;
+            let entry = RecordEntry {
+                key: *key,
+                offset,
+                len: body.len() as u64,
+                fnv: fnv1a64(body),
+            };
+            buf.put_u64_le(entry.key);
+            put_uvarint(&mut buf, entry.offset);
+            put_uvarint(&mut buf, entry.len);
+            buf.put_u64_le(entry.fnv);
+            offset += entry.len;
+            entries.push(entry);
         }
         buf.put_u64_le(fnv1a64(&buf));
+        let records_base = buf.len() as u64;
         for body in &bodies {
             buf.put_slice(body);
         }
         buf.put_u64_le(fnv1a64(&buf));
-        buf
+        let header = SegmentHeader {
+            version: SEGMENT_FORMAT_VERSION,
+            seq,
+            strings: table.strings().to_vec(),
+            entries,
+            records_base,
+        };
+        (buf, header)
     }
 
     /// Parses and fully verifies a segment byte image, discarding the
@@ -321,18 +345,28 @@ impl Segment {
     /// that are not a valid segment hash whole.
     #[must_use]
     pub fn content_name(bytes: &[u8]) -> String {
-        format!("seg-{:016x}.dsrs", identity_hash(bytes))
+        let identity = SegmentHeader::parse(bytes)
+            .ok()
+            .and_then(|header| v2_identity(bytes, header.records_base));
+        seg_name(identity.unwrap_or_else(|| fnv1a64(bytes)))
+    }
+
+    /// [`Segment::content_name`] of bytes whose `header` the caller
+    /// already holds (from [`Segment::encode_indexed`]), skipping the
+    /// header parse.
+    pub(crate) fn content_name_indexed(bytes: &[u8], header: &SegmentHeader) -> String {
+        seg_name(v2_identity(bytes, header.records_base).unwrap_or_else(|| fnv1a64(bytes)))
     }
 }
 
-/// The seq-independent identity hash behind [`Segment::content_name`].
-fn identity_hash(bytes: &[u8]) -> u64 {
-    v2_identity(bytes).unwrap_or_else(|| fnv1a64(bytes))
+fn seg_name(identity: u64) -> String {
+    format!("seg-{identity:016x}.dsrs")
 }
 
-fn v2_identity(bytes: &[u8]) -> Option<u64> {
-    let header = SegmentHeader::parse(bytes).ok()?;
-    let base = usize::try_from(header.records_base).ok()?;
+/// The seq-independent identity hash behind [`Segment::content_name`], for
+/// a segment whose records region starts at `records_base`.
+fn v2_identity(bytes: &[u8], records_base: u64) -> Option<u64> {
+    let base = usize::try_from(records_base).ok()?;
     if bytes.len() < base + 8 {
         return None;
     }
@@ -397,8 +431,9 @@ mod tests {
     #[test]
     fn header_parse_indexes_without_touching_records() {
         let seg = sample();
-        let bytes = seg.encode_with_seq(7);
+        let (bytes, indexed) = seg.encode_indexed(7);
         let header = SegmentHeader::parse(&bytes).expect("parse");
+        assert_eq!(header, indexed, "the encoder's header is the parsed one");
         assert_eq!(header.seq, 7);
         assert_eq!(header.entries.len(), 2);
         assert_eq!(header.entries[0].key, 1);
@@ -475,5 +510,11 @@ mod tests {
         assert_eq!(Segment::content_name(&a), Segment::content_name(&a));
         assert!(Segment::content_name(&a).starts_with("seg-"));
         assert!(Segment::content_name(&a).ends_with(".dsrs"));
+        let (bytes, header) = sample().encode_indexed(9);
+        assert_eq!(
+            Segment::content_name_indexed(&bytes, &header),
+            Segment::content_name(&a),
+            "indexed naming skips the parse, not the identity"
+        );
     }
 }

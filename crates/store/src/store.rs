@@ -3,14 +3,15 @@
 //!
 //! Since segment format v2 the index is built from **key-directory
 //! headers**: open reads and checksum-verifies each segment's header —
-//! O(keys), not O(total bytes) — and record values are decoded lazily on
-//! first [`Store::get`], verified against the per-record FNV recorded in
-//! the directory, then memoized.
+//! O(keys), not O(total bytes). Record values stay on disk: every
+//! [`Store::get`] reads the record's slice, verifies it against the
+//! per-record FNV recorded in the directory and decodes an owned copy, so
+//! a handle's memory is its headers, however long it lives and however
+//! many records it serves.
 
 use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 use std::time::SystemTime;
 
 use serde::{Deserialize, Serialize, Value};
@@ -82,24 +83,9 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// How one segment's records are held in memory.
-#[derive(Debug)]
-enum SegmentData {
-    /// Records of a segment this handle itself published (they were
-    /// already in memory).
-    Eager(Vec<(u64, Value)>),
-    /// Header-indexed segment read from disk: records decode lazily from
-    /// their `(offset, len)` slice, each memoized in its `OnceLock` cell
-    /// after its FNV verifies.
-    Lazy {
-        strings: Vec<String>,
-        records_base: u64,
-        entries: Vec<RecordEntry>,
-        cells: Vec<OnceLock<Value>>,
-    },
-}
-
-/// One loaded segment plus its on-disk metadata.
+/// One indexed segment: its on-disk metadata plus the header fields a
+/// record read needs. Records decode from their `(offset, len)` slice on
+/// every read, after their FNV verifies.
 #[derive(Debug)]
 struct LoadedSegment {
     name: String,
@@ -107,21 +93,29 @@ struct LoadedSegment {
     bytes: u64,
     modified: SystemTime,
     seq: u64,
-    data: SegmentData,
+    strings: Vec<String>,
+    records_base: u64,
+    entries: Vec<RecordEntry>,
 }
 
 impl LoadedSegment {
-    fn records_len(&self) -> usize {
-        match &self.data {
-            SegmentData::Eager(records) => records.len(),
-            SegmentData::Lazy { entries, .. } => entries.len(),
-        }
-    }
-
-    fn key_at(&self, rec: usize) -> u64 {
-        match &self.data {
-            SegmentData::Eager(records) => records[rec].0,
-            SegmentData::Lazy { entries, .. } => entries[rec].key,
+    /// Indexes a segment from its verified header.
+    fn new(
+        name: String,
+        path: PathBuf,
+        bytes: u64,
+        modified: SystemTime,
+        header: SegmentHeader,
+    ) -> Self {
+        LoadedSegment {
+            name,
+            path,
+            bytes,
+            modified,
+            seq: header.seq,
+            strings: header.strings,
+            records_base: header.records_base,
+            entries: header.entries,
         }
     }
 
@@ -196,9 +190,10 @@ pub struct CompactOutcome {
 /// directory of immutable checksummed [`Segment`] files, and a `locks/`
 /// directory for [`LockFile`] claims. Open verifies every segment's
 /// *header* (fail-stop: one corrupt header rejects the open, with the
-/// offending file named) and indexes the keys it records; record values
-/// decode lazily on first [`Store::get`], verified against the per-record
-/// FNV from the header and then memoized. Duplicate keys resolve by the
+/// offending file named) and indexes the keys it records; every
+/// [`Store::get`] reads and decodes its record from disk, verified against
+/// the per-record FNV from the header. Nothing decoded is kept, so a
+/// long-lived handle holds headers only. Duplicate keys resolve by the
 /// recorded publish **sequence number** (then mtime, then name): later
 /// publishes shadow earlier ones as a recorded fact, immune to clock
 /// skew, `touch`es and backdated mtimes.
@@ -219,7 +214,7 @@ pub struct CompactOutcome {
 /// # let _ = std::fs::remove_dir_all(&dir);
 /// let mut store = Store::open(&dir, 1).unwrap();
 /// store.publish(vec![(7, Value::U64(42))]).unwrap();
-/// assert_eq!(store.get(7), Some(&Value::U64(42)));
+/// assert_eq!(store.get(7), Some(Value::U64(42)));
 ///
 /// // A second handle sees the open-time snapshot, and picks up foreign
 /// // segments on refresh().
@@ -227,7 +222,7 @@ pub struct CompactOutcome {
 /// store.publish(vec![(8, Value::Bool(true))]).unwrap();
 /// assert!(other.get(8).is_none());
 /// other.refresh().unwrap();
-/// assert_eq!(other.get(8), Some(&Value::Bool(true)));
+/// assert_eq!(other.get(8), Some(Value::Bool(true)));
 /// # let _ = std::fs::remove_dir_all(&dir);
 /// ```
 #[derive(Debug)]
@@ -444,20 +439,7 @@ impl Store {
             ));
         }
         dsmt_obs::counter!("store.header_index_hits").inc();
-        let cells = (0..header.entries.len()).map(|_| OnceLock::new()).collect();
-        Ok(LoadedSegment {
-            name,
-            path,
-            bytes,
-            modified,
-            seq: header.seq,
-            data: SegmentData::Lazy {
-                strings: header.strings,
-                records_base: header.records_base,
-                entries: header.entries,
-                cells,
-            },
-        })
+        Ok(LoadedSegment::new(name, path, bytes, modified, header))
     }
 
     /// Adds a loaded segment and merges its keys into the index under the
@@ -469,9 +451,8 @@ impl Store {
         self.segments.push(loaded);
         let (segments, index) = (&self.segments, &mut self.index);
         let seg = &segments[seg_idx];
-        for rec_idx in 0..seg.records_len() {
-            let key = seg.key_at(rec_idx);
-            match index.entry(key) {
+        for (rec_idx, entry) in seg.entries.iter().enumerate() {
+            match index.entry(entry.key) {
                 std::collections::hash_map::Entry::Vacant(slot) => {
                     slot.insert((seg_idx, rec_idx));
                 }
@@ -487,72 +468,54 @@ impl Store {
         }
     }
 
-    /// Decodes (or fetches the memoized copy of) the record at `(seg,
-    /// rec)`. For lazy segments this is the verify-on-read point: the
-    /// record's bytes are read from their `(offset, len)` slice, checked
-    /// against the FNV recorded in the header, decoded, and memoized.
-    fn decode_at(&self, seg: usize, rec: usize) -> Result<&Value, StoreError> {
+    /// Reads, verifies and decodes the record at `(seg, rec)` — the
+    /// verify-on-read point: the record's bytes are read from their
+    /// `(offset, len)` slice and checked against the FNV recorded in the
+    /// header before they are decoded.
+    fn decode_at(&self, seg: usize, rec: usize) -> Result<Value, StoreError> {
         let s = &self.segments[seg];
-        match &s.data {
-            SegmentData::Eager(records) => Ok(&records[rec].1),
-            SegmentData::Lazy {
-                strings,
-                records_base,
-                entries,
-                cells,
-            } => {
-                if let Some(value) = cells[rec].get() {
-                    return Ok(value);
-                }
-                let e = &entries[rec];
-                let corrupt = |why: String| StoreError::Corrupt {
-                    file: s.name.clone(),
-                    why,
-                };
-                let mut f = std::fs::File::open(&s.path)?;
-                f.seek(SeekFrom::Start(records_base + e.offset))?;
-                let mut raw = vec![
-                    0u8;
-                    usize::try_from(e.len).map_err(|_| {
-                        corrupt(format!("record 0x{:016x} length overflows", e.key))
-                    })?
-                ];
-                f.read_exact(&mut raw)?;
-                if fnv1a64(&raw) != e.fnv {
-                    return Err(corrupt(format!(
-                        "record 0x{:016x} failed its FNV check",
-                        e.key
-                    )));
-                }
-                let mut slice = raw.as_slice();
-                let value = get_value(&mut slice, strings)
-                    .map_err(|err| corrupt(format!("record 0x{:016x}: {err}", e.key)))?;
-                if !slice.is_empty() {
-                    return Err(corrupt(format!(
-                        "record 0x{:016x} has {} trailing bytes",
-                        e.key,
-                        slice.len()
-                    )));
-                }
-                dsmt_obs::counter!("store.records_lazy_decoded").inc();
-                // A concurrent reader may have raced us here; either copy
-                // decoded from the same verified bytes.
-                let _ = cells[rec].set(value);
-                Ok(cells[rec].get().expect("cell just initialized"))
-            }
+        let e = &s.entries[rec];
+        let corrupt = |why: String| StoreError::Corrupt {
+            file: s.name.clone(),
+            why,
+        };
+        let mut f = std::fs::File::open(&s.path)?;
+        f.seek(SeekFrom::Start(s.records_base + e.offset))?;
+        let len = usize::try_from(e.len)
+            .map_err(|_| corrupt(format!("record 0x{:016x} length overflows", e.key)))?;
+        let mut raw = vec![0u8; len];
+        f.read_exact(&mut raw)?;
+        if fnv1a64(&raw) != e.fnv {
+            return Err(corrupt(format!(
+                "record 0x{:016x} failed its FNV check",
+                e.key
+            )));
         }
+        let mut slice = raw.as_slice();
+        let value = get_value(&mut slice, &s.strings)
+            .map_err(|err| corrupt(format!("record 0x{:016x}: {err}", e.key)))?;
+        if !slice.is_empty() {
+            return Err(corrupt(format!(
+                "record 0x{:016x} has {} trailing bytes",
+                e.key,
+                slice.len()
+            )));
+        }
+        dsmt_obs::counter!("store.records_lazy_decoded").inc();
+        Ok(value)
     }
 
-    /// Looks up the record stored under `key` with the highest precedence.
+    /// Looks up the record stored under `key` with the highest precedence,
+    /// decoding an owned copy from disk.
     ///
-    /// A record whose bytes fail verification at this point (possible only
-    /// for header-indexed segments read from disk) reads as *absent*: the
+    /// A record whose bytes fail verification at this point reads as
+    /// *absent*: the
     /// corruption is counted (`store.record_corrupt`) and logged, and
     /// callers that re-simulate on miss heal the store by publishing a
     /// fresh copy. Callers that must distinguish corrupt from missing use
     /// [`Store::try_get`].
     #[must_use]
-    pub fn get(&self, key: u64) -> Option<&Value> {
+    pub fn get(&self, key: u64) -> Option<Value> {
         let &(seg, rec) = self.index.get(&key)?;
         match self.decode_at(seg, rec) {
             Ok(value) => Some(value),
@@ -575,7 +538,7 @@ impl Store {
     ///
     /// [`StoreError::Corrupt`] when the winning record's bytes fail their
     /// FNV check or decode, [`StoreError::Io`] if reading them fails.
-    pub fn try_get(&self, key: u64) -> Result<Option<&Value>, StoreError> {
+    pub fn try_get(&self, key: u64) -> Result<Option<Value>, StoreError> {
         match self.index.get(&key) {
             None => Ok(None),
             Some(&(seg, rec)) => self.decode_at(seg, rec).map(Some),
@@ -584,16 +547,12 @@ impl Store {
 
     /// The FNV-1a checksum recorded in the segment header for the record
     /// winning `key` — a content identity that is known *without decoding
-    /// the record* (serve derives `/cells` ETags from it). `None` when the
-    /// key is absent or this handle published the winning segment itself
-    /// (it holds those records, not their header).
+    /// the record* (serve derives `/cells` ETags from it). `None` exactly
+    /// when the key is absent.
     #[must_use]
     pub fn record_fnv(&self, key: u64) -> Option<u64> {
         let &(seg, rec) = self.index.get(&key)?;
-        match &self.segments[seg].data {
-            SegmentData::Lazy { entries, .. } => Some(entries[rec].fnv),
-            SegmentData::Eager(_) => None,
-        }
+        Some(self.segments[seg].entries[rec].fnv)
     }
 
     /// The file name of the segment currently winning `key` — a stable
@@ -646,9 +605,7 @@ impl Store {
     }
 
     /// Streams every segment's records, ascending precedence order, one
-    /// fully decoded segment in memory at a time (lazily indexed segments
-    /// are decoded from disk *without* being memoized into this handle).
-    /// Folding the stream left-to-right therefore reproduces the index:
+    /// segment fully decoded from disk at a time. Folding the stream left-to-right therefore reproduces the index:
     /// a later segment's records overwrite an earlier one's — which is
     /// exactly how [`Store::compact`] consumes it.
     pub fn iter_segments(&self) -> impl Iterator<Item = Result<SegmentRecords, StoreError>> + '_ {
@@ -661,22 +618,17 @@ impl Store {
         order.into_iter().map(move |i| self.decode_segment_at(i))
     }
 
-    /// Fully decodes segment `i` (fail-stop, whole-file verification for
-    /// lazy segments) without memoizing anything into the handle.
+    /// Fully decodes segment `i` from disk (fail-stop, whole-file
+    /// verification).
     fn decode_segment_at(&self, i: usize) -> Result<SegmentRecords, StoreError> {
         let s = &self.segments[i];
-        let records = match &s.data {
-            SegmentData::Eager(records) => records.clone(),
-            SegmentData::Lazy { .. } => {
-                let raw = std::fs::read(&s.path)?;
-                Segment::decode(&raw)
-                    .map_err(|e| StoreError::Corrupt {
-                        file: s.name.clone(),
-                        why: e.to_string(),
-                    })?
-                    .records
-            }
-        };
+        let raw = std::fs::read(&s.path)?;
+        let records = Segment::decode(&raw)
+            .map_err(|e| StoreError::Corrupt {
+                file: s.name.clone(),
+                why: e.to_string(),
+            })?
+            .records;
         Ok(SegmentRecords {
             name: s.name.clone(),
             seq: s.seq,
@@ -686,7 +638,9 @@ impl Store {
 
     /// Publishes `records` as one new immutable segment (atomic rename of
     /// a content-addressed file, stamped with the next sequence number)
-    /// and indexes it. Returns the new segment's metadata, or `None` for
+    /// and indexes it from the header the encoder built, exactly as a
+    /// reopen would: the records are read back from the file like any
+    /// other segment's, and this handle keeps none of them. Returns the new segment's metadata, or `None` for
     /// an empty batch.
     ///
     /// # Errors
@@ -700,9 +654,8 @@ impl Store {
             return Ok(None);
         }
         let seq = self.max_seq + 1;
-        let segment = Segment::new(records);
-        let bytes = segment.encode_with_seq(seq);
-        let name = Segment::content_name(&bytes);
+        let (bytes, header) = Segment::new(records).encode_indexed(seq);
+        let name = Segment::content_name_indexed(&bytes, &header);
         let path = self.segments_dir().join(&name);
         atomic_write(&path, &bytes)?;
         let meta = std::fs::metadata(&path)?;
@@ -712,7 +665,7 @@ impl Store {
         dsmt_obs::info!(
             "store.publish",
             segment = name.as_str(),
-            records = segment.records.len(),
+            records = header.entries.len(),
             seq = seq,
             bytes = meta.len()
         );
@@ -724,22 +677,13 @@ impl Store {
         if let Some(pos) = self.segments.iter().position(|s| s.name == name) {
             self.segments[pos].seq = seq;
             self.segments[pos].modified = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-            for (rec_idx, (key, _)) in segment.records.iter().enumerate() {
-                self.index.insert(*key, (pos, rec_idx));
+            for (rec_idx, entry) in header.entries.iter().enumerate() {
+                self.index.insert(entry.key, (pos, rec_idx));
             }
             return Ok(Some(self.segment_infos_for(pos)));
         }
-        let loaded = LoadedSegment {
-            name,
-            path,
-            bytes: meta.len(),
-            modified: meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
-            seq,
-            // The records were just in our hands; no reason to drop them
-            // and lazily re-read our own write.
-            data: SegmentData::Eager(segment.records),
-        };
-        self.attach(loaded);
+        let modified = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+        self.attach(LoadedSegment::new(name, path, meta.len(), modified, header));
         Ok(Some(self.segment_infos_for(self.segments.len() - 1)))
     }
 
@@ -748,7 +692,7 @@ impl Store {
         SegmentInfo {
             name: s.name.clone(),
             bytes: s.bytes,
-            records: s.records_len(),
+            records: s.entries.len(),
             modified: s.modified,
             seq: s.seq,
         }
@@ -760,9 +704,9 @@ impl Store {
     /// Since precedence became the recorded sequence number, touching is
     /// purely an LRU affair: it can no longer promote a segment's shadowed
     /// records over a newer publish (the hazard the old mtime rule had for
-    /// clients that overwrite keys with different values). Records decoded
-    /// in memory stay readable even if another process evicts the file
-    /// meanwhile, until the next [`Store::refresh`] drops the segment.
+    /// clients that overwrite keys with different values). Once another
+    /// process evicts a segment's file, its records read as absent until
+    /// the next [`Store::refresh`] drops the segment from the index.
     pub fn touch(&self, key: u64) {
         if let Some(&(seg, _)) = self.index.get(&key) {
             if let Ok(f) = std::fs::OpenOptions::new()
@@ -786,8 +730,8 @@ impl Store {
     /// segments other processes published since open (or the last
     /// refresh), and drops segments whose files are gone (a peer's
     /// [`Store::gc`] or [`Store::compact`] removed them), re-resolving
-    /// their keys from the segments that remain. In-memory state for
-    /// surviving segments is kept. Returns how many new segments were
+    /// their keys from the segments that remain. Surviving segments keep
+    /// their in-memory headers. Returns how many new segments were
     /// found.
     ///
     /// Polling callers (`dsmt shard status --watch`, the serve daemon's
@@ -1017,9 +961,8 @@ impl Store {
         });
         self.index.clear();
         for seg_idx in order {
-            for rec_idx in 0..self.segments[seg_idx].records_len() {
-                let key = self.segments[seg_idx].key_at(rec_idx);
-                self.index.insert(key, (seg_idx, rec_idx));
+            for (rec_idx, entry) in self.segments[seg_idx].entries.iter().enumerate() {
+                self.index.insert(entry.key, (seg_idx, rec_idx));
             }
         }
     }
@@ -1063,11 +1006,11 @@ mod tests {
         let mut store = Store::open(&dir, 3).expect("open");
         assert!(store.get(1).is_none());
         store.publish(vec![(1, value(1)), (2, value(2))]).unwrap();
-        assert_eq!(store.get(1), Some(&value(1)));
+        assert_eq!(store.get(1), Some(value(1)));
         assert_eq!(store.record_count(), 2);
         drop(store);
         let store = Store::open(&dir, 3).expect("reopen");
-        assert_eq!(store.get(2), Some(&value(2)));
+        assert_eq!(store.get(2), Some(value(2)));
         assert_eq!(store.segment_count(), 1);
         assert!(store.total_bytes() > 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1079,14 +1022,14 @@ mod tests {
         let mut store = Store::open(&dir, 1).expect("open");
         store.publish(vec![(7, value(1))]).unwrap();
         store.publish(vec![(7, value(2))]).unwrap();
-        assert_eq!(store.get(7), Some(&value(2)));
+        assert_eq!(store.get(7), Some(value(2)));
         assert_eq!(store.record_count(), 1);
         assert_eq!(store.segment_count(), 2);
         drop(store);
         // The shadow survives a reload (recorded seq order — no sleeps
         // needed, unlike the old mtime rule).
         let store = Store::open(&dir, 1).expect("reopen");
-        assert_eq!(store.get(7), Some(&value(2)));
+        assert_eq!(store.get(7), Some(value(2)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1128,7 +1071,7 @@ mod tests {
         let store = Store::open(&dir, 1).expect("reopen");
         assert_eq!(
             store.get(7),
-            Some(&value(2)),
+            Some(value(2)),
             "recorded seq outranks a backdated mtime"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -1213,7 +1156,7 @@ mod tests {
         // surfaces at the corrupted record only, as Corrupt via try_get
         // and as a logged miss via get. The intact record still reads.
         let store = Store::open(&dir, 1).expect("indexed open reads headers only");
-        assert_eq!(store.get(1), Some(&value(1)));
+        assert_eq!(store.get(1), Some(value(1)));
         assert!(matches!(
             store.try_get(2),
             Err(StoreError::Corrupt { file, .. }) if file == info.name
@@ -1223,18 +1166,31 @@ mod tests {
     }
 
     #[test]
-    fn lazily_decoded_records_are_memoized() {
-        let dir = temp_store("memoize");
+    fn the_publisher_reads_its_own_segment_from_disk() {
+        let dir = temp_store("publisher-reads-disk");
         let mut store = Store::open(&dir, 1).expect("open");
-        let info = store.publish(vec![(5, value(5))]).unwrap().unwrap();
-        drop(store);
-        let store = Store::open(&dir, 1).expect("reopen");
-        assert!(store.record_fnv(5).is_some(), "indexed from the header");
-        assert_eq!(store.get(5), Some(&value(5)), "first get decodes");
-        // Remove the file out from under the handle: a memoized record
-        // must keep reading without touching disk.
-        std::fs::remove_file(dir.join("segments").join(&info.name)).unwrap();
-        assert_eq!(store.get(5), Some(&value(5)), "second get is memoized");
+        let info = store
+            .publish(vec![(5, value(5)), (6, value(6))])
+            .unwrap()
+            .unwrap();
+        // Indexed from the header the encoder built: the same per-record
+        // FNV a reopened handle reads from the file.
+        let fnv = store.record_fnv(5).expect("published records are indexed");
+        let reopened = Store::open(&dir, 1).expect("reopen");
+        assert_eq!(reopened.record_fnv(5), Some(fnv));
+        assert_eq!(store.get(5), Some(value(5)));
+        // Flip one byte of record 5 in the just-published file: the
+        // publishing handle must notice, because it keeps no copy.
+        let path = dir.join("segments").join(&info.name);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let header = crate::SegmentHeader::parse(&bytes).expect("header");
+        bytes[header.records_base as usize + header.entries[0].offset as usize] ^= 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            store.try_get(5),
+            Err(StoreError::Corrupt { file, .. }) if file == info.name
+        ));
+        assert_eq!(store.get(6), Some(value(6)), "the intact record reads");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1262,10 +1218,10 @@ mod tests {
         // both for this handle and for a reopen (which orders by seq).
         store.publish(vec![(7, value(1))]).unwrap();
         assert_eq!(store.segment_count(), 2);
-        assert_eq!(store.get(7), Some(&value(1)), "in-memory view");
+        assert_eq!(store.get(7), Some(value(1)), "in-memory view");
         drop(store);
         let store = Store::open(&dir, 1).expect("reopen");
-        assert_eq!(store.get(7), Some(&value(1)), "reopened view agrees");
+        assert_eq!(store.get(7), Some(value(1)), "reopened view agrees");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1307,8 +1263,8 @@ mod tests {
         assert_eq!(outcome.segments_before, 2);
         assert_eq!(outcome.records, 3);
         assert_eq!(store.segment_count(), 1);
-        assert_eq!(store.get(2), Some(&value(22)), "shadow winner survives");
-        assert_eq!(store.get(1), Some(&value(1)));
+        assert_eq!(store.get(2), Some(value(22)), "shadow winner survives");
+        assert_eq!(store.get(1), Some(value(1)));
         // Compacting a compacted store is a no-op fixed point.
         let again = store.compact().expect("recompact");
         assert_eq!(again.bytes_before, again.bytes_after);
@@ -1343,7 +1299,7 @@ mod tests {
         a.publish(vec![(1, value(1))]).unwrap();
         assert!(b.get(1).is_none(), "open-time snapshot");
         assert_eq!(b.refresh().expect("refresh"), 1);
-        assert_eq!(b.get(1), Some(&value(1)));
+        assert_eq!(b.get(1), Some(value(1)));
         assert_eq!(b.refresh().expect("refresh again"), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1367,7 +1323,7 @@ mod tests {
             }
             // A decodes from disk, as a long-lived daemon handle would.
             let mut a = Store::open(&dir, 1).expect("reopen a");
-            assert_eq!(a.get(9), Some(&value(3)));
+            assert_eq!(a.get(9), Some(value(3)));
             let mut b = Store::open(&dir, 1).expect("open b");
             if peer_compacts {
                 b.compact().expect("compact");
@@ -1423,7 +1379,7 @@ mod tests {
         // short-circuit: the publish is observed, never missed.
         a.publish(vec![(2, value(2))]).unwrap();
         assert_eq!(b.refresh().expect("sees new segment"), 1);
-        assert_eq!(b.get(2), Some(&value(2)));
+        assert_eq!(b.get(2), Some(value(2)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -114,7 +114,7 @@ proptest! {
         let check = |store: &Store| {
             for (k, v) in &expect {
                 let got = store.get(*k).expect("key present");
-                assert!(bits_equal(got, v), "key {k} mismatch");
+                assert!(bits_equal(&got, v), "key {k} mismatch");
             }
             assert_eq!(store.record_count(), expect.len());
         };
@@ -222,7 +222,7 @@ proptest! {
         prop_assert_eq!(indexed.record_count(), model.len());
         for (&k, want) in &model {
             let got = indexed.get(k).expect("indexed has key");
-            prop_assert!(bits_equal(got, want), "key {k} diverged from the model");
+            prop_assert!(bits_equal(&got, want), "key {k} diverged from the model");
             let name = indexed.segment_name_of(k).expect("a winning segment");
             let raw = std::fs::read(dir.join("segments").join(name)).expect("segment file");
             let full = Segment::decode(&raw).expect("the winning segment verifies");
@@ -233,7 +233,7 @@ proptest! {
                 .rev()
                 .find(|(key, _)| *key == k)
                 .expect("the winning segment holds the key");
-            prop_assert!(bits_equal(got, decoded), "key {k} diverged from {name}");
+            prop_assert!(bits_equal(&got, decoded), "key {k} diverged from {name}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -312,7 +312,7 @@ fn concurrent_writers_never_corrupt_the_store() {
     for w in 0..2u64 {
         for batch in 0..8u64 {
             let key = w * 1000 + batch;
-            assert_eq!(store.get(key), Some(&Value::U64(key)), "key {key}");
+            assert_eq!(store.get(key), Some(Value::U64(key)), "key {key}");
         }
     }
     // A live handle sees the other writer's segments after refresh.

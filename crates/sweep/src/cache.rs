@@ -17,15 +17,18 @@
 //! scenario ([`Scenario::cache_identity`]), computed once per lookup or
 //! store.
 //!
-//! **Visibility contract**: a cache handle reads an open-time snapshot of
-//! the store. Segments another process publishes *while* a sweep is
-//! running are not consulted (each engine run opens a fresh handle, so
-//! sequential processes always see each other); the cost of that race is
-//! re-simulating a cell another host just finished, never a wrong result.
-//! The shard transport (`dsmt_shard::transport`) makes the opposite
-//! choice on the same primitive: its reads go through
-//! `dsmt_store::Store::refresh`, because a merger must observe other
-//! hosts' publishes on a live handle.
+//! **Visibility contract**: one handle per engine, refreshed at the start
+//! of every run. A [`crate::SweepEngine`] opens its cache on its first
+//! cached run and keeps the handle; every later run begins with
+//! [`ResultCache::refresh`], which picks up segments other handles and
+//! processes published since (and drops segments a peer's GC or
+//! compaction removed). Segments published *while* a run is going are not
+//! consulted until the next run; the cost of that race is re-simulating a
+//! cell another host just finished, never a wrong result. The handle keeps
+//! no decoded records (the store reads each hit from disk), so its memory
+//! stays bounded however many runs it serves. The shard transport
+//! (`dsmt_shard::transport`) refreshes before every read instead, because
+//! a merger must observe other hosts' publishes on a live handle.
 //!
 //! **Shared directory contract**: the cache keys records by the raw
 //! scenario hash; the shard transport keys its outputs through the
@@ -160,15 +163,20 @@ fn decode_entry(value: &Value, id: CacheIdentity) -> Option<SimResults> {
 /// Shared by reference across the sweep pool's workers: lookups take a
 /// read lock on the store, misses buffer into a pending map and are
 /// published as one segment on [`ResultCache::flush`] (called
-/// automatically at the threshold, on GC, and on drop).
+/// automatically at the threshold, on GC, on refresh and on drop).
+///
+/// A handle is meant to live as long as its [`crate::SweepEngine`]: call
+/// [`ResultCache::refresh`] before each run to see what other handles
+/// published since. Hits decode from disk every time, so a long-lived
+/// handle holds segment headers, never result values.
 #[derive(Debug)]
 pub struct ResultCache {
     store: RwLock<Store>,
     pending: Mutex<HashMap<u64, Value>>,
-    /// Segments already LRU-touched through this handle. A warm sweep hits
-    /// hundreds of entries living in a handful of segments; one mtime
-    /// write per segment per handle carries the same recency information
-    /// as one per hit, without the per-hit syscalls.
+    /// Segments already LRU-touched since the last refresh. A warm sweep
+    /// hits hundreds of entries living in a handful of segments; one mtime
+    /// write per segment per run carries the same recency information as
+    /// one per hit, without the per-hit syscalls.
     touched: Mutex<std::collections::HashSet<String>>,
 }
 
@@ -180,13 +188,35 @@ impl ResultCache {
     /// An I/O error for filesystem failures, including schema and
     /// corruption mismatches detected by the store.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let store = Store::open(dir, CACHE_SCHEMA_VERSION)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let store = Store::open(dir, CACHE_SCHEMA_VERSION).map_err(invalid_data)?;
         Ok(ResultCache {
             store: RwLock::new(store),
             pending: Mutex::new(HashMap::new()),
             touched: Mutex::new(std::collections::HashSet::new()),
         })
+    }
+
+    /// Readies a long-lived handle for its next run: publishes pending
+    /// misses, brings the store up to date with the directory
+    /// ([`Store::refresh`]: segments published elsewhere appear, segments a
+    /// peer's GC or compaction removed disappear), and forgets which
+    /// segments were already LRU-touched, so each run touches every segment
+    /// it hits once.
+    ///
+    /// # Errors
+    ///
+    /// An `InvalidData` error carrying the store's error: a newly appeared
+    /// segment that fails verification (as [`ResultCache::open`] would on
+    /// the same directory), or a failure to list the directory.
+    pub fn refresh(&self) -> std::io::Result<()> {
+        self.flush();
+        self.store
+            .write()
+            .expect("store lock")
+            .refresh()
+            .map_err(invalid_data)?;
+        self.touched.lock().expect("touched lock").clear();
+        Ok(())
     }
 
     /// The cache directory.
@@ -211,7 +241,7 @@ impl ResultCache {
             return decode_entry(value, id);
         }
         let store = self.store.read().expect("store lock");
-        let results = decode_entry(store.get(key)?, id)?;
+        let results = decode_entry(&store.get(key)?, id)?;
         if let Some(name) = store.segment_name_of(key) {
             if self
                 .touched
@@ -354,6 +384,10 @@ impl ResultCache {
             .compact()
             .map_err(|e| e.to_string())
     }
+}
+
+fn invalid_data(e: dsmt_store::StoreError) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
 }
 
 impl Drop for ResultCache {

@@ -1,11 +1,20 @@
 //! The sweep engine: grid → cells → pool (→ batched drive, → cache) → report.
 
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::cache::{CacheMode, CacheStats, ResultCache};
 use crate::{batch, pool, CacheIdentity, CellPerf, RunRecord, SweepGrid, SweepReport};
 
 /// Executes [`SweepGrid`]s on a work-stealing pool with optional caching.
+///
+/// An engine keeps **one** [`ResultCache`] handle for its whole life: it
+/// opens the cache directory on its first cached run and, on every later
+/// run, refreshes that handle instead of reopening the store (see the
+/// cache module's visibility contract). Pointing [`SweepEngine::cache`] at
+/// another directory makes the next run open that one instead. Reuse an
+/// engine across the runs of one job — the figures of a binary, the
+/// shards of a recovery pass — rather than building one per run.
 #[derive(Debug)]
 pub struct SweepEngine {
     /// Maximum concurrent cells.
@@ -18,6 +27,9 @@ pub struct SweepEngine {
     /// Render a live `cells/s + ETA` progress line on stderr while running
     /// (`dsmt sweep run --progress`).
     pub progress: bool,
+    /// The cache handle, opened on the first cached run; its directory is
+    /// the one it was opened on.
+    handle: Mutex<Option<Arc<ResultCache>>>,
 }
 
 impl SweepEngine {
@@ -32,6 +44,7 @@ impl SweepEngine {
             batch: batch::batch_from_env(),
             cache: CacheMode::from_env(),
             progress: false,
+            handle: Mutex::new(None),
         }
     }
 
@@ -82,7 +95,7 @@ impl SweepEngine {
     ///
     /// Panics if a cell's configuration is invalid or a workload names an
     /// unknown benchmark (grid construction bugs), or if the cache
-    /// directory cannot be created.
+    /// directory cannot be created, opened or refreshed.
     #[must_use]
     pub fn run(&self, grid: &SweepGrid) -> SweepReport {
         self.run_many(std::slice::from_ref(grid))
@@ -104,7 +117,7 @@ impl SweepEngine {
     /// As for [`SweepEngine::run`].
     #[must_use]
     pub fn run_many(&self, grids: &[SweepGrid]) -> Vec<SweepReport> {
-        let cache = self.open_cache();
+        let cache = self.cache_handle();
         let stats: Vec<CacheStats> = grids.iter().map(|_| CacheStats::default()).collect();
         // (grid index, cell) jobs, concatenated in grid order.
         let jobs: Vec<(usize, crate::Cell)> = grids
@@ -126,7 +139,7 @@ impl SweepEngine {
                 .iter()
                 .map(|(gi, cell)| (grids[*gi].name.as_str(), &stats[*gi], cell))
                 .collect();
-            let records = execute_batch(cache.as_ref(), &items);
+            let records = execute_batch(cache.as_deref(), &items);
             if let Some(done) = &done {
                 done.fetch_add(slice.len(), std::sync::atomic::Ordering::Relaxed);
             }
@@ -176,10 +189,10 @@ impl SweepEngine {
         // with at most FLUSH_THRESHOLD misses publish exactly one
         // key-sorted segment; larger ones flush incrementally, with
         // scheduling-dependent batch boundaries.
-        if let Some(cache) = cache.as_ref() {
+        if let Some(cache) = cache.as_deref() {
             cache.flush();
         }
-        Self::maybe_gc(cache.as_ref());
+        Self::maybe_gc(cache.as_deref());
         reports
     }
 
@@ -201,7 +214,7 @@ impl SweepEngine {
     /// [`SweepEngine::run`].
     #[must_use]
     pub fn run_subset(&self, grid: &SweepGrid, indices: &[usize]) -> SweepReport {
-        let cache = self.open_cache();
+        let cache = self.cache_handle();
         let stats = CacheStats::default();
         let all_cells = grid.cells();
         let cells: Vec<&crate::Cell> = indices
@@ -228,7 +241,7 @@ impl SweepEngine {
                 .iter()
                 .map(|cell| (grid.name.as_str(), &stats, *cell))
                 .collect();
-            let records = execute_batch(cache.as_ref(), &items);
+            let records = execute_batch(cache.as_deref(), &items);
             if let Some(done) = &done {
                 done.fetch_add(slice.len(), std::sync::atomic::Ordering::Relaxed);
             }
@@ -248,22 +261,32 @@ impl SweepEngine {
             metrics: dsmt_obs::enabled(dsmt_obs::Level::Info)
                 .then(|| dsmt_obs::registry().snapshot()),
         };
-        if let Some(cache) = cache.as_ref() {
+        if let Some(cache) = cache.as_deref() {
             cache.flush();
         }
-        Self::maybe_gc(cache.as_ref());
+        Self::maybe_gc(cache.as_deref());
         report
     }
 
-    fn open_cache(&self) -> Option<ResultCache> {
-        match &self.cache {
-            CacheMode::Disabled => None,
-            CacheMode::Dir(dir) => {
-                Some(ResultCache::open(dir).unwrap_or_else(|e| {
-                    panic!("cannot open sweep cache at {}: {e}", dir.display())
-                }))
-            }
+    /// The cache handle for the next run: the engine's handle, refreshed,
+    /// while it is open on the directory [`SweepEngine::cache`] names; a
+    /// freshly opened one (kept for later runs) on the first cached run or
+    /// after the cache was pointed elsewhere.
+    fn cache_handle(&self) -> Option<Arc<ResultCache>> {
+        let CacheMode::Dir(dir) = &self.cache else {
+            return None;
+        };
+        let fail = |what: &str, e: std::io::Error| -> ! {
+            panic!("cannot {what} sweep cache at {}: {e}", dir.display())
+        };
+        let mut slot = self.handle.lock().expect("cache handle lock");
+        if let Some(cache) = slot.as_ref().filter(|c| c.dir() == *dir) {
+            cache.refresh().unwrap_or_else(|e| fail("refresh", e));
+            return Some(Arc::clone(cache));
         }
+        let cache = Arc::new(ResultCache::open(dir).unwrap_or_else(|e| fail("open", e)));
+        *slot = Some(Arc::clone(&cache));
+        Some(cache)
     }
 
     /// Applies the `DSMT_SWEEP_CACHE_MAX_BYTES` cap, if configured, after a

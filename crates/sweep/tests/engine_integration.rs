@@ -233,3 +233,82 @@ fn concurrent_sweeps_share_one_store_without_corruption() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A 4-cell grid small enough to run several times per test.
+fn reuse_grid() -> SweepGrid {
+    SweepGrid::new("reuse", SimConfig::paper_multithreaded(1))
+        .with_workload(WorkloadSpec::spec_mix(1_000))
+        .with_axis(Axis::decoupled(&[true, false]))
+        .with_axis(Axis::l2_latencies(&[16, 64]))
+        .with_budget(3_000)
+}
+
+#[test]
+fn a_reused_engine_hits_cells_a_peer_published_between_its_runs() {
+    let dir = temp_dir("reuse-peer-publish");
+    let grid = reuse_grid();
+    let engine = SweepEngine::new(2).with_cache_dir(&dir);
+    let first = engine.run_subset(&grid, &[0, 1]);
+    assert_eq!((first.cache_hits, first.cache_misses), (0, 2));
+    // A peer handle simulates and publishes the other two cells.
+    let peer = ResultCache::open(&dir).expect("peer handle");
+    for cell in &grid.cells()[2..] {
+        peer.store(&cell.scenario, &cell.scenario.execute());
+    }
+    peer.flush();
+    let second = engine.run(&grid);
+    assert_eq!((second.cache_hits, second.cache_misses), (4, 0));
+    assert_eq!(
+        second.records,
+        SweepEngine::new(1).without_cache().run(&grid).records
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_reused_engine_survives_a_peer_compacting_or_collecting_its_store() {
+    let grid = reuse_grid();
+    let fresh = SweepEngine::new(1).without_cache().run(&grid).records;
+    for compact in [true, false] {
+        let dir = temp_dir(&format!("reuse-peer-compact-{compact}"));
+        let engine = SweepEngine::new(2).with_cache_dir(&dir);
+        // Two segments, so compaction really replaces files.
+        let _ = engine.run_subset(&grid, &[0, 1]);
+        let _ = engine.run_subset(&grid, &[2, 3]);
+        let peer = ResultCache::open(&dir).expect("peer handle");
+        if compact {
+            peer.compact().expect("compact");
+        } else {
+            assert_eq!(peer.gc(0).evicted, 2);
+        }
+        let next = engine.run(&grid);
+        assert_eq!(next.records, fresh, "compact: {compact}");
+        let expected = if compact { (4, 0) } else { (0, 4) };
+        assert_eq!((next.cache_hits, next.cache_misses), expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn an_engine_pointed_at_another_directory_writes_there() {
+    let (first_dir, second_dir) = (temp_dir("reuse-dir-a"), temp_dir("reuse-dir-b"));
+    let grid = reuse_grid();
+    let engine = SweepEngine::new(2).with_cache_dir(&first_dir);
+    let _ = engine.run(&grid);
+    let first_segments = ResultCache::open(&first_dir).unwrap().segments();
+    let engine = engine.with_cache_dir(&second_dir);
+    let moved = engine.run(&grid);
+    assert_eq!(
+        moved.cache_misses,
+        grid.len(),
+        "the second directory is cold"
+    );
+    assert_eq!(ResultCache::open(&second_dir).unwrap().record_count(), 4);
+    assert_eq!(
+        ResultCache::open(&first_dir).unwrap().segments(),
+        first_segments,
+        "nothing was written into the first directory"
+    );
+    let _ = std::fs::remove_dir_all(&first_dir);
+    let _ = std::fs::remove_dir_all(&second_dir);
+}
