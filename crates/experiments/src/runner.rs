@@ -71,10 +71,17 @@ impl ExperimentParams {
     }
 
     /// A sweep engine sized by these parameters (cache policy comes from
-    /// `DSMT_SWEEP_CACHE`, see [`dsmt_sweep::CacheMode::from_env`]).
+    /// `DSMT_SWEEP_CACHE`, see [`dsmt_sweep::CacheMode::from_env`]; this
+    /// crate's unit tests always run uncached, so they share no on-disk
+    /// state).
     #[must_use]
     pub fn engine(&self) -> SweepEngine {
-        SweepEngine::new(self.workers)
+        let engine = SweepEngine::new(self.workers);
+        if cfg!(test) {
+            engine.without_cache()
+        } else {
+            engine
+        }
     }
 }
 

@@ -524,8 +524,8 @@ mod tests {
 
     #[test]
     fn dsr_is_at_least_5x_smaller_than_the_json_export_for_the_bench_grid() {
-        // The same 12-cell grid shape as `bench_sweep` (the acceptance
-        // criterion's reference grid). The one-time grid header amortizes
+        // The same 12-cell grid shape as the perf gates' bench grid (the
+        // acceptance criterion's reference grid). The one-time grid header amortizes
         // over the cells; per-record cost is varint data, not schema.
         let grid = SweepGrid::new(
             "bench",

@@ -80,14 +80,6 @@ impl Transport {
         format!("store at {}", self.store.dir().display())
     }
 
-    /// Read access to the underlying [`Store`], for clients (the serve
-    /// daemon's `/cells/{key}` endpoint) that look up raw records beside
-    /// the shard-output traffic.
-    #[must_use]
-    pub fn as_store(&self) -> &Store {
-        &self.store
-    }
-
     /// Picks up segments other workers published (and drops segments they
     /// removed) since open or the last refresh. Errors (e.g. a corrupt
     /// foreign segment) are reported as a warning event and otherwise
@@ -335,9 +327,8 @@ impl StatusReport {
     }
 
     /// The one machine-readable rendering of a status probe, shared by
-    /// `dsmt shard status --json` and the serve daemon's
-    /// `GET /grids/{hash}/status` endpoint so scripts never scrape the
-    /// human table. Layout:
+    /// `dsmt shard status --json`, so scripts never scrape the human
+    /// table. Layout:
     ///
     /// ```text
     /// { "grid":      "<grid name>",
@@ -482,12 +473,13 @@ mod tests {
         writer.publish(&m, &run.dsr).expect("publish");
         writer.publish(&m, &run.dsr).expect("republish");
         assert_eq!(
-            writer.as_store().segment_count(),
+            Store::open(&dir, CACHE_SCHEMA_VERSION)
+                .unwrap()
+                .segment_count(),
             1,
             "identical outputs collapse to one segment"
         );
         // The reader opened before the publish; its reads refresh first.
-        assert!(reader.as_store().get(m.shard_key(1)).is_none());
         assert_eq!(reader.read_verified(&m, 1).expect("refreshed"), run.dsr);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -501,12 +493,10 @@ mod tests {
         let mut transport = Transport::store(dir).expect("open");
         transport.publish(m, &run.dsr).expect("publish");
         assert_eq!(transport.read_verified(m, 0).expect("verified"), run.dsr);
-        let segment = dir.join("segments").join(
-            transport
-                .as_store()
-                .segment_name_of(m.shard_key(0))
-                .unwrap(),
-        );
+        let store = Store::open(dir, CACHE_SCHEMA_VERSION).unwrap();
+        let segment = dir
+            .join("segments")
+            .join(store.segment_name_of(m.shard_key(0)).unwrap());
         let mut bytes = std::fs::read(&segment).unwrap();
         let header = dsmt_store::SegmentHeader::parse(&bytes).unwrap();
         bytes[header.records_base as usize] ^= 0xff;

@@ -1,6 +1,7 @@
 //! Concurrent-writer safety: `O_EXCL` lockfile claims, stale-claim
 //! stealing, and atomic publishes.
 
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
@@ -102,6 +103,19 @@ pub struct ClaimInfo {
 }
 
 impl ClaimInfo {
+    /// The claim a lockfile's `record` and metadata describe.
+    fn from_record(record: &str, meta: Option<std::fs::Metadata>) -> Self {
+        let holder = record.lines().next().unwrap_or("").trim();
+        ClaimInfo {
+            holder: if holder.is_empty() {
+                "unknown holder".to_string()
+            } else {
+                holder.to_string()
+            },
+            age: age_of(meta),
+        }
+    }
+
     /// Renders `holder (heartbeat <age>s ago)` for reports and log lines.
     ///
     /// The lockfile's mtime doubles as the holder's heartbeat: acquisition
@@ -146,8 +160,8 @@ impl Claim {
     }
 }
 
-/// Distinguishes concurrent claims and steal tombstones within one
-/// process (across processes the pid does).
+/// Distinguishes concurrent claims within one process (across processes
+/// the pid does).
 static LOCK_NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// A token unique across processes and across acquires within a process:
@@ -160,6 +174,23 @@ fn fresh_token() -> String {
         .map(|d| d.as_nanos())
         .unwrap_or(0);
     format!("{:x}-{nonce:x}-{nanos:x}", std::process::id())
+}
+
+/// Time since a file was last modified, when measurable.
+fn age_of(meta: Option<std::fs::Metadata>) -> Option<Duration> {
+    meta.and_then(|m| m.modified().ok())
+        .and_then(|t| SystemTime::now().duration_since(t).ok())
+}
+
+/// A fresh holder record and its ownership-token line: line 1 identifies
+/// the holder for diagnostics, line 2 carries the token the release check
+/// verifies.
+fn holder_record() -> (String, String) {
+    let token_line = format!("token {}", fresh_token());
+    (
+        format!("pid {}\n{token_line}\n", std::process::id()),
+        token_line,
+    )
 }
 
 impl LockFile {
@@ -179,15 +210,11 @@ impl LockFile {
             .create_new(true)
             .open(&path)
         {
-            Ok(file) => {
-                // Best-effort holder record: line 1 identifies the holder
-                // for diagnostics, line 2 carries the ownership token the
-                // release check verifies.
-                use std::io::Write;
-                let mut file = file;
-                let token_line = format!("token {}", fresh_token());
-                let _ = writeln!(file, "pid {}", std::process::id());
-                let _ = writeln!(file, "{token_line}");
+            Ok(mut file) => {
+                // Best-effort: an unwritten record reads as an unknown
+                // holder and is still stealable.
+                let (record, token_line) = holder_record();
+                let _ = file.write_all(record.as_bytes());
                 dsmt_obs::counter!("store.locks_acquired").inc();
                 Ok(Some(LockFile { path, token_line }))
             }
@@ -220,32 +247,25 @@ impl LockFile {
     #[must_use]
     pub fn inspect(dir: impl AsRef<Path>, name: &str) -> Option<ClaimInfo> {
         let path = dir.as_ref().join(format!("{name}.lock"));
-        let holder = std::fs::read_to_string(&path)
-            .ok()?
-            .lines()
-            .next()
-            .unwrap_or("")
-            .trim()
-            .to_string();
-        let holder = if holder.is_empty() {
-            "unknown holder".to_string()
-        } else {
-            holder
-        };
-        let age = std::fs::metadata(&path)
-            .ok()
-            .and_then(|m| m.modified().ok())
-            .and_then(|t| SystemTime::now().duration_since(t).ok());
-        Some(ClaimInfo { holder, age })
+        let record = std::fs::read_to_string(&path).ok()?;
+        Some(ClaimInfo::from_record(
+            &record,
+            std::fs::metadata(&path).ok(),
+        ))
     }
 
     /// Like [`LockFile::acquire`], but with self-healing: when the name is
     /// held by a lockfile whose mtime is at least `steal_after` old, the
     /// claim is presumed dead (its holder exited without unwinding — the
-    /// `Drop` release never ran) and is **stolen**: the stale file is
-    /// atomically renamed aside, so exactly one of any number of racing
-    /// stealers reaps it, and the name is then re-claimed under the normal
-    /// `O_EXCL` rules.
+    /// `Drop` release never ran) and is **stolen**.
+    ///
+    /// A steal reaps and re-claims in one step: the stealer renames its own
+    /// holder record over the stale one, so the name is never free and a
+    /// plain acquire racing the steal cannot win it. Racing stealers
+    /// serialize on an advisory lock of the stale file (released by the
+    /// kernel if a stealer dies mid-steal) and re-verify under it that the
+    /// name still holds that file, so exactly one of them steals and the
+    /// rest report [`Claim::Held`].
     ///
     /// With `steal_after = None` this never steals and is equivalent to
     /// [`LockFile::acquire`] plus a [`ClaimInfo`] on the held path.
@@ -253,15 +273,15 @@ impl LockFile {
     /// Pick a deadline comfortably longer than the longest legitimate hold
     /// of the claim: a claim is "stale" purely by lockfile age, so a
     /// deadline shorter than honest work invites double execution. As a
-    /// belt-and-braces guard against the tiny stat-to-rename race, a
-    /// reaped file whose mtime turns out to be fresh is put back (or
-    /// dropped if the name was re-claimed meanwhile) and the attempt
-    /// reports [`Claim::Held`].
+    /// belt-and-braces guard against a holder's heartbeat landing between
+    /// the staleness check and the swap, a reaped record whose file turns
+    /// out to be fresh is put back and the attempt reports
+    /// [`Claim::Held`].
     ///
     /// # Errors
     ///
     /// Any I/O error other than the expected already-exists /
-    /// already-reaped races.
+    /// already-released races.
     pub fn acquire_or_steal(
         dir: impl AsRef<Path>,
         name: &str,
@@ -275,12 +295,9 @@ impl LockFile {
             return Ok(Claim::Held(Self::inspect(dir, name)));
         };
         let path = dir.join(format!("{name}.lock"));
-        let age = match std::fs::metadata(&path) {
-            Ok(meta) => meta
-                .modified()
-                .ok()
-                .and_then(|t| SystemTime::now().duration_since(t).ok()),
-            // Released between the acquire and the stat: race for it again.
+        let mut held = match std::fs::File::open(&path) {
+            Ok(file) => file,
+            // Released between the acquire and the open: race for it again.
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Ok(match Self::acquire(dir, name)? {
                     Some(lock) => Claim::Acquired(lock),
@@ -289,50 +306,43 @@ impl LockFile {
             }
             Err(e) => return Err(e),
         };
-        if age.is_none_or(|age| age < deadline) {
+        let is_stale =
+            |file: &std::fs::File| age_of(file.metadata().ok()).is_some_and(|age| age >= deadline);
+        if !is_stale(&held) {
             return Ok(Claim::Held(Self::inspect(dir, name)));
         }
-        let previous = Self::inspect(dir, name)
-            .map(|i| i.describe())
-            .unwrap_or_else(|| "unknown holder".to_string());
-        // Reap via rename: of N racing stealers, exactly one moves the
-        // stale file aside; the rest see NotFound and fall through to the
-        // plain O_EXCL race below.
-        let nonce = LOCK_NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tomb = dir.join(format!(
-            ".{name}.lock.stale.{}.{nonce:x}",
-            std::process::id()
-        ));
-        match std::fs::rename(&path, &tomb) {
-            Ok(()) => {
-                // Re-verify: if the reaped file's mtime is fresh, a new
-                // claimant slipped in between the stat and the rename and
-                // we yanked a *live* claim. Put it back via hard_link
-                // (atomic create-if-absent; a plain rename could clobber
-                // an even newer claim) and report the name as held.
-                let fresh = std::fs::metadata(&tomb)
-                    .ok()
-                    .and_then(|m| m.modified().ok())
-                    .and_then(|t| SystemTime::now().duration_since(t).ok())
-                    .is_none_or(|age| age < deadline);
-                if fresh {
-                    let _ = std::fs::hard_link(&tomb, &path);
-                    let _ = std::fs::remove_file(&tomb);
-                    return Ok(Claim::Held(Self::inspect(dir, name)));
-                }
-                let _ = std::fs::remove_file(&tomb);
+        match held.try_lock() {
+            Ok(()) => {}
+            // Another stealer is reaping this very file.
+            Err(std::fs::TryLockError::WouldBlock) => {
+                return Ok(Claim::Held(Self::inspect(dir, name)));
             }
-            // Another stealer reaped it first; the name may be free now.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+            Err(std::fs::TryLockError::Error(e)) => return Err(e),
         }
-        Ok(match Self::acquire(dir, name)? {
-            Some(lock) => {
-                dsmt_obs::counter!("store.locks_stolen").inc();
-                Claim::Stolen { lock, previous }
-            }
-            None => Claim::Held(Self::inspect(dir, name)),
-        })
+        let mut stale = String::new();
+        held.read_to_string(&mut stale)?;
+        // Under the lock the name must still hold the file we locked (an
+        // earlier stealer may have replaced it; tokens make every record
+        // unique), and that file must still be stale.
+        let current = std::fs::read_to_string(&path).ok();
+        if current.as_deref() != Some(stale.as_str()) || !is_stale(&held) {
+            return Ok(Claim::Held(Self::inspect(dir, name)));
+        }
+        let previous = ClaimInfo::from_record(&stale, held.metadata().ok()).describe();
+        let (record, token_line) = holder_record();
+        atomic_write(&path, record.as_bytes())?;
+        let lock = LockFile { path, token_line };
+        if !is_stale(&held) {
+            // The holder's heartbeat touched its file between the check and
+            // the swap: it is alive. Put its record back over ours (its
+            // heartbeat and release match by token, not by inode); our
+            // guard's release then finds a foreign token and leaves it.
+            atomic_write(&lock.path, stale.as_bytes())?;
+            return Ok(Claim::Held(Self::inspect(dir, name)));
+        }
+        dsmt_obs::counter!("store.locks_acquired").inc();
+        dsmt_obs::counter!("store.locks_stolen").inc();
+        Ok(Claim::Stolen { lock, previous })
     }
 
     /// Backdates the lockfile of an existing claim on `name` so that an
@@ -623,6 +633,42 @@ mod tests {
         });
         let wins = claims.iter().filter(|c| c.lock().is_some()).count();
         assert_eq!(wins, 1, "exactly one of 8 racing stealers may win");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_steal_of_a_dead_claim_is_reported_as_a_steal() {
+        // A stealer that reaped the stale file must also be the one that
+        // holds the name: no racer may find it free and report a plain
+        // acquire, or the dead holder would go unreported.
+        let dir = temp_dir("steal-accounting");
+        for round in 0..500 {
+            let dead = LockFile::acquire(&dir, "shard").unwrap().expect("claim");
+            std::mem::forget(dead);
+            LockFile::backdate_for_tests(&dir, "shard", Duration::from_secs(3600));
+            let barrier = std::sync::Barrier::new(8);
+            let claims: Vec<Claim> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..8)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            LockFile::acquire_or_steal(&dir, "shard", Some(Duration::from_secs(60)))
+                                .expect("io")
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let stolen = claims
+                .iter()
+                .filter(|c| matches!(c, Claim::Stolen { .. }))
+                .count();
+            let acquired = claims
+                .iter()
+                .filter(|c| matches!(c, Claim::Acquired(_)))
+                .count();
+            assert_eq!((stolen, acquired), (1, 0), "round {round}: {claims:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -545,16 +545,6 @@ impl Store {
         }
     }
 
-    /// The FNV-1a checksum recorded in the segment header for the record
-    /// winning `key` — a content identity that is known *without decoding
-    /// the record* (serve derives `/cells` ETags from it). `None` exactly
-    /// when the key is absent.
-    #[must_use]
-    pub fn record_fnv(&self, key: u64) -> Option<u64> {
-        let &(seg, rec) = self.index.get(&key)?;
-        Some(self.segments[seg].entries[rec].fnv)
-    }
-
     /// The file name of the segment currently winning `key` — a stable
     /// identity clients can use to deduplicate per-segment work (e.g.
     /// touching a segment once per sweep instead of once per hit).
@@ -734,8 +724,7 @@ impl Store {
     /// their in-memory headers. Returns how many new segments were
     /// found.
     ///
-    /// Polling callers (`dsmt shard status --watch`, the serve daemon's
-    /// status endpoint) hit this every few seconds; re-statting every
+    /// Polling callers (`dsmt shard status --watch`) hit this every few seconds; re-statting every
     /// segment each poll is wasted work when nothing changed. Adding or
     /// removing a segment file always bumps the `segments/` directory's
     /// own mtime, so an unchanged dir mtime means an unchanged listing —
@@ -1173,11 +1162,6 @@ mod tests {
             .publish(vec![(5, value(5)), (6, value(6))])
             .unwrap()
             .unwrap();
-        // Indexed from the header the encoder built: the same per-record
-        // FNV a reopened handle reads from the file.
-        let fnv = store.record_fnv(5).expect("published records are indexed");
-        let reopened = Store::open(&dir, 1).expect("reopen");
-        assert_eq!(reopened.record_fnv(5), Some(fnv));
         assert_eq!(store.get(5), Some(value(5)));
         // Flip one byte of record 5 in the just-published file: the
         // publishing handle must notice, because it keeps no copy.

@@ -152,8 +152,8 @@ fn telemetry_enabled_run_keeps_records_identical_and_trace_parses() {
     let _ = std::fs::remove_file(&trace);
 }
 
-/// The 12-cell grid shape shared by `bench_sweep`, the CLI `demo` grid and
-/// the CI size assertion.
+/// The 12-cell grid shape shared by the perf gates (`perf_gates.rs`), the
+/// CLI `demo` grid and the CI size assertion.
 fn bench_grid() -> SweepGrid {
     SweepGrid::new(
         "bench",

@@ -20,11 +20,6 @@
 //! dsmt store synth <dir> --records N [--per-segment M] [--schema S]
 //! dsmt report <file.dsr|report.json> [--json out.json] [--csv out.csv] [--canonical]
 //! dsmt obs report [snapshot.json|report.json] [--json out.json] [--csv out.csv]
-//! dsmt serve --store DIR [--addr HOST:PORT] [--workers W] [--drain-timeout SECS]
-//! dsmt client submit <grid> [--shards N] [--strategy S] [--addr HOST:PORT]
-//! dsmt client status <hash> [--watch SECS] [--addr HOST:PORT]
-//! dsmt client fetch <hash> --out merged.dsr [--addr HOST:PORT]
-//! dsmt client cell <key> | metrics [--addr HOST:PORT]
 //! ```
 //!
 //! `dsmt asm build` assembles `.s` sources into checksummed `DSMTASM1`
@@ -97,12 +92,6 @@ USAGE:
   dsmt store synth <dir> --records N [--per-segment M] [--schema S]
   dsmt report <file.dsr|report.json> [--json out.json] [--csv out.csv] [--canonical]
   dsmt obs report [snapshot.json|report.json] [--json out.json] [--csv out.csv]
-  dsmt serve --store DIR [--addr HOST:PORT] [--workers W] [--drain-timeout SECS]
-  dsmt client submit <grid> [--shards N] [--strategy contiguous|strided|hashed] [--addr HOST:PORT]
-  dsmt client status <hash> [--watch SECS] [--addr HOST:PORT]
-  dsmt client fetch <hash> --out merged.dsr [--addr HOST:PORT]
-  dsmt client cell <key> [--addr HOST:PORT]
-  dsmt client metrics [--addr HOST:PORT]
 
 SHARD OUTPUTS:
   --store DIR   publish/read shard outputs in a dsmt-store directory (keyed
@@ -141,8 +130,6 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("store") => store_cmd(&args[1..]),
         Some("report") => report_cmd(&args[1..]),
         Some("obs") => obs_cmd(&args[1..]),
-        Some("serve") => serve_cmd(&args[1..]),
-        Some("client") => client_cmd(&args[1..]),
         None | Some("help" | "--help" | "-h") => {
             print!("{USAGE}");
             Ok(())
@@ -236,7 +223,7 @@ fn builtin_grids() -> Vec<SweepGrid> {
     grids
 }
 
-/// A 12-cell grid shaped like the `bench_sweep` benchmark: small enough for
+/// A 12-cell grid shaped like the perf gates' bench grid: small enough for
 /// smoke tests, rich enough (three axes) to exercise sharding.
 fn demo_grid() -> SweepGrid {
     SweepGrid::new(
@@ -998,178 +985,6 @@ fn snapshot_from_dump(v: &serde::Value) -> Result<dsmt_obs::Snapshot, String> {
         snap.histograms.push((name, hist));
     }
     Ok(snap)
-}
-
-// ---------------------------------------------------------------------------
-// dsmt serve / dsmt client ...
-
-const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7421";
-
-fn serve_cmd(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["store", "addr", "workers", "drain-timeout"])?;
-    if !p.positional.is_empty() {
-        return Err(
-            "usage: dsmt serve --store DIR [--addr HOST:PORT] [--workers W] \
-             [--drain-timeout SECS]"
-                .into(),
-        );
-    }
-    let store = p.flag("store").ok_or("--store is required for `serve`")?;
-    let service = dsmt_serve::SweepService::open(
-        store,
-        Box::new(|name| builtin_grids().into_iter().find(|g| g.name == name)),
-    )
-    .map_err(|e| format!("{store}: {e}"))?;
-    let mut config = dsmt_serve::ServerConfig {
-        addr: p.flag("addr").unwrap_or(DEFAULT_SERVE_ADDR).to_string(),
-        ..Default::default()
-    };
-    if let Some(workers) = p.usize_flag("workers")? {
-        config.workers = workers.max(1);
-    }
-    if let Some(secs) = p.usize_flag("drain-timeout")? {
-        config.drain_timeout = std::time::Duration::from_secs(secs as u64);
-    }
-    #[cfg(unix)]
-    dsmt_serve::install_signal_handlers();
-    let server = dsmt_serve::Server::bind(config, service).map_err(|e| format!("bind: {e}"))?;
-    let addr = server.local_addr().map_err(|e| e.to_string())?;
-    // Scripts (and the sigterm test) read the bound address from this
-    // line, so it must reach stdout before the accept loop starts.
-    println!("dsmt-serve listening on {addr} (store: {store})");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    let summary = server.run().map_err(|e| e.to_string())?;
-    println!(
-        "dsmt-serve stopped: {} connections, {} requests, {} rejected{}",
-        summary.connections,
-        summary.requests,
-        summary.rejected,
-        if summary.forced_abort {
-            " (forced abort: drain timeout expired)"
-        } else {
-            ""
-        },
-    );
-    Ok(())
-}
-
-fn client_cmd(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("submit") => client_submit(&args[1..]),
-        Some("status") => client_status(&args[1..]),
-        Some("fetch") => client_fetch(&args[1..]),
-        Some("cell") => client_cell(&args[1..]),
-        Some("metrics") => client_metrics(&args[1..]),
-        _ => Err(format!(
-            "usage: dsmt client submit|status|fetch|cell|metrics ...\n\n{USAGE}"
-        )),
-    }
-}
-
-fn client_for(p: &Parsed) -> dsmt_serve::HttpClient {
-    dsmt_serve::HttpClient::new(p.flag("addr").unwrap_or(DEFAULT_SERVE_ADDR))
-}
-
-fn client_submit(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["addr", "shards", "strategy"])?;
-    let [grid_spec] = p.positional.as_slice() else {
-        return Err(
-            "usage: dsmt client submit <grid> [--shards N] [--strategy S] \
-                    [--addr HOST:PORT]"
-                .into(),
-        );
-    };
-    // Resolve locally so file paths and built-in names both work; the
-    // daemon re-validates (its own built-ins may differ).
-    let grid = resolve_grid(grid_spec)?;
-    let mut body = format!("{{\"grid\":{}", serde::to_string(&grid));
-    if let Some(shards) = p.usize_flag("shards")? {
-        body.push_str(&format!(",\"shards\":{shards}"));
-    }
-    if let Some(strategy) = p.flag("strategy") {
-        body.push_str(&format!(",\"strategy\":{}", serde::to_string(strategy)));
-    }
-    body.push('}');
-    let client = client_for(&p);
-    let response = client.post_json("/grids", body)?;
-    let value = dsmt_serve::json_body(&response)?;
-    println!("{}", serde::to_string_pretty(&value));
-    Ok(())
-}
-
-fn client_status(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["addr", "watch"])?;
-    let [hash] = p.positional.as_slice() else {
-        return Err("usage: dsmt client status <hash> [--watch SECS] [--addr HOST:PORT]".into());
-    };
-    let client = client_for(&p);
-    let watch = p.usize_flag("watch")?;
-    loop {
-        let value = dsmt_serve::json_body(&client.get(&format!("/grids/{hash}/status"))?)?;
-        println!("{}", serde::to_string_pretty(&value));
-        let Some(secs) = watch else { break };
-        let complete = matches!(value.field("complete"), Ok(serde::Value::Bool(true)));
-        if complete {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_secs(secs.max(1) as u64));
-    }
-    Ok(())
-}
-
-fn client_fetch(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["addr", "out"])?;
-    let [hash] = p.positional.as_slice() else {
-        return Err("usage: dsmt client fetch <hash> --out merged.dsr [--addr HOST:PORT]".into());
-    };
-    let out = p
-        .flag("out")
-        .ok_or("--out is required for `client fetch`")?;
-    let client = client_for(&p);
-    let response = client.get(&format!("/grids/{hash}/record"))?;
-    if response.status != 200 {
-        // Surface the structured error (grid_incomplete, unknown_grid...).
-        return Err(dsmt_serve::json_body(&response)
-            .err()
-            .unwrap_or_else(|| format!("status {}", response.status)));
-    }
-    std::fs::write(out, &response.body).map_err(|e| format!("{out}: {e}"))?;
-    println!(
-        "fetched {} bytes -> {out} (etag {})",
-        response.body.len(),
-        response.header("etag").unwrap_or("none"),
-    );
-    Ok(())
-}
-
-fn client_cell(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["addr"])?;
-    let [key] = p.positional.as_slice() else {
-        return Err("usage: dsmt client cell <key> [--addr HOST:PORT]".into());
-    };
-    let client = client_for(&p);
-    let value = dsmt_serve::json_body(&client.get(&format!("/cells/{key}"))?)?;
-    println!("{}", serde::to_string_pretty(&value));
-    Ok(())
-}
-
-fn client_metrics(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["addr"])?;
-    let client = client_for(&p);
-    let response = client.get("/metricsz")?;
-    if response.status != 200 {
-        return Err(dsmt_serve::json_body(&response)
-            .err()
-            .unwrap_or_else(|| format!("status {}", response.status)));
-    }
-    let text = String::from_utf8(response.body)
-        .map_err(|_| "metrics snapshot is not utf-8".to_string())?;
-    print!("{text}");
-    if !text.ends_with('\n') {
-        println!();
-    }
-    Ok(())
 }
 
 fn load_report(path: &str) -> Result<(SweepReport, Option<SweepGrid>), String> {

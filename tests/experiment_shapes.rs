@@ -4,6 +4,7 @@
 //! binaries and EXPERIMENTS.md.
 
 use dsmt_repro::experiments::{fig3, fig4, fig5, ExperimentParams};
+use dsmt_repro::sweep::SweepEngine;
 
 fn tiny() -> ExperimentParams {
     ExperimentParams {
@@ -22,23 +23,33 @@ fn figure3_shape_multithreading_fills_the_issue_slots() {
         instructions_per_point: 40_000,
         ..tiny()
     };
-    let results = fig3::run(&params);
-    let one = results.row(1).expect("1-thread row");
-    let four = results.row(4).expect("4-thread row");
+    // The figure's grid on an uncached engine: the test shares no store.
+    let report = SweepEngine::new(params.workers)
+        .without_cache()
+        .run(&fig3::grid(&params));
+    let row = |threads| {
+        report
+            .records
+            .iter()
+            .find(|rec| rec.scenario.config.num_threads == threads)
+            .map(|rec| &rec.results)
+    };
+    let one = row(1).expect("1-thread row");
+    let four = row(4).expect("4-thread row");
     // Single thread: the EP wastes most of its slots waiting on FU results.
     assert!(
-        one.ep.fraction(dsmt_repro::core::SlotUse::WaitFu) > 0.3,
+        one.ep_slots.fraction(dsmt_repro::core::SlotUse::WaitFu) > 0.3,
         "1T EP wait-fu fraction {:.2}",
-        one.ep.fraction(dsmt_repro::core::SlotUse::WaitFu)
+        one.ep_slots.fraction(dsmt_repro::core::SlotUse::WaitFu)
     );
     // Multithreading sharply raises throughput and AP utilisation.
     assert!(
-        four.ipc > 1.7 * one.ipc,
+        four.ipc() > 1.7 * one.ipc(),
         "4T {} vs 1T {}",
-        four.ipc,
-        one.ipc
+        four.ipc(),
+        one.ipc()
     );
-    assert!(four.ap.utilization() > one.ap.utilization());
+    assert!(four.ap_slots.utilization() > one.ap_slots.utilization());
 }
 
 #[test]
