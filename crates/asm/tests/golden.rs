@@ -79,3 +79,31 @@ fn expansion_digests_match_goldens() {
          that is intended"
     );
 }
+
+/// FNV digests of each corpus program's first 100k emitted instructions
+/// (seed 7, the per-thread address offset of thread 1). Long enough that
+/// the pointer chaser revisits stored and hashed cells and every loop
+/// wraps many times, so any change to the interpreter's code or memory
+/// lookups that alters the stream shows here.
+#[test]
+fn hundred_thousand_instruction_streams_are_pinned() {
+    const PINNED: &[(&str, u64)] = &[
+        ("ptr_chase", 0xad0b_dc54_2227_11ac),
+        ("fp_kernel", 0xce7a_6cb5_a37d_674d),
+        ("branchy", 0x1f42_79e7_14c0_db1e),
+    ];
+    for program in corpus::corpus_programs() {
+        let name = program.name.clone();
+        let mut trace = dsmt_trace::ProgramTrace::new(program, 7, 0x0400_2000);
+        let insts: Vec<_> = (0..100_000)
+            .map(|_| dsmt_trace::TraceSource::next_instruction(&mut trace).expect("infinite"))
+            .collect();
+        let digest = fnv1a64(&encode_stream(&insts));
+        let pinned = PINNED.iter().find(|(n, _)| *n == name).map(|p| p.1);
+        assert_eq!(
+            Some(digest),
+            pinned,
+            "{name} stream drifted: {digest:#018x}"
+        );
+    }
+}

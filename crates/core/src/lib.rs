@@ -48,5 +48,5 @@ mod stats;
 mod thread;
 
 pub use config::{FetchPolicy, SimConfig};
-pub use processor::{CorePerf, Processor};
+pub use processor::{fold_commit, CorePerf, Processor, COMMIT_DIGEST_BASIS};
 pub use stats::{PerceivedLatency, SimResults, SlotUse, UnitSlots};

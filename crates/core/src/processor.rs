@@ -1,34 +1,31 @@
 //! The cycle-by-cycle multithreaded decoupled processor model.
 //!
-//! The per-cycle loop is allocation-free in steady state: completion events
-//! live in a fixed [`EventWheel`], windows and the ROB are ring buffers,
-//! and the issue/fetch stages reuse scratch buffers owned by the
-//! [`Processor`] instead of collecting fresh `Vec`s every cycle.
+//! Each thread keeps its in-flight instructions in one ring of compact
+//! slots (see [`crate::thread`]): an instruction is written once at fetch,
+//! renamed in place at dispatch, and referenced by ring position from the
+//! issue windows and from its completion event in the [`EventWheel`].
 //!
 //! Head scheduling is event-driven: when a window head is proven blocked
-//! until a known cycle, the verdict is parked on a per-thread, per-side
-//! [`WakeList`] keyed by the blocking operand's ready cycle. Until the
-//! wake fires, the issue stage replays the verdict in O(1) instead of
-//! re-reading register files, and the stall fast-forward reuses the same
-//! recorded verdicts (plus the wheel's next-due bound) to jump fully
-//! blocked windows. Both paths are bit-identical to naive per-cycle
-//! re-probing — pinned by `golden_stats.rs` and the differential proptests
-//! against [`Processor::set_reference_model`].
+//! until a known cycle (the blocking operand's recorded ready cycle), the
+//! issue stage keeps one verdict `{seq, until, cause}` for that (thread,
+//! side). The verdict is live while `cycle < until`; while it is, the
+//! issue stage replays it in O(1) instead of re-reading register files,
+//! and after a step that did nothing the stall fast-forward reuses the
+//! live verdicts (plus the wheel's next-due bound) to jump fully blocked
+//! windows. Both paths are bit-identical to naive per-cycle re-probing —
+//! pinned by `golden_stats.rs` and the differential proptests against
+//! [`Processor::set_reference_model`].
 
-use dsmt_isa::{steer, OpClass, RegClass, Unit};
+use dsmt_isa::{steer, ArchReg, Instruction, OpClass, RegClass, Unit};
 use dsmt_mem::{AccessKind, AccessResponse, MemorySystem};
 use dsmt_trace::{ThreadWorkload, TraceSource};
-use dsmt_uarch::{
-    icount_pick_into, round_robin_pick_into, EventWheel, FuPool, RoundRobin, WakeList,
-};
+use dsmt_uarch::{icount_pick_into, round_robin_pick_into, EventWheel, FuPool, RoundRobin};
 
-use crate::thread::{
-    DestOperand, FetchedInst, InflightInst, RobPayload, SaqEntry, SrcOperand, ThreadContext,
-};
+use crate::thread::{SaqEntry, Slot, ThreadContext, NO_REG};
 use crate::{PerceivedLatency, SimConfig, SimResults, SlotUse, UnitSlots};
 
-/// The payload a [`WakeList`] verdict replays for a blocked head: the
-/// issue-slot classification and the perceived-latency class.
+/// Why a window head is blocked: the issue-slot classification and the
+/// perceived-latency class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BlockedCause {
     kind: SlotUse,
@@ -37,63 +34,92 @@ struct BlockedCause {
     miss_class: Option<RegClass>,
 }
 
+/// "Head instruction `seq` of this (thread, side) is blocked for `cause`
+/// at every cycle strictly below `until`". Live while `cycle < until`; a
+/// head only leaves its window by issuing, which needs a dead verdict, so
+/// a live verdict always describes the current head.
+#[derive(Debug, Clone, Copy)]
+struct Verdict {
+    seq: u64,
+    until: u64,
+    cause: BlockedCause,
+}
+
+impl Verdict {
+    const NONE: Verdict = Verdict {
+        seq: 0,
+        until: 0,
+        cause: BlockedCause {
+            kind: SlotUse::Other,
+            miss_class: None,
+        },
+    };
+}
+
+/// The two in-order windows per thread, in verdict-index order.
+const SIDES: [(usize, Unit); 2] = [(0, Unit::Ap), (1, Unit::Ep)];
+
 /// Scheduler-throughput counters, deliberately separate from
 /// [`SimResults`] (whose serialized layout is pinned by golden `.dsr`
 /// fixtures): how much per-cycle work the event-driven core avoided.
 /// Folded into the metrics registry post-run by
 /// [`record_metrics`](CorePerf::record_metrics) — the hot loop never
 /// touches an atomic.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CorePerf {
     /// Cycles the stall fast-forward skipped instead of stepping (the
     /// idle-skip path; zero means every cycle was stepped).
     pub busy_cycles_skipped: u64,
     /// Number of contiguous skip windows taken.
     pub skip_windows: u64,
-    /// Log2-bucketed wake-list depth (pending wake tokens), sampled each
-    /// time a blocked-head verdict is recorded.
-    wake_depth_buckets: [u64; dsmt_obs::metrics::HISTOGRAM_BUCKETS],
-}
-
-impl Default for CorePerf {
-    fn default() -> Self {
-        CorePerf {
-            busy_cycles_skipped: 0,
-            skip_windows: 0,
-            wake_depth_buckets: [0; dsmt_obs::metrics::HISTOGRAM_BUCKETS],
-        }
-    }
 }
 
 impl CorePerf {
-    #[inline]
-    fn sample_wake_depth(&mut self, depth: usize) {
-        self.wake_depth_buckets[dsmt_obs::metrics::bucket_index(depth as u64)] += 1;
-    }
-
     /// Folds these counters into the process-wide metrics registry
-    /// (`core.busy_cycles_skipped`, `core.skip_windows`, and the
-    /// `core.wake_list_depth` histogram).
+    /// (`core.busy_cycles_skipped` and `core.skip_windows`).
     pub fn record_metrics(&self) {
         dsmt_obs::counter!("core.busy_cycles_skipped").add(self.busy_cycles_skipped);
         dsmt_obs::counter!("core.skip_windows").add(self.skip_windows);
-        let depth = dsmt_obs::histogram!("core.wake_list_depth");
-        for (i, &n) in self.wake_depth_buckets.iter().enumerate() {
-            if n > 0 {
-                depth.record_n(dsmt_obs::metrics::bucket_bounds(i).0, n);
-            }
-        }
     }
 }
 
-/// A deferred "instruction finishes executing" event.
+/// Seed of the per-thread commit-stream digest (the FNV-1a offset basis).
+pub const COMMIT_DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one graduated instruction into a commit-stream digest: FNV-1a
+/// over its operation class, architectural operands and memory reference.
+/// The PC and branch outcome are not folded (the core consumes them at
+/// fetch), and neither is the memory reference of a non-memory class.
+///
+/// Debug builds keep one such digest per thread in graduation order
+/// ([`Processor::commit_digests`]); folding a trace's first `n`
+/// instructions the same way must give the same value.
+#[must_use]
+pub fn fold_commit(hash: u64, inst: &Instruction) -> u64 {
+    let reg = |r: Option<ArchReg>| r.map_or(0xff, |r| u8::from(r.is_fp()) << 5 | r.index());
+    let mem = inst.mem.filter(|_| inst.op.is_mem());
+    let (addr, size) = mem.map_or((0, 0), |m| (m.addr, m.size));
+    let mut bytes = [0u8; 14];
+    bytes[..6].copy_from_slice(&[
+        inst.op.tag(),
+        reg(inst.src1),
+        reg(inst.src2),
+        reg(inst.dest),
+        u8::from(mem.is_some()),
+        size,
+    ]);
+    bytes[6..].copy_from_slice(&addr.to_le_bytes());
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A deferred "instruction finishes executing" event: the instruction's
+/// ring position in its thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CompletionEvent {
-    thread: usize,
-    rob: dsmt_uarch::RobToken,
-    /// `Some(seq)` when the completing instruction is a conditional branch
-    /// whose resolution may unblock fetch.
-    branch_seq: Option<u64>,
+    thread: u32,
+    pos: u32,
 }
 
 /// The outcome of probing the head of an in-order window.
@@ -101,12 +127,7 @@ struct CompletionEvent {
 enum HeadProbe {
     Ready,
     Blocked {
-        kind: SlotUse,
-        /// When the blocking operand was produced by a load that missed,
-        /// the register class of that operand (FP loads feed FP registers,
-        /// integer loads feed integer registers) — used for the
-        /// perceived-latency metric.
-        miss_class: Option<RegClass>,
+        cause: BlockedCause,
         /// The first cycle at which the blocking condition can clear, when
         /// it is known exactly (the blocking operand's recorded ready
         /// cycle). `None` when the bound is unknown (producer not issued
@@ -142,12 +163,17 @@ pub struct Processor {
     arbiter: RoundRobin,
     cycle: u64,
     completions: EventWheel<CompletionEvent>,
-    /// Per-thread, per-side blocked-head verdicts with wheel-driven expiry
-    /// (side 0 = AP window, side 1 = EP instruction queue).
-    wakes: WakeList<BlockedCause>,
-    /// When set, disables the wake list and the stall fast-forward: every
+    /// Per-thread, per-side blocked-head verdicts (side 0 = AP window,
+    /// side 1 = EP instruction queue).
+    verdicts: Vec<[Verdict; 2]>,
+    /// When set, disables verdict replay and the stall fast-forward: every
     /// head is re-probed every cycle. Differential-testing aid only.
     reference_model: bool,
+    /// Whether the last stepped cycle retired, issued, dispatched and
+    /// fetched nothing — the only time a fast-forward is worth trying.
+    idle: bool,
+    /// Graduated instructions over all threads.
+    retired: u64,
     perf: CorePerf,
     ap_slots: UnitSlots,
     ep_slots: UnitSlots,
@@ -166,7 +192,8 @@ pub struct Processor {
 struct Scratch {
     /// This cycle's round-robin thread ordering (issue stage).
     order: Vec<usize>,
-    /// Stall causes of the oldest non-issuable instructions (issue stage).
+    /// Stall causes of the oldest non-issuable instructions (issue stage;
+    /// the fast-forward's replay reuses it).
     blocked: Vec<SlotUse>,
     /// Per-thread pending-dispatch counts (fetch stage, I-COUNT metric).
     pending: Vec<usize>,
@@ -174,8 +201,6 @@ struct Scratch {
     eligible: Vec<bool>,
     /// Threads selected to fetch this cycle (fetch stage).
     picks: Vec<usize>,
-    /// Fast-forward replay: blocked-head kinds in rotation order.
-    kinds: Vec<SlotUse>,
 }
 
 impl std::fmt::Debug for Processor {
@@ -183,8 +208,29 @@ impl std::fmt::Debug for Processor {
         f.debug_struct("Processor")
             .field("cycle", &self.cycle)
             .field("threads", &self.threads.len())
-            .field("retired", &self.total_retired())
+            .field("retired", &self.retired)
             .finish_non_exhaustive()
+    }
+}
+
+/// Records `wasted` issue slots round-robin over the stall causes in
+/// `kinds`, starting at `kinds[first]` (slot `i` goes to
+/// `kinds[(first + i) % kinds.len()]`), `times` over.
+fn record_wasted(
+    slots: &mut UnitSlots,
+    kinds: &[SlotUse],
+    first: usize,
+    wasted: usize,
+    times: u64,
+) {
+    let n = kinds.len();
+    let (per, extra) = (wasted / n, wasted % n);
+    for (i, &kind) in kinds.iter().enumerate() {
+        let offset = if i >= first { i - first } else { i + n - first };
+        let count = (per + usize::from(offset < extra)) as u64 * times;
+        if count > 0 {
+            slots.record_n(kind, count);
+        }
     }
 }
 
@@ -208,8 +254,7 @@ impl Processor {
         );
         let threads = traces
             .into_iter()
-            .enumerate()
-            .map(|(id, trace)| ThreadContext::new(id, &config, trace))
+            .map(|trace| ThreadContext::new(&config, trace))
             .collect();
         let mem_cfg = config.effective_mem();
         // Fast-path horizon for the completion wheel: an unqueued fill
@@ -224,8 +269,10 @@ impl Processor {
             ep_fus: FuPool::new(config.ep_units, config.ep_latency, true),
             mem: MemorySystem::new(mem_cfg),
             arbiter: RoundRobin::new(config.num_threads),
-            wakes: WakeList::new(config.num_threads, horizon),
+            verdicts: vec![[Verdict::NONE; 2]; config.num_threads],
             reference_model: false,
+            idle: false,
+            retired: 0,
             perf: CorePerf::default(),
             threads,
             cycle: 0,
@@ -285,7 +332,7 @@ impl Processor {
     /// Total graduated instructions across all threads.
     #[must_use]
     pub fn total_retired(&self) -> u64 {
-        self.threads.iter().map(|t| t.retired).sum()
+        self.retired
     }
 
     /// Whether every thread has exhausted its trace and drained its
@@ -296,15 +343,24 @@ impl Processor {
     }
 
     /// Scheduler-throughput counters accumulated so far (cycles skipped,
-    /// wake-list depth). Not part of [`SimResults`]; see [`CorePerf`].
+    /// skip windows). Not part of [`SimResults`]; see [`CorePerf`].
     #[must_use]
     pub fn perf(&self) -> &CorePerf {
         &self.perf
     }
 
+    /// Each thread's commit-stream digest: [`fold_commit`] over its
+    /// graduated instructions in graduation order, starting from
+    /// [`COMMIT_DIGEST_BASIS`]. Kept in debug builds only.
+    #[cfg(debug_assertions)]
+    #[must_use]
+    pub fn commit_digests(&self) -> Vec<u64> {
+        self.threads.iter().map(|t| t.commit_digest).collect()
+    }
+
     /// Switches to the naive reference scheduler: every window head is
     /// re-probed every cycle and stall windows are stepped cycle by cycle
-    /// (no wake-list replay, no fast-forward). Statistics must stay
+    /// (no verdict replay, no fast-forward). Statistics must stay
     /// bit-identical to the event-driven default — differential tests pin
     /// this.
     pub fn set_reference_model(&mut self, enabled: bool) {
@@ -315,16 +371,16 @@ impl Processor {
     pub fn step(&mut self) {
         let cycle = self.cycle;
         self.mem.begin_cycle(cycle);
-        self.wakes.begin_cycle(cycle);
         self.process_completions(cycle);
-        self.retire();
+        let mut progress = self.retire();
         let mut order = std::mem::take(&mut self.scratch.order);
         self.arbiter.ordering_into(&mut order);
-        self.issue(Unit::Ap, &order, cycle);
-        self.issue(Unit::Ep, &order, cycle);
+        progress |= self.issue(Unit::Ap, &order, cycle);
+        progress |= self.issue(Unit::Ep, &order, cycle);
         self.scratch.order = order;
-        self.dispatch();
-        self.fetch(cycle);
+        progress |= self.dispatch();
+        progress |= self.fetch(cycle);
+        self.idle = !progress;
         self.cycle += 1;
     }
 
@@ -332,10 +388,7 @@ impl Processor {
     /// drained) and returns the accumulated results.
     pub fn run(&mut self, max_instructions: u64) -> SimResults {
         let cycle_cap = self.run_cap(max_instructions);
-        while self.total_retired() < max_instructions
-            && self.cycle < cycle_cap
-            && !self.all_drained()
-        {
+        while self.retired < max_instructions && self.cycle < cycle_cap && !self.all_drained() {
             self.advance(cycle_cap - self.cycle);
         }
         self.results()
@@ -363,13 +416,10 @@ impl Processor {
     /// splitting a window changes nothing.
     pub fn run_quantum(&mut self, max_instructions: u64, cycle_cap: u64, quantum: u64) -> bool {
         let slice_end = cycle_cap.min(self.cycle.saturating_add(quantum));
-        while self.total_retired() < max_instructions
-            && self.cycle < slice_end
-            && !self.all_drained()
-        {
+        while self.retired < max_instructions && self.cycle < slice_end && !self.all_drained() {
             self.advance(slice_end - self.cycle);
         }
-        self.total_retired() >= max_instructions || self.cycle >= cycle_cap || self.all_drained()
+        self.retired >= max_instructions || self.cycle >= cycle_cap || self.all_drained()
     }
 
     /// Runs for exactly `cycles` additional cycles.
@@ -389,7 +439,7 @@ impl Processor {
     /// Statistics and architectural state are bit-identical to stepping
     /// cycle by cycle.
     fn advance(&mut self, max_cycles: u64) {
-        if max_cycles > 1 {
+        if self.idle && max_cycles > 1 && !self.reference_model {
             if let Some(skipped) = self.try_fast_forward(max_cycles) {
                 debug_assert!(skipped >= 2);
                 return;
@@ -411,11 +461,10 @@ impl Processor {
     /// * every non-empty window head is blocked with an exactly known
     ///   wake-up cycle (the blocking operand's recorded ready cycle).
     ///
-    /// Head verdicts come from the wake list: verdicts the issue stage
-    /// already recorded are reused without touching the register files,
-    /// and any head probed fresh here is recorded for the issue stage in
-    /// turn. The skip target is the earliest of the verdict wake-ups and
-    /// the completion wheel's next due event.
+    /// Live verdicts the issue stage recorded are reused without touching
+    /// the register files, and any head probed fresh here is recorded for
+    /// the issue stage in turn. The skip target is the earliest of the
+    /// verdicts' `until` and the completion wheel's next due event.
     ///
     /// On success it replays the per-cycle bookkeeping those `n` steps
     /// would have performed — issue-slot attribution (rotation-exact),
@@ -424,71 +473,51 @@ impl Processor {
     fn try_fast_forward(&mut self, max_cycles: u64) -> Option<u64> {
         let cycle = self.cycle;
         let max_unresolved = self.config.max_unresolved_branches;
-        if self.reference_model {
-            return None;
-        }
         // Exclusive upper bound on the cycles we may skip.
         let mut wake = cycle.checked_add(max_cycles)?;
 
         let n_threads = self.threads.len();
         for t in 0..n_threads {
-            {
-                let thread = &self.threads[t];
-                if thread.fetch_eligible(max_unresolved) {
+            let thread = &self.threads[t];
+            if thread.fetch_eligible(max_unresolved) || thread.ring.head_completed() {
+                return None;
+            }
+            if let Some(pos) = thread.ring.dispatch_front() {
+                if !thread.dispatch_blocked(thread.ring.get(pos)) {
                     return None;
-                }
-                if thread.rob.head_completed() {
-                    return None;
-                }
-                if let Some(fetched) = thread.fetch_buffer.front() {
-                    let inst = fetched.inst;
-                    let unit = steer(inst.op);
-                    let dispatch_blocked = thread.rob.is_full()
-                        || thread.window(unit).is_full()
-                        || (inst.op.is_store() && thread.saq.is_full())
-                        || inst
-                            .real_dest()
-                            .is_some_and(|d| !thread.regs(d.class()).can_rename());
-                    if !dispatch_blocked {
-                        return None;
-                    }
                 }
             }
-            for (side, unit) in [(0usize, Unit::Ap), (1usize, Unit::Ep)] {
-                // Reuse the recorded verdict, or probe and record so the
-                // issue stage replays it after the skip lands.
-                let (until, fresh) = {
-                    let thread = &self.threads[t];
-                    let Some(head) = thread.window(unit).front() else {
-                        continue;
-                    };
-                    if let Some((seq, until, _)) = self.wakes.blocked(t, side) {
-                        debug_assert_eq!(seq, head.seq, "wake list tracks a stale head");
-                        (until, None)
-                    } else {
-                        match probe_head(thread, head, cycle) {
-                            HeadProbe::Blocked {
-                                kind,
-                                miss_class,
-                                until: Some(u),
-                            } => (u, Some((head.seq, BlockedCause { kind, miss_class }))),
-                            // Ready, or blocked without a known bound.
-                            _ => return None,
-                        }
-                    }
+            for (side, unit) in SIDES {
+                let Some(&pos) = thread.window(unit).front() else {
+                    continue;
                 };
-                if let Some((seq, cause)) = fresh {
-                    self.wakes.record_blocked(t, side, seq, until, cause);
-                    self.perf.sample_wake_depth(self.wakes.pending());
+                let head = thread.ring.get(pos);
+                let verdict = &mut self.verdicts[t][side];
+                if cycle < verdict.until {
+                    debug_assert_eq!(verdict.seq, head.seq, "verdict for a stale head");
+                } else {
+                    // Probe and record, so the issue stage replays it after
+                    // the skip lands.
+                    match probe_head(thread, head, cycle) {
+                        HeadProbe::Blocked {
+                            cause,
+                            until: Some(until),
+                        } => {
+                            *verdict = Verdict {
+                                seq: head.seq,
+                                until,
+                                cause,
+                            };
+                        }
+                        // Ready, or blocked without a known bound.
+                        _ => return None,
+                    }
                 }
-                wake = wake.min(until);
+                wake = wake.min(verdict.until);
             }
         }
 
-        // Completion events bound the window too. The wake wheel cannot:
-        // every parked token belongs to a live verdict whose `until`
-        // already bounds `wake` (heads only leave a window via issue, which
-        // requires the probe state), so nothing on it fires earlier.
+        // Completion events bound the window too.
         if let Some(due) = self.completions.next_due_before(wake) {
             wake = due;
         }
@@ -497,66 +526,61 @@ impl Processor {
             return None;
         }
 
-        // Replay the accounting of `skip` idle cycles exactly. Slot-waste
-        // attribution rotates with the round-robin ordering; rotation r is
-        // used ceil/floor(skip / n) times depending on its offset from the
-        // current start.
+        // Replay the accounting of `skip` idle cycles exactly. Every
+        // non-empty window head carries a live verdict here and empty
+        // windows carry none, so the live verdicts are the blocked list.
+        // Slot-waste attribution rotates with the round-robin ordering;
+        // rotation r is used ceil/floor(skip / n) times depending on its
+        // offset from the current start.
         let start = self.arbiter.next_start();
-        let mut kinds = std::mem::take(&mut self.scratch.kinds);
+        let mut kinds = std::mem::take(&mut self.scratch.blocked);
         for (side, slots_total) in [(0usize, self.config.ap_units), (1, self.config.ep_units)] {
             let slots = if side == 0 {
                 &mut self.ap_slots
             } else {
                 &mut self.ep_slots
             };
-            // Every blocked head carries a wake-list verdict here (empty
-            // windows carry none), so the wake list *is* the entry table.
-            let blocked_count = (0..n_threads)
-                .filter(|&i| self.wakes.blocked(i, side).is_some())
-                .count();
-            if blocked_count == 0 {
-                slots.record_n(SlotUse::WrongPathOrIdle, slots_total as u64 * skip);
-                continue;
-            }
-            for rot in 0..n_threads {
-                // Cycles in the window whose ordering starts at thread
-                // `(start + rot) % n_threads`.
-                let uses =
-                    skip / n_threads as u64 + u64::from((rot as u64) < skip % n_threads as u64);
-                if uses == 0 {
-                    continue;
-                }
-                let first = (start + rot) % n_threads;
-                // The blocked list in thread-priority order for this
-                // rotation; wasted slots round-robin over it.
-                kinds.clear();
-                for i in 0..n_threads {
-                    if let Some((_, _, cause)) = self.wakes.blocked((first + i) % n_threads, side) {
-                        kinds.push(cause.kind);
-                    }
-                }
-                debug_assert_eq!(kinds.len(), blocked_count);
-                for slot in 0..slots_total {
-                    slots.record_n(kinds[slot % kinds.len()], uses);
-                }
-            }
-            // Perceived-latency stalls accrue once per blocked head per
-            // cycle, independent of rotation.
-            for i in 0..n_threads {
-                if let Some((_, _, cause)) = self.wakes.blocked(i, side) {
-                    match cause.miss_class {
+            kinds.clear();
+            for v in &self.verdicts {
+                let v = &v[side];
+                if cycle < v.until {
+                    kinds.push(v.cause.kind);
+                    // Perceived-latency stalls accrue once per blocked head
+                    // per cycle, independent of rotation.
+                    match v.cause.miss_class {
                         Some(RegClass::Fp) => self.perceived.fp_stall_cycles += skip,
                         Some(RegClass::Int) => self.perceived.int_stall_cycles += skip,
                         None => {}
                     }
                 }
             }
+            if kinds.is_empty() {
+                slots.record_n(SlotUse::WrongPathOrIdle, slots_total as u64 * skip);
+                continue;
+            }
+            // `kinds` lists the blocked threads in ascending order; the
+            // blocked list of a rotation starting at thread `first` begins
+            // with the first blocked thread at or after `first`.
+            let n = n_threads as u64;
+            for rot in 0..n_threads {
+                // Cycles in the window whose ordering starts at thread
+                // `(start + rot) % n_threads`.
+                let uses = skip / n + u64::from((rot as u64) < skip % n);
+                if uses == 0 {
+                    continue;
+                }
+                let first = (start + rot) % n_threads;
+                let lead = self.verdicts[..first]
+                    .iter()
+                    .filter(|v| cycle < v[side].until)
+                    .count();
+                record_wasted(slots, &kinds, lead % kinds.len(), slots_total, uses);
+            }
         }
-        self.scratch.kinds = kinds;
+        self.scratch.blocked = kinds;
 
         self.arbiter.advance(skip);
         self.completions.skip_to(wake);
-        self.wakes.skip_to(wake);
         self.cycle = wake;
         self.perf.busy_cycles_skipped += skip;
         self.perf.skip_windows += 1;
@@ -580,7 +604,7 @@ impl Processor {
         };
         SimResults {
             cycles: self.cycle,
-            instructions: self.total_retired(),
+            instructions: self.retired,
             per_thread_instructions: self.threads.iter().map(|t| t.retired).collect(),
             ap_slots: self.ap_slots,
             ep_slots: self.ep_slots,
@@ -603,18 +627,18 @@ impl Processor {
         // Destructured so the drain closure can borrow the thread array
         // while the wheel is mutably borrowed. Delivery order within a
         // cycle does not affect architectural state: each event touches
-        // only its own ROB entry and its own branch bookkeeping.
+        // only its own ring slot and its own branch bookkeeping.
         let Processor {
             completions,
             threads,
             ..
         } = self;
         completions.drain_due(cycle, |ev| {
-            let thread = &mut threads[ev.thread];
-            if thread.rob.contains(ev.rob) {
-                thread.rob.mark_completed(ev.rob);
-            }
-            if let Some(seq) = ev.branch_seq {
+            let thread = &mut threads[ev.thread as usize];
+            thread.ring.complete(ev.pos);
+            let slot = thread.ring.get(ev.pos);
+            if slot.op.is_cond_branch() {
+                let seq = slot.seq;
                 thread.unresolved_branches = thread.unresolved_branches.saturating_sub(1);
                 if thread.blocked_on_mispredict == Some(seq) {
                     thread.blocked_on_mispredict = None;
@@ -623,121 +647,107 @@ impl Processor {
         });
     }
 
-    fn retire(&mut self) {
+    /// Graduates up to `retire_width` completed instructions per thread.
+    /// Returns whether any graduated.
+    fn retire(&mut self) -> bool {
         let width = self.config.retire_width;
+        let before = self.retired;
         for thread in &mut self.threads {
-            // Borrow the ROB and the structures the retirement side-effects
-            // touch disjointly, so retire_with can stream payloads without
-            // collecting them into a Vec first.
-            let ThreadContext {
-                rob,
-                ap_regs,
-                ep_regs,
-                saq,
-                retired,
-                ..
-            } = thread;
-            let n = rob.retire_with(width, |payload| {
-                if let Some((class, phys)) = payload.prev_dest {
-                    match class {
-                        RegClass::Int => ap_regs.release(phys),
-                        RegClass::Fp => ep_regs.release(phys),
-                    }
+            let mut n = 0;
+            while n < width && thread.ring.head_completed() {
+                let head = thread.ring.rob_head().expect("a completed head exists");
+                let (dest, prev_dest, is_store) =
+                    (head.real_dest(), head.prev_dest, head.op.is_store());
+                #[cfg(debug_assertions)]
+                {
+                    thread.commit_digest = fold_commit(thread.commit_digest, &head.committed());
                 }
-                if payload.is_store {
+                if let Some(d) = dest {
+                    thread.regs_mut(d.class()).release(prev_dest);
+                }
+                if is_store {
                     // Stores graduate in SAQ order; drop the oldest entry.
-                    let popped = saq.pop();
+                    let popped = thread.saq.pop();
                     debug_assert!(popped.is_some(), "store graduated without a SAQ entry");
                 }
-            });
-            *retired += n as u64;
+                thread.ring.retire_head();
+                n += 1;
+            }
+            thread.retired += n as u64;
+            self.retired += n as u64;
         }
+        self.retired != before
     }
 
-    fn issue(&mut self, unit: Unit, order: &[usize], cycle: u64) {
-        let slots_total = match unit {
-            Unit::Ap => self.config.ap_units,
-            Unit::Ep => self.config.ep_units,
+    /// Issues from the windows for `unit` in thread-priority `order`.
+    /// Returns whether anything issued.
+    fn issue(&mut self, unit: Unit, order: &[usize], cycle: u64) -> bool {
+        let (side, slots_total) = match unit {
+            Unit::Ap => (0usize, self.config.ap_units),
+            Unit::Ep => (1usize, self.config.ep_units),
         };
         let mut used = 0usize;
         let mut blocked = std::mem::take(&mut self.scratch.blocked);
         blocked.clear();
 
-        let side = match unit {
-            Unit::Ap => 0usize,
-            Unit::Ep => 1usize,
-        };
         'threads: for &t in order {
             loop {
                 if used >= slots_total {
                     break 'threads;
                 }
-                // O(1) replay: a recorded verdict still live this cycle
-                // (the wake would have fired otherwise) means the head is
-                // provably blocked — no register-file reads.
-                if !self.reference_model {
-                    if let Some((seq, _, cause)) = self.wakes.blocked(t, side) {
-                        debug_assert_eq!(
-                            self.threads[t].window(unit).front().map(|h| h.seq),
-                            Some(seq),
-                            "wake list tracks a stale head"
-                        );
-                        match cause.miss_class {
-                            Some(RegClass::Fp) => self.perceived.fp_stall_cycles += 1,
-                            Some(RegClass::Int) => self.perceived.int_stall_cycles += 1,
-                            None => {}
-                        }
-                        blocked.push(cause.kind);
-                        break;
-                    }
-                }
-                let (probe, head_seq) = {
+                // O(1) replay: a live verdict means the head is provably
+                // blocked — no window or register-file reads.
+                let verdict = &mut self.verdicts[t][side];
+                let cause = if cycle < verdict.until && !self.reference_model {
+                    debug_assert_eq!(
+                        self.threads[t]
+                            .window(unit)
+                            .front()
+                            .map(|&pos| self.threads[t].ring.get(pos).seq),
+                        Some(verdict.seq),
+                        "stale verdict"
+                    );
+                    verdict.cause
+                } else {
                     let thread = &self.threads[t];
-                    match thread.window(unit).front() {
-                        None => break,
-                        Some(head) => (probe_head(thread, head, cycle), head.seq),
+                    let Some(&pos) = thread.window(unit).front() else {
+                        break;
+                    };
+                    let head = thread.ring.get(pos);
+                    match probe_head(thread, head, cycle) {
+                        HeadProbe::Ready => match self.issue_head(t, unit, pos, cycle) {
+                            Ok(()) => {
+                                used += 1;
+                                continue;
+                            }
+                            Err(kind) => {
+                                blocked.push(kind);
+                                break;
+                            }
+                        },
+                        HeadProbe::Blocked { cause, until } => {
+                            // Keep the verdict when the bound is known.
+                            if let (Some(until), false) = (until, self.reference_model) {
+                                *verdict = Verdict {
+                                    seq: head.seq,
+                                    until,
+                                    cause,
+                                };
+                            }
+                            cause
+                        }
                     }
                 };
-                match probe {
-                    HeadProbe::Ready => match self.issue_head(t, unit, cycle) {
-                        Ok(()) => used += 1,
-                        Err(kind) => {
-                            blocked.push(kind);
-                            break;
-                        }
-                    },
-                    HeadProbe::Blocked {
-                        kind,
-                        miss_class,
-                        until,
-                    } => {
-                        // Park the verdict on the wake list when the bound
-                        // is known; the wheel re-arms the probe at exactly
-                        // `until`.
-                        if !self.reference_model {
-                            if let Some(u) = until {
-                                self.wakes.record_blocked(
-                                    t,
-                                    side,
-                                    head_seq,
-                                    u,
-                                    BlockedCause { kind, miss_class },
-                                );
-                                self.perf.sample_wake_depth(self.wakes.pending());
-                            }
-                        }
-                        // Perceived-latency accounting: the head cannot issue
-                        // although an issue slot is free, because it waits on
-                        // data from a load that missed.
-                        match miss_class {
-                            Some(RegClass::Fp) => self.perceived.fp_stall_cycles += 1,
-                            Some(RegClass::Int) => self.perceived.int_stall_cycles += 1,
-                            None => {}
-                        }
-                        blocked.push(kind);
-                        break;
-                    }
+                // Perceived-latency accounting: the head cannot issue
+                // although an issue slot is free, because it waits on data
+                // from a load that missed.
+                match cause.miss_class {
+                    Some(RegClass::Fp) => self.perceived.fp_stall_cycles += 1,
+                    Some(RegClass::Int) => self.perceived.int_stall_cycles += 1,
+                    None => {}
                 }
+                blocked.push(cause.kind);
+                break;
             }
         }
 
@@ -755,33 +765,29 @@ impl Processor {
             // Attribute the wasted slots to the stall causes of the oldest
             // non-issuable instructions, round-robin when several threads
             // were blocked for different reasons.
-            for i in 0..wasted {
-                slots.record(blocked[i % blocked.len()]);
-            }
+            record_wasted(slots, &blocked, 0, wasted, 1);
         }
         self.scratch.blocked = blocked;
+        used > 0
     }
 
-    /// Issues the head instruction of thread `t`'s window for `unit`.
-    /// Returns `Err` with a stall classification when a structural hazard
-    /// (cache port, MSHR, functional unit) prevents issue after all.
-    fn issue_head(&mut self, t: usize, unit: Unit, cycle: u64) -> Result<(), SlotUse> {
-        let head: InflightInst = *self.threads[t]
-            .window(unit)
-            .front()
-            .expect("issue_head called with an empty window");
+    /// Issues the head instruction (ring position `pos`) of thread `t`'s
+    /// window for `unit`. Returns `Err` with a stall classification when a
+    /// structural hazard (cache port, MSHR, functional unit) prevents issue
+    /// after all.
+    fn issue_head(&mut self, t: usize, unit: Unit, pos: u32, cycle: u64) -> Result<(), SlotUse> {
+        let head: Slot = *self.threads[t].ring.get(pos);
 
         // Memory access first: it may be rejected for structural reasons, in
         // which case the instruction stays at the head and retries.
         let mut mem_outcome: Option<(bool, u64)> = None;
         if head.op.is_mem() {
-            let mem_ref = head.mem.expect("memory instruction without address");
             let kind = if head.op.is_load() {
                 AccessKind::Load
             } else {
                 AccessKind::Store
             };
-            match self.mem.try_access(cycle, mem_ref.addr, kind) {
+            match self.mem.try_access(cycle, head.mem_addr, kind) {
                 AccessResponse::Done { hit, ready_cycle } => {
                     mem_outcome = Some((hit, ready_cycle));
                 }
@@ -804,19 +810,18 @@ impl Processor {
             None => fu_done,
         };
 
-        {
-            let thread = &mut self.threads[t];
-            if let Some(DestOperand { class, phys }) = head.dest {
-                thread.regs_mut(class).set_ready_cycle(phys, completion);
-                if head.op.is_load() {
-                    let missed = !mem_outcome.expect("load issued without memory outcome").0;
-                    thread.flags_mut(class).set_load(phys, missed);
-                }
-            }
-            if head.op.is_store() {
-                thread.mark_store_executed(head.seq);
+        let thread = &mut self.threads[t];
+        if let Some(d) = head.real_dest() {
+            let class = d.class();
+            thread
+                .regs_mut(class)
+                .set_ready_cycle(head.phys_dest, completion);
+            if head.op.is_load() {
+                let missed = !mem_outcome.expect("load issued without memory outcome").0;
+                thread.flags_mut(class).set_load(head.phys_dest, missed);
             }
         }
+        thread.window_mut(unit).pop();
 
         if head.op.is_load() {
             self.loads += 1;
@@ -831,128 +836,87 @@ impl Processor {
             self.stores += 1;
         }
 
-        let branch_seq = if head.is_cond_branch {
-            Some(head.seq)
-        } else {
-            None
-        };
         self.completions.push(
             completion,
             CompletionEvent {
-                thread: t,
-                rob: head.rob,
-                branch_seq,
+                thread: t as u32,
+                pos,
             },
         );
-        self.threads[t].window_mut(unit).pop();
         Ok(())
     }
 
-    fn dispatch(&mut self) {
+    /// Renames and dispatches up to `dispatch_width` fetched instructions
+    /// per thread into their windows. Returns whether any dispatched.
+    fn dispatch(&mut self) -> bool {
         let width = self.config.dispatch_width;
+        let mut progress = false;
         for thread in &mut self.threads {
             let mut dispatched = 0usize;
             while dispatched < width {
-                let Some(fetched) = thread.fetch_buffer.front().copied() else {
+                let Some(pos) = thread.ring.dispatch_front() else {
                     break;
                 };
-                let inst = fetched.inst;
-                let unit = steer(inst.op);
-
+                let slot = *thread.ring.get(pos);
                 // Structural checks: ROB, target window, SAQ, rename registers.
-                if thread.rob.is_full() || thread.window(unit).is_full() {
+                if thread.dispatch_blocked(&slot) {
                     break;
                 }
-                if inst.op.is_store() && thread.saq.is_full() {
-                    break;
-                }
-                if let Some(d) = inst.real_dest() {
-                    if !thread.regs(d.class()).can_rename() {
-                        break;
+
+                // Rename sources (current mappings), then the destination.
+                let mut phys_src = [NO_REG; 2];
+                for (phys, src) in phys_src.iter_mut().zip([slot.src1, slot.src2]) {
+                    if let Some(r) = src.filter(|r| !r.is_zero()) {
+                        *phys = thread.regs(r.class()).lookup(r.index() as usize);
                     }
                 }
-
-                // Rename sources (current mappings).
-                let mut srcs: [Option<SrcOperand>; 2] = [None, None];
-                for (i, src) in [inst.src1, inst.src2].into_iter().enumerate() {
-                    if let Some(r) = src {
-                        if r.is_zero() {
-                            continue;
-                        }
-                        let phys = thread.regs(r.class()).lookup(r.index() as usize);
-                        // Store data (src1 of a store) is consumed at
-                        // graduation, not at issue: it never gates the AP.
-                        let gates_issue = !(inst.op.is_store() && i == 0);
-                        srcs[i] = Some(SrcOperand {
-                            class: r.class(),
-                            phys,
-                            gates_issue,
-                        });
-                    }
-                }
-
-                // Rename the destination.
-                let mut dest = None;
-                let mut prev_dest = None;
-                if let Some(d) = inst.real_dest() {
+                let (mut phys_dest, mut prev_dest) = (NO_REG, NO_REG);
+                if let Some(d) = slot.real_dest() {
                     let outcome = thread
                         .regs_mut(d.class())
                         .rename_dest(d.index() as usize)
                         .expect("rename availability was checked");
                     thread.flags_mut(d.class()).clear(outcome.new);
-                    dest = Some(DestOperand {
-                        class: d.class(),
-                        phys: outcome.new,
-                    });
-                    prev_dest = Some((d.class(), outcome.previous));
+                    phys_dest = outcome.new;
+                    prev_dest = outcome.previous;
                 }
+                let renamed = thread.ring.get_mut(pos);
+                renamed.phys_src = phys_src;
+                renamed.phys_dest = phys_dest;
+                renamed.prev_dest = prev_dest;
 
-                let rob = thread
-                    .rob
-                    .push(RobPayload {
-                        prev_dest,
-                        is_store: inst.op.is_store(),
-                    })
-                    .expect("ROB fullness was checked");
-
-                if inst.op.is_store() {
+                if slot.op.is_store() {
                     thread
                         .saq
                         .push(SaqEntry {
-                            seq: fetched.seq,
-                            mem: inst.mem.expect("store without address"),
-                            executed: false,
+                            seq: slot.seq,
+                            addr: slot.mem_addr,
+                            size: slot.mem_size,
                         })
                         .expect("SAQ fullness was checked");
                 }
-
-                let inflight = InflightInst {
-                    seq: fetched.seq,
-                    op: inst.op,
-                    srcs,
-                    dest,
-                    rob,
-                    mem: inst.mem,
-                    is_cond_branch: inst.op.is_cond_branch(),
-                };
                 thread
-                    .window_mut(unit)
-                    .push(inflight)
+                    .window_mut(steer(slot.op))
+                    .push(pos)
                     .expect("window fullness was checked");
-                thread.fetch_buffer.pop_front();
+                thread.ring.dispatch_one();
                 dispatched += 1;
             }
+            progress |= dispatched > 0;
         }
+        progress
     }
 
-    fn fetch(&mut self, cycle: u64) {
+    /// Fetches for the threads the fetch policy picks. Returns whether
+    /// anything was fetched.
+    fn fetch(&mut self, cycle: u64) -> bool {
         let max_unresolved = self.config.max_unresolved_branches;
         let mut pending = std::mem::take(&mut self.scratch.pending);
         let mut eligible = std::mem::take(&mut self.scratch.eligible);
         let mut picks = std::mem::take(&mut self.scratch.picks);
         pending.clear();
         eligible.clear();
-        pending.extend(self.threads.iter().map(ThreadContext::pending_dispatch));
+        pending.extend(self.threads.iter().map(|t| t.ring.fetch_len()));
         eligible.extend(
             self.threads
                 .iter()
@@ -973,21 +937,20 @@ impl Processor {
                 &mut picks,
             ),
         }
+        let mut progress = false;
         for &t in &picks {
             let thread = &mut self.threads[t];
             for _ in 0..self.config.fetch_width {
-                if thread.fetch_buffer.len() >= thread.fetch_buffer_capacity {
-                    break;
-                }
-                if thread.unresolved_branches >= max_unresolved {
+                if thread.ring.fetch_full() || thread.unresolved_branches >= max_unresolved {
                     break;
                 }
                 let Some(inst) = thread.trace.next_instruction() else {
                     thread.trace_done = true;
                     break;
                 };
-                let seq = thread.next_seq;
-                thread.next_seq += 1;
+                let seq = thread.ring.next_seq();
+                thread.ring.push_fetched(&inst);
+                progress = true;
                 let mut stop_group = false;
                 if inst.op.is_cond_branch() {
                     let actual = inst.branch.map(|b| b.taken).unwrap_or(false);
@@ -1009,7 +972,6 @@ impl Processor {
                 } else if inst.op.is_control() {
                     stop_group = true;
                 }
-                thread.fetch_buffer.push_back(FetchedInst { seq, inst });
                 if stop_group {
                     break;
                 }
@@ -1018,28 +980,39 @@ impl Processor {
         self.scratch.pending = pending;
         self.scratch.eligible = eligible;
         self.scratch.picks = picks;
+        progress
     }
 }
 
 /// Decides whether the head of an in-order window can issue this cycle, and
 /// if not, why.
-fn probe_head(thread: &ThreadContext, head: &InflightInst, cycle: u64) -> HeadProbe {
-    for src in head.srcs.iter().flatten() {
-        if !src.gates_issue {
+fn probe_head(thread: &ThreadContext, head: &Slot, cycle: u64) -> HeadProbe {
+    // Store data (src1 of a store) is consumed at graduation, not at
+    // issue: it never gates the AP.
+    let first_gating = usize::from(head.op.is_store());
+    for (src, &phys) in [head.src1, head.src2]
+        .iter()
+        .zip(&head.phys_src)
+        .skip(first_gating)
+    {
+        if phys == NO_REG {
             continue;
         }
-        let ready_cycle = thread.regs(src.class).ready_cycle(src.phys);
+        let class = src
+            .expect("renamed source has an architectural register")
+            .class();
+        let ready_cycle = thread.regs(class).ready_cycle(phys);
         if ready_cycle > cycle {
-            let flags = thread.flags(src.class);
-            let from_load = flags.is_from_load(src.phys);
-            let missed = flags.is_load_miss(src.phys);
+            let flags = thread.flags(class);
             return HeadProbe::Blocked {
-                kind: if from_load {
-                    SlotUse::WaitMemory
-                } else {
-                    SlotUse::WaitFu
+                cause: BlockedCause {
+                    kind: if flags.is_from_load(phys) {
+                        SlotUse::WaitMemory
+                    } else {
+                        SlotUse::WaitFu
+                    },
+                    miss_class: flags.is_load_miss(phys).then_some(class),
                 },
-                miss_class: if missed { Some(src.class) } else { None },
                 // A finite ready cycle never moves once recorded (the
                 // producer has issued, and the physical register cannot be
                 // re-renamed while this instruction still references it),
@@ -1049,16 +1022,15 @@ fn probe_head(thread: &ThreadContext, head: &InflightInst, cycle: u64) -> HeadPr
             };
         }
     }
-    if head.op.is_load() {
-        let mem = head.mem.expect("load without address");
-        if thread.load_blocked_by_store(head.seq, &mem) {
-            return HeadProbe::Blocked {
+    if head.op.is_load() && thread.load_blocked_by_store(head.seq, &head.mem()) {
+        return HeadProbe::Blocked {
+            cause: BlockedCause {
                 kind: SlotUse::Other,
                 miss_class: None,
-                // Cleared by a store graduating: not known in advance.
-                until: None,
-            };
-        }
+            },
+            // Cleared by a store graduating: not known in advance.
+            until: None,
+        };
     }
     HeadProbe::Ready
 }

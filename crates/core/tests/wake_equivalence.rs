@@ -1,14 +1,15 @@
-//! Differential tests: the event-driven scheduler (wake-list verdict
+//! Differential tests: the event-driven scheduler (blocked-head verdict
 //! replay + stall fast-forward) against the naive reference model that
 //! re-probes every window head every cycle and never skips
 //! ([`Processor::set_reference_model`]).
 //!
-//! The wake list is a pure performance cache: a recorded verdict replays
-//! exactly what a fresh probe would conclude, and a skip window replays
-//! exactly the per-cycle accounting stepping would have performed. Every
-//! field of [`SimResults`] must therefore match bit-for-bit — same issue
-//! order, same slot attribution, same perceived-latency stalls — across
-//! thread counts, decoupling, L2 latencies and seeds.
+//! A verdict `{seq, until, cause}` is a pure performance cache: while
+//! `cycle < until` it replays exactly what a fresh probe would conclude,
+//! and a skip window replays exactly the per-cycle accounting stepping
+//! would have performed. Every field of [`SimResults`] must therefore
+//! match bit-for-bit — same issue order, same slot attribution, same
+//! perceived-latency stalls — across thread counts, decoupling, L2
+//! latencies and seeds.
 
 use dsmt_core::{Processor, SimConfig, SimResults};
 use proptest::prelude::*;
@@ -59,7 +60,7 @@ fn run_both(cfg: &SimConfig, seed: u64, budget: u64) -> (SimResults, SimResults)
 }
 
 /// The stall-heavy single-thread long-miss shape (the configuration where
-/// both the wake-list replay and the idle-skip fire constantly).
+/// both the verdict replay and the idle-skip fire constantly).
 #[test]
 fn event_driven_matches_reference_on_stall_heavy_config() {
     let cfg = SimConfig::paper_single_thread_4wide().with_l2_latency(256);
@@ -115,7 +116,7 @@ fn run_quantum_slicing_matches_monolithic_run() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random machine shapes × seeds: the wake-list scheduler and the
+    /// Random machine shapes × seeds: the verdict-replay scheduler and the
     /// naive every-cycle re-probe model produce bit-identical results.
     #[test]
     fn event_driven_scheduler_matches_naive_reprobe(

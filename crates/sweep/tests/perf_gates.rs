@@ -12,7 +12,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use dsmt_core::SimConfig;
+use dsmt_core::{Processor, SimConfig};
 use dsmt_store::{Segment, Store};
 use dsmt_sweep::{Axis, SweepEngine, SweepGrid, WorkloadSpec};
 
@@ -23,6 +23,13 @@ const SAMPLES: usize = 5;
 /// container, 150 pairs put the median within ~0.3% run to run, where 15
 /// scattered it over several percent.
 const TRACE_PAIRS: usize = 150;
+
+/// Interleaved default/reference pairs per cell the scheduler gate takes.
+const SCHEDULER_PAIRS: usize = 12;
+
+/// Instructions per core run in the scheduler gate: tens of milliseconds,
+/// long enough to time, short enough for a dozen pairs per cell.
+const SCHEDULER_BUDGET: u64 = 100_000;
 
 /// Records in the store the open gate prices: enough that the gap between
 /// a header-only open and decoding everything sits far above noise, small
@@ -218,4 +225,63 @@ fn the_parallel_pool_is_not_much_slower_than_serial() {
         parallel > 0.5 * serial,
         "parallel sweep slower than serial: {parallel:.1} vs {serial:.1} cells/s"
     );
+}
+
+/// Seconds one `Processor::run` of `cfg` takes on the SPEC FP95 mix, on the
+/// event-driven default or the naive reference scheduler.
+fn core_run_secs(cfg: &SimConfig, reference: bool) -> f64 {
+    let mut cpu = Processor::with_spec_workload(cfg.clone(), 42);
+    cpu.set_reference_model(reference);
+    let start = Instant::now();
+    let results = cpu.run(SCHEDULER_BUDGET);
+    let secs = start.elapsed().as_secs_f64();
+    assert!(results.instructions >= SCHEDULER_BUDGET);
+    secs
+}
+
+/// The event machinery (verdict replay and stall fast-forward) must pay
+/// for itself where it works hardest (one thread behind a 256-cycle L2,
+/// where most cycles are skipped) and where it is mostly overhead (six
+/// threads at L2 = 16, where nearly every cycle is stepped). Each cell's
+/// estimate is the median of interleaved default/reference pairs,
+/// alternating which side runs first.
+#[test]
+#[ignore = "timing gate: run in release by CI"]
+fn the_event_driven_scheduler_beats_the_reference_model() {
+    let cells = [
+        (
+            "stall-heavy (1 thread, L2 = 256)",
+            SimConfig::paper_multithreaded(1)
+                .with_l2_latency(256)
+                .with_queue_scaling(true),
+        ),
+        (
+            "stepped-heavy (6 threads, L2 = 16)",
+            SimConfig::paper_multithreaded(6)
+                .with_l2_latency(16)
+                .with_queue_scaling(true),
+        ),
+    ];
+    for (name, cfg) in cells {
+        let _ = core_run_secs(&cfg, false); // warm caches and the allocator
+        let ratios: Vec<f64> = (0..SCHEDULER_PAIRS)
+            .map(|pair| {
+                let (default, reference) = if pair % 2 == 0 {
+                    let default = core_run_secs(&cfg, false);
+                    (default, core_run_secs(&cfg, true))
+                } else {
+                    let reference = core_run_secs(&cfg, true);
+                    (core_run_secs(&cfg, false), reference)
+                };
+                default / reference.max(1e-9)
+            })
+            .collect();
+        let ratio = median(ratios);
+        println!("{name}: default / reference run time over {SCHEDULER_PAIRS} pairs: {ratio:.3}");
+        assert!(
+            ratio < 1.0,
+            "{name}: the event-driven scheduler is not faster than the reference model \
+             (default / reference = {ratio:.3})"
+        );
+    }
 }

@@ -22,6 +22,7 @@
 //! permutation without materialising gigantic initialisation loops.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dsmt_isa::{ArchReg, BranchInfo, Instruction, OpClass};
 
@@ -315,6 +316,35 @@ fn cell_hash(seed: u64, addr: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A multiply-shift hasher for the interpreter's 8-byte-aligned cell
+/// addresses: far cheaper than the std SipHash, and the keys are not
+/// attacker-controlled.
+#[derive(Debug, Default)]
+struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys are hashed; this path is unused.
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // Fibonacci multiplicative hash; the high bits, which the table
+        // uses, mix in every address bit.
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Marks a PC slot of [`ProgramTrace`]'s code index that holds no
+/// instruction.
+const NO_INST: u32 = u32::MAX;
+
 /// The interpreter: a [`TraceSource`] that executes a [`Program`],
 /// emitting one dynamic [`Instruction`] per interpreted step.
 ///
@@ -327,10 +357,13 @@ fn cell_hash(seed: u64, addr: u64) -> u64 {
 #[derive(Debug)]
 pub struct ProgramTrace {
     program: Program,
-    /// `pc -> code index`, built once.
-    index: HashMap<u64, usize>,
+    /// Code index of the PC `entry + i * INST_BYTES` at `i` ([`NO_INST`]
+    /// for gaps), built once. It spans the code up to a bound proportional
+    /// to its length; PCs off that grid or beyond it (sparse `.org`
+    /// layouts) are found by binary search instead.
+    index: Vec<u32>,
     regs: [u64; 32],
-    mem: HashMap<u64, u64>,
+    mem: HashMap<u64, u64, BuildHasherDefault<CellHasher>>,
     seed: u64,
     addr_offset: u64,
     pc: u64,
@@ -343,18 +376,29 @@ impl ProgramTrace {
     /// emitted-address offset.
     #[must_use]
     pub fn new(program: Program, seed: u64, addr_offset: u64) -> Self {
-        let index = program
-            .code
-            .iter()
-            .enumerate()
-            .map(|(i, inst)| (inst.pc, i))
-            .collect();
         let entry = program.entry;
+        let span = 16 * program.code.len() + 1024;
+        let mut index = Vec::new();
+        for (i, inst) in program.code.iter().enumerate() {
+            let offset = inst.pc - entry;
+            let Ok(slot) = usize::try_from(offset / INST_BYTES) else {
+                break;
+            };
+            if slot >= span {
+                break;
+            }
+            if offset.is_multiple_of(INST_BYTES) {
+                if index.len() <= slot {
+                    index.resize(slot + 1, NO_INST);
+                }
+                index[slot] = u32::try_from(i).expect("fewer than 2^32 instructions");
+            }
+        }
         let mut trace = ProgramTrace {
             program,
             index,
             regs: [0; 32],
-            mem: HashMap::new(),
+            mem: HashMap::default(),
             seed,
             addr_offset,
             pc: entry,
@@ -415,6 +459,21 @@ impl ProgramTrace {
             .unwrap_or_else(|| cell_hash(self.seed, cell))
     }
 
+    /// The code index of the instruction at `pc`, if there is one.
+    fn code_index(&self, pc: u64) -> Option<usize> {
+        let offset = pc.wrapping_sub(self.program.entry);
+        if offset.is_multiple_of(INST_BYTES) {
+            let slot = usize::try_from(offset / INST_BYTES).unwrap_or(usize::MAX);
+            if let Some(&i) = self.index.get(slot) {
+                return (i != NO_INST).then_some(i as usize);
+            }
+        }
+        self.program
+            .code
+            .binary_search_by_key(&pc, |inst| inst.pc)
+            .ok()
+    }
+
     fn restart(&mut self) {
         self.regs = [0; 32];
         self.pc = self.program.entry;
@@ -423,7 +482,7 @@ impl ProgramTrace {
     /// Interprets one static instruction, returning the emitted dynamic
     /// record (`None` for `halt`, which only restarts).
     fn step(&mut self) -> Option<Instruction> {
-        let Some(&idx) = self.index.get(&self.pc) else {
+        let Some(idx) = self.code_index(self.pc) else {
             // Fell off the end of the code (or jumped outside it).
             self.restart();
             return None;
@@ -689,6 +748,42 @@ mod tests {
             ],
             vec![],
         )
+    }
+
+    /// Code off the `entry + k * INST_BYTES` grid (an odd address) and far
+    /// beyond the dense index's span (a distant `.org`) is still found.
+    #[test]
+    fn sparse_and_unaligned_code_is_reachable() {
+        let r1 = ArchReg::int(1);
+        let far = 0x1000 + (1 << 30);
+        let program = Program::new(
+            "sparse",
+            vec![
+                ProgInst {
+                    pc: 0x1000,
+                    op: ProgOp::Branch { target: 0x1006 },
+                },
+                ProgInst {
+                    pc: 0x1006,
+                    op: ProgOp::LoadImm { dest: r1, imm: far },
+                },
+                ProgInst {
+                    pc: 0x100a,
+                    op: ProgOp::Jump { src: r1 },
+                },
+                ProgInst {
+                    pc: far as u64,
+                    op: ProgOp::Nop,
+                },
+                ProgInst {
+                    pc: far as u64 + INST_BYTES,
+                    op: ProgOp::Halt,
+                },
+            ],
+            vec![],
+        );
+        let pcs: Vec<u64> = program.expand(1, 5).iter().map(|i| i.pc).collect();
+        assert_eq!(pcs, vec![0x1000, 0x1006, 0x100a, far as u64, 0x1000]);
     }
 
     #[test]

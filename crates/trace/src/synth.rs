@@ -24,8 +24,6 @@
 //! 7. filler integer ALU ops, optionally-noisy inner branches, and a highly
 //!    predictable loop-closing branch.
 
-use std::collections::VecDeque;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,17 +59,51 @@ mod regs {
 #[derive(Debug)]
 pub struct SyntheticTrace {
     profile: BenchmarkProfile,
-    rng: StdRng,
-    arrays: Vec<ArrayStream>,
-    out_array: ArrayStream,
-    scalars: ScalarRegion,
-    pending: VecDeque<Instruction>,
+    streams: Streams,
+    /// The current loop iteration; `body[next..]` is still to be emitted.
+    body: Vec<Instruction>,
+    next: usize,
     /// Integer-load consumers whose scheduling distance extends past the end
     /// of the iteration that issued the load; they are inserted `usize`
     /// instructions into the next iteration's body.
     carryover_consumers: Vec<(usize, Instruction)>,
+    /// Reused per-iteration buffers: the carry-over being inserted, the
+    /// integer loads (position, destination) and the loaded FP registers.
+    deferred: Vec<(usize, Instruction)>,
+    int_load_positions: Vec<(usize, ArchReg)>,
+    loaded_fp: Vec<ArchReg>,
     emitted: u64,
     iterations: u64,
+}
+
+/// The generator's random source and data-address streams.
+#[derive(Debug)]
+struct Streams {
+    rng: StdRng,
+    arrays: Vec<ArrayStream>,
+    out_array: ArrayStream,
+    scalars: ScalarRegion,
+}
+
+impl Streams {
+    /// The next load address: from array `array_idx` (modulo the array
+    /// count) with probability `stream_frac`, else from the scalar region.
+    fn load_addr(&mut self, stream_frac: f64, array_idx: usize) -> u64 {
+        if self.rng.gen_bool(stream_frac) {
+            let n = self.arrays.len();
+            self.arrays[array_idx % n].next_addr()
+        } else {
+            self.scalars.next_addr()
+        }
+    }
+
+    fn store_addr(&mut self, stream_frac: f64) -> u64 {
+        if self.rng.gen_bool(stream_frac) {
+            self.out_array.next_addr()
+        } else {
+            self.scalars.next_addr()
+        }
+    }
 }
 
 impl SyntheticTrace {
@@ -120,12 +152,18 @@ impl SyntheticTrace {
         );
         SyntheticTrace {
             profile: profile.clone(),
-            rng: StdRng::seed_from_u64(seed ^ 0x5eed_0000),
-            arrays,
-            out_array,
-            scalars,
-            pending: VecDeque::new(),
+            streams: Streams {
+                rng: StdRng::seed_from_u64(seed ^ 0x5eed_0000),
+                arrays,
+                out_array,
+                scalars,
+            },
+            body: Vec::new(),
+            next: 0,
             carryover_consumers: Vec::new(),
+            deferred: Vec::new(),
+            int_load_positions: Vec::new(),
+            loaded_fp: Vec::new(),
             emitted: 0,
             iterations: 0,
         }
@@ -149,34 +187,18 @@ impl SyntheticTrace {
         self.iterations
     }
 
-    fn next_data_addr(&mut self, array_idx: usize) -> u64 {
-        if self.rng.gen_bool(self.profile.stream_frac) {
-            let n = self.arrays.len();
-            self.arrays[array_idx % n].next_addr()
-        } else {
-            self.scalars.next_addr()
-        }
-    }
-
-    fn next_int_data_addr(&mut self, array_idx: usize) -> u64 {
-        if self.rng.gen_bool(self.profile.int_stream_frac) {
-            let n = self.arrays.len();
-            self.arrays[array_idx % n].next_addr()
-        } else {
-            self.scalars.next_addr()
-        }
-    }
-
-    fn next_store_addr(&mut self) -> u64 {
-        if self.rng.gen_bool(self.profile.stream_frac) {
-            self.out_array.next_addr()
-        } else {
-            self.scalars.next_addr()
-        }
-    }
-
+    /// Replaces `body` with the next loop iteration, reusing every buffer.
     fn build_iteration(&mut self) {
-        let p = self.profile.clone();
+        let SyntheticTrace {
+            profile: p,
+            streams,
+            body,
+            carryover_consumers,
+            deferred,
+            int_load_positions,
+            loaded_fp,
+            ..
+        } = self;
         let len = p.iteration_length;
         let n_fp_load = ((p.frac_fp_load * len as f64).round() as usize).max(1);
         let n_int_load = (p.frac_int_load * len as f64).round() as usize;
@@ -188,7 +210,7 @@ impl SyntheticTrace {
         let n_addr_updates = n_int_alu.min(regs::INDEX_COUNT as usize);
         let n_filler = n_int_alu - n_addr_updates;
 
-        let mut body: Vec<Instruction> = Vec::with_capacity(len + 8);
+        body.clear();
 
         // 1. Address updates: independent increments of the index registers.
         for k in 0..n_addr_updates {
@@ -203,11 +225,11 @@ impl SyntheticTrace {
 
         // 2. Integer loads; remember where each lands so its consumer can be
         //    inserted `int_load_use_dist` instructions later.
-        let mut int_load_positions = Vec::new();
+        int_load_positions.clear();
         for j in 0..n_int_load {
             let dest = ArchReg::int(regs::INT_LOAD_BASE + (j as u8 % regs::INT_LOAD_COUNT));
             let addr_reg = ArchReg::int(regs::INDEX_BASE + (j as u8 % regs::INDEX_COUNT));
-            let addr = self.next_int_data_addr(j);
+            let addr = streams.load_addr(p.int_stream_frac, j);
             int_load_positions.push((body.len(), dest));
             body.push(
                 Instruction::new(0, OpClass::LoadInt)
@@ -218,11 +240,11 @@ impl SyntheticTrace {
         }
 
         // 3. FP loads.
-        let mut loaded_fp = Vec::new();
+        loaded_fp.clear();
         for j in 0..n_fp_load {
             let dest = ArchReg::fp(regs::FP_LOAD_BASE + (j as u8 % regs::FP_LOAD_COUNT));
             let addr_reg = ArchReg::int(regs::INDEX_BASE + (j as u8 % regs::INDEX_COUNT));
-            let addr = self.next_data_addr(j);
+            let addr = streams.load_addr(p.stream_frac, j);
             loaded_fp.push(dest);
             body.push(
                 Instruction::new(0, OpClass::LoadFp)
@@ -239,7 +261,7 @@ impl SyntheticTrace {
             let chain = s % chains;
             let acc = ArchReg::fp(regs::FP_ACC_BASE + chain as u8);
             let operand = loaded_fp[s % loaded_fp.len()];
-            let op = if self.rng.gen_bool(p.fp_div_frac) {
+            let op = if streams.rng.gen_bool(p.fp_div_frac) {
                 OpClass::FpDiv
             } else if s % 2 == 0 {
                 OpClass::FpAdd
@@ -258,7 +280,7 @@ impl SyntheticTrace {
         for k in 0..n_store {
             let acc = ArchReg::fp(regs::FP_ACC_BASE + (k % chains) as u8);
             let addr_reg = ArchReg::int(regs::INDEX_BASE + (k as u8 % regs::INDEX_COUNT));
-            let addr = self.next_store_addr();
+            let addr = streams.store_addr(p.stream_frac);
             body.push(
                 Instruction::new(0, OpClass::StoreFp)
                     .with_src1(acc)
@@ -269,7 +291,7 @@ impl SyntheticTrace {
 
         // 6. Loss-of-decoupling event: an AP instruction reading an EP value
         //    (e.g. an FP-to-integer transfer feeding address computation).
-        if self.rng.gen_bool(p.lod_frac) {
+        if streams.rng.gen_bool(p.lod_frac) {
             body.push(
                 Instruction::new(0, OpClass::IntAlu)
                     .with_dest(ArchReg::int(regs::LOD_DEST))
@@ -291,8 +313,9 @@ impl SyntheticTrace {
         // Insert the integer-load consumers that a previous iteration
         // deferred into this one (well-scheduled, software-pipelined code
         // hoists loads one or more iterations ahead of their uses).
-        let deferred = std::mem::take(&mut self.carryover_consumers);
-        for (offset, consumer) in deferred.into_iter().rev() {
+        std::mem::swap(carryover_consumers, deferred);
+        carryover_consumers.clear();
+        for &(offset, consumer) in deferred.iter().rev() {
             body.insert(offset.min(body.len()), consumer);
         }
 
@@ -308,15 +331,15 @@ impl SyntheticTrace {
             if at <= body.len() {
                 body.insert(at, consumer);
             } else {
-                self.carryover_consumers.push((at - body.len(), consumer));
+                carryover_consumers.push((at - body.len(), consumer));
             }
         }
 
         // 8. Inner branches (possibly unpredictable) and the loop branch.
         let inner_branches = n_branch.saturating_sub(1);
         for j in 0..inner_branches {
-            let taken = if self.rng.gen_bool(p.inner_branch_noise) {
-                self.rng.gen_bool(0.5)
+            let taken = if streams.rng.gen_bool(p.inner_branch_noise) {
+                streams.rng.gen_bool(0.5)
             } else {
                 true
             };
@@ -327,7 +350,7 @@ impl SyntheticTrace {
                     .with_branch(BranchInfo::new(taken, p.code_base)),
             );
         }
-        let loop_taken = self.rng.gen_bool(p.loop_branch_taken_rate);
+        let loop_taken = streams.rng.gen_bool(p.loop_branch_taken_rate);
         body.push(
             Instruction::new(p.code_base + 0xffc, OpClass::CondBranch)
                 .with_src1(ArchReg::int(regs::INDEX_BASE))
@@ -343,20 +366,19 @@ impl SyntheticTrace {
 
         debug_assert!(body.iter().all(|i| i.validate().is_ok()));
         self.iterations += 1;
-        self.pending.extend(body);
+        self.next = 0;
     }
 }
 
 impl TraceSource for SyntheticTrace {
     fn next_instruction(&mut self) -> Option<Instruction> {
-        if self.pending.is_empty() {
+        if self.next == self.body.len() {
             self.build_iteration();
         }
-        let inst = self.pending.pop_front();
-        if inst.is_some() {
-            self.emitted += 1;
-        }
-        inst
+        let inst = self.body[self.next];
+        self.next += 1;
+        self.emitted += 1;
+        Some(inst)
     }
 
     fn name(&self) -> &str {

@@ -53,9 +53,10 @@ impl RoundRobin {
     /// form used by the simulator hot loop with a reused scratch buffer.
     pub fn ordering_into(&mut self, out: &mut Vec<usize>) {
         let start = self.next_start;
-        self.next_start = (self.next_start + 1) % self.n;
+        self.next_start = if start + 1 == self.n { 0 } else { start + 1 };
         out.clear();
-        out.extend((0..self.n).map(|i| (start + i) % self.n));
+        out.extend(start..self.n);
+        out.extend(0..start);
     }
 
     /// Returns the current priority ordering without rotating.

@@ -62,11 +62,22 @@ pub fn icount_pick_into(
     if n == 0 || max_threads == 0 {
         return;
     }
-    out.extend((0..n).filter(|&i| eligible[i]));
-    // Sort by pending count; tie-break by rotated index for fairness. The
-    // key is a total order (the rotated index is unique), so the unstable
-    // sort is deterministic.
-    out.sort_unstable_by_key(|&i| (pending[i], (i + n - rotation % n) % n));
+    // Eligible threads in rotated order (the fairness tie-break), then an
+    // insertion sort by pending count: stable, so ties keep the rotated
+    // order, and cheap for the handful of threads a core has.
+    let start = rotation % n;
+    for i in (start..n).chain(0..start) {
+        if eligible[i] {
+            out.push(i);
+        }
+    }
+    for k in 1..out.len() {
+        let mut j = k;
+        while j > 0 && pending[out[j - 1]] > pending[out[j]] {
+            out.swap(j - 1, j);
+            j -= 1;
+        }
+    }
     out.truncate(max_threads);
 }
 
@@ -97,8 +108,8 @@ pub fn round_robin_pick_into(
     }
     let start = rotation % n;
     out.extend(
-        (0..n)
-            .map(|i| (start + i) % n)
+        (start..n)
+            .chain(0..start)
             .filter(|&t| eligible[t])
             .take(max_threads),
     );

@@ -7,7 +7,6 @@
 //! * [`BranchPredictor`] — the paper's 2K-entry, 2-bit branch history table;
 //! * [`RegisterFile`] — register rename map, free list and physical
 //!   register ready times (one instance per thread per unit);
-//! * [`Rob`] — a reorder buffer supporting in-order graduation;
 //! * [`BoundedQueue`] — the per-thread Instruction Queue and Store Address
 //!   Queue;
 //! * [`FuPool`] — a pool of (optionally pipelined) functional units;
@@ -29,7 +28,6 @@ mod fu;
 mod predictor;
 mod queue;
 mod regfile;
-mod rob;
 mod wheel;
 
 pub use arbiter::RoundRobin;
@@ -38,5 +36,4 @@ pub use fu::FuPool;
 pub use predictor::{BranchPredictor, PredictorStats};
 pub use queue::BoundedQueue;
 pub use regfile::{PhysReg, RegisterFile, RenameOutcome};
-pub use rob::{Rob, RobToken};
-pub use wheel::{EventWheel, WakeList};
+pub use wheel::EventWheel;

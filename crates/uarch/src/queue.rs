@@ -5,15 +5,17 @@
 //! Address Queue (which lets loads bypass pending stores).
 //!
 //! The storage is allocated once at construction (head/tail arithmetic over
-//! a boxed slice): the simulator's hot loop pushes and pops queue entries
-//! every cycle, and a ring buffer guarantees those operations never touch
-//! the allocator or shift elements.
+//! a boxed slice of plain `Copy` items, filled with `T::default()`): the
+//! simulator's hot loop pushes and pops queue entries every cycle, and a
+//! ring buffer guarantees those operations never touch the allocator or
+//! shift elements.
 
 /// A FIFO queue with a hard capacity.
 #[derive(Debug, Clone)]
 pub struct BoundedQueue<T> {
-    /// Ring storage; `None` slots are free. Length equals `capacity`.
-    slots: Box<[Option<T>]>,
+    /// Ring storage; the `len` items from `head` (wrapping) are live, the
+    /// rest hold stale values. Length equals `capacity`.
+    slots: Box<[T]>,
     /// Index of the oldest item (valid when `len > 0`).
     head: usize,
     /// Current number of items.
@@ -22,7 +24,7 @@ pub struct BoundedQueue<T> {
     rejected: u64,
 }
 
-impl<T> BoundedQueue<T> {
+impl<T: Copy + Default> BoundedQueue<T> {
     /// Creates an empty queue with room for `capacity` items.
     ///
     /// # Panics
@@ -32,7 +34,7 @@ impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be non-zero");
         BoundedQueue {
-            slots: (0..capacity).map(|_| None).collect(),
+            slots: vec![T::default(); capacity].into(),
             head: 0,
             len: 0,
             peak_occupancy: 0,
@@ -104,8 +106,7 @@ impl<T> BoundedQueue<T> {
             return Err(item);
         }
         let tail = self.slot(self.len);
-        debug_assert!(self.slots[tail].is_none(), "tail slot must be free");
-        self.slots[tail] = Some(item);
+        self.slots[tail] = item;
         self.len += 1;
         self.peak_occupancy = self.peak_occupancy.max(self.len);
         Ok(())
@@ -116,30 +117,21 @@ impl<T> BoundedQueue<T> {
         if self.len == 0 {
             return None;
         }
-        let item = self.slots[self.head].take();
-        debug_assert!(item.is_some(), "head slot must be occupied");
+        let item = self.slots[self.head];
         self.head = self.slot(1);
         self.len -= 1;
-        item
+        Some(item)
     }
 
     /// A reference to the oldest item.
     #[must_use]
     pub fn front(&self) -> Option<&T> {
-        if self.len == 0 {
-            None
-        } else {
-            self.slots[self.head].as_ref()
-        }
+        (self.len > 0).then(|| &self.slots[self.head])
     }
 
     /// A mutable reference to the oldest item.
     pub fn front_mut(&mut self) -> Option<&mut T> {
-        if self.len == 0 {
-            None
-        } else {
-            self.slots[self.head].as_mut()
-        }
+        (self.len > 0).then(|| &mut self.slots[self.head])
     }
 
     /// The two contiguous occupied regions of the ring, oldest first.
@@ -156,10 +148,7 @@ impl<T> BoundedQueue<T> {
     /// Iterates oldest-to-youngest.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         let (a, b) = self.halves();
-        self.slots[a]
-            .iter()
-            .chain(self.slots[b].iter())
-            .map(|s| s.as_ref().expect("occupied region holds items"))
+        self.slots[a].iter().chain(self.slots[b].iter())
     }
 
     /// Iterates mutably oldest-to-youngest.
@@ -168,23 +157,18 @@ impl<T> BoundedQueue<T> {
         let (lo, hi) = self.slots.split_at_mut(a.start);
         let first = &mut hi[..a.end - a.start];
         let second = &mut lo[b];
-        first
-            .iter_mut()
-            .chain(second.iter_mut())
-            .map(|s| s.as_mut().expect("occupied region holds items"))
+        first.iter_mut().chain(second.iter_mut())
     }
 
     /// Removes every item that matches the predicate, preserving order of
     /// the rest.
     pub fn retain<F: FnMut(&T) -> bool>(&mut self, mut f: F) {
-        let old_len = self.len;
         let mut kept = 0usize;
-        for i in 0..old_len {
-            let src = self.slot(i);
-            let item = self.slots[src].take().expect("occupied region");
+        for i in 0..self.len {
+            let item = self.slots[self.slot(i)];
             if f(&item) {
                 let dst = self.slot(kept);
-                self.slots[dst] = Some(item);
+                self.slots[dst] = item;
                 kept += 1;
             }
         }
@@ -193,9 +177,6 @@ impl<T> BoundedQueue<T> {
 
     /// Removes all items.
     pub fn clear(&mut self) {
-        for slot in self.slots.iter_mut() {
-            *slot = None;
-        }
         self.head = 0;
         self.len = 0;
     }

@@ -248,134 +248,6 @@ impl<T> EventWheel<T> {
     }
 }
 
-/// A wake event parked on the wheel: "re-probe the head of `thread`'s
-/// window `side` — the verdict recorded for instruction `seq` expires now".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WakeToken {
-    thread: u32,
-    side: u8,
-    seq: u64,
-}
-
-/// The scheduling state of one window head.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WakeSlot<V> {
-    /// No valid verdict: the head (if any) must be probed this cycle.
-    Probe,
-    /// The head instruction `seq` is provably blocked for every cycle
-    /// strictly below `until`; `value` carries the caller's verdict payload
-    /// to replay without re-probing.
-    Blocked { seq: u64, until: u64, value: V },
-}
-
-/// Per-thread, per-side wake lists layered on an [`EventWheel`].
-///
-/// Each hardware thread owns [`WakeList::SIDES`] in-order window heads (in
-/// the simulator: the AP window and the EP instruction queue). When the
-/// core proves a head blocked until a known cycle it records the verdict
-/// here; the wheel parks a wake token at that cycle. Until the token fires,
-/// [`blocked`](Self::blocked) replays the verdict in O(1) — no register-file
-/// probe. [`begin_cycle`](Self::begin_cycle) pops due tokens and flips the
-/// matching slots back to *probe*.
-///
-/// Keying rule: tokens carry the blocked instruction's `seq` and only
-/// re-arm a slot whose current verdict is for that same `seq`. Verdict
-/// sequences must therefore be unique per instruction (the simulator's
-/// fetch sequence numbers are). A slot invalidated or re-recorded after a
-/// steal/flush leaves its old token parked; the stale token is ignored when
-/// it fires instead of clobbering the newer verdict.
-#[derive(Debug)]
-pub struct WakeList<V> {
-    slots: Vec<[WakeSlot<V>; WAKE_SIDES]>,
-    wheel: EventWheel<WakeToken>,
-}
-
-/// Window heads tracked per thread by a [`WakeList`].
-const WAKE_SIDES: usize = 2;
-
-impl<V: Copy> WakeList<V> {
-    /// Window heads tracked per thread.
-    pub const SIDES: usize = WAKE_SIDES;
-
-    /// Creates a wake list for `threads` hardware contexts with the given
-    /// fast-path wheel horizon (see [`EventWheel::with_horizon`]).
-    #[must_use]
-    pub fn new(threads: usize, horizon: u64) -> Self {
-        WakeList {
-            slots: vec![[WakeSlot::Probe; WAKE_SIDES]; threads],
-            wheel: EventWheel::with_horizon(horizon),
-        }
-    }
-
-    /// Number of wake tokens still parked on the wheel (the "wake list
-    /// depth"; stale tokens count until they fire).
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// Pops every wake token due at or before `now` and flips the matching
-    /// slots back to *probe*. Must be called once per simulated cycle, with
-    /// the same consecutive-cycle discipline as [`EventWheel::drain_due`].
-    #[inline]
-    pub fn begin_cycle(&mut self, now: u64) {
-        let slots = &mut self.slots;
-        self.wheel.drain_due(now, |token| {
-            let slot = &mut slots[token.thread as usize][token.side as usize];
-            // A token only re-arms the verdict it was parked for; a stale
-            // token (slot re-recorded or invalidated since) is a no-op.
-            if matches!(*slot, WakeSlot::Blocked { seq, .. } if seq == token.seq) {
-                *slot = WakeSlot::Probe;
-            }
-        });
-    }
-
-    /// Records "head instruction `seq` of (`thread`, `side`) is blocked for
-    /// every cycle strictly below `until`" and parks a wake token at
-    /// `until`.
-    pub fn record_blocked(&mut self, thread: usize, side: usize, seq: u64, until: u64, value: V) {
-        self.slots[thread][side] = WakeSlot::Blocked { seq, until, value };
-        self.wheel.push(
-            until,
-            WakeToken {
-                thread: thread as u32,
-                side: side as u8,
-                seq,
-            },
-        );
-    }
-
-    /// The recorded verdict for (`thread`, `side`), if one is still live:
-    /// `(seq, until, value)`. `None` means the head must be probed.
-    #[inline]
-    #[must_use]
-    pub fn blocked(&self, thread: usize, side: usize) -> Option<(u64, u64, V)> {
-        match self.slots[thread][side] {
-            WakeSlot::Probe => None,
-            WakeSlot::Blocked { seq, until, value } => Some((seq, until, value)),
-        }
-    }
-
-    /// Drops the verdict for (`thread`, `side`), forcing a fresh probe. The
-    /// parked token is left to fire and be ignored (see the keying rule).
-    pub fn invalidate(&mut self, thread: usize, side: usize) {
-        self.slots[thread][side] = WakeSlot::Probe;
-    }
-
-    /// The earliest parked wake strictly below `limit` (stale tokens
-    /// included — they bound skips conservatively, never incorrectly).
-    #[must_use]
-    pub fn next_due_before(&self, limit: u64) -> Option<u64> {
-        self.wheel.next_due_before(limit)
-    }
-
-    /// Advances the wheel to `target` without firing anything, asserting in
-    /// debug builds that no token is due before it.
-    pub fn skip_to(&mut self, target: u64) {
-        self.wheel.skip_to(target);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,84 +323,6 @@ mod tests {
         assert!(w.is_empty());
         assert_eq!(drain_all(&mut w, 0), Vec::<u32>::new());
     }
-
-    #[test]
-    fn wake_list_expires_verdicts_on_time() {
-        let mut wl: WakeList<char> = WakeList::new(2, 8);
-        wl.begin_cycle(0);
-        wl.record_blocked(0, 0, 10, 3, 'a');
-        wl.record_blocked(1, 1, 11, 5, 'b');
-        assert_eq!(wl.pending(), 2);
-        for now in 1..=6 {
-            wl.begin_cycle(now);
-            // Thread 0 side 0 blocks through cycle 2 and probes from 3 on.
-            assert_eq!(
-                wl.blocked(0, 0),
-                (now < 3).then_some((10, 3, 'a')),
-                "thread 0 at cycle {now}"
-            );
-            assert_eq!(
-                wl.blocked(1, 1),
-                (now < 5).then_some((11, 5, 'b')),
-                "thread 1 at cycle {now}"
-            );
-            // Untouched slots stay in probe state.
-            assert_eq!(wl.blocked(0, 1), None);
-            assert_eq!(wl.blocked(1, 0), None);
-        }
-        assert_eq!(wl.pending(), 0);
-    }
-
-    /// Regression (steal/flush re-arm): after a verdict is invalidated and a
-    /// *new* verdict recorded for a different instruction, the old token
-    /// firing must not flip the new verdict back to probe early — a
-    /// recorded ready-cycle never re-arms a stale wheel entry.
-    #[test]
-    fn wake_list_stale_token_never_rearms_newer_verdict() {
-        let mut wl: WakeList<u8> = WakeList::new(1, 8);
-        wl.begin_cycle(0);
-        wl.record_blocked(0, 0, 100, 4, 1);
-        // A flush replaces the window head; the cycle-4 token is now stale.
-        wl.invalidate(0, 0);
-        wl.record_blocked(0, 0, 101, 9, 2);
-        for now in 1..9 {
-            wl.begin_cycle(now);
-            assert_eq!(
-                wl.blocked(0, 0),
-                Some((101, 9, 2)),
-                "stale token re-armed the slot at cycle {now}"
-            );
-        }
-        wl.begin_cycle(9);
-        assert_eq!(wl.blocked(0, 0), None);
-    }
-
-    #[test]
-    fn wake_list_rerecord_without_invalidate_keeps_newest() {
-        // Same slot re-recorded for a later instruction before the first
-        // token fires: the first token must leave the second verdict alone.
-        let mut wl: WakeList<u8> = WakeList::new(1, 8);
-        wl.begin_cycle(0);
-        wl.record_blocked(0, 1, 7, 2, 1);
-        wl.record_blocked(0, 1, 8, 6, 2);
-        wl.begin_cycle(1);
-        wl.begin_cycle(2); // first token fires here, seq mismatch → ignored
-        assert_eq!(wl.blocked(0, 1), Some((8, 6, 2)));
-        wl.begin_cycle(3);
-        assert_eq!(wl.blocked(0, 1), Some((8, 6, 2)));
-    }
-
-    #[test]
-    fn wake_list_skip_honours_pending_tokens() {
-        let mut wl: WakeList<u8> = WakeList::new(1, 8);
-        wl.begin_cycle(0);
-        wl.record_blocked(0, 0, 1, 40, 9);
-        assert_eq!(wl.next_due_before(40), None);
-        assert_eq!(wl.next_due_before(41), Some(40));
-        wl.skip_to(40);
-        wl.begin_cycle(40);
-        assert_eq!(wl.blocked(0, 0), None);
-    }
 }
 
 #[cfg(test)]
@@ -586,62 +380,6 @@ mod proptests {
                 now += 1;
             }
             prop_assert!(wheel.is_empty());
-        }
-
-        /// The wake list agrees with a naive model that stores the latest
-        /// verdict per slot and re-evaluates `now < until` every cycle —
-        /// under arbitrary interleavings of records, invalidations and
-        /// cycle advances (stale tokens included).
-        #[test]
-        fn wake_list_matches_naive_reprobe_model(
-            ops in prop::collection::vec(
-                (0u64..4, 0usize..3, 0usize..2, 0u64..30, prop::bool::ANY),
-                1..120,
-            ),
-            horizon in 1u64..70,
-        ) {
-            let threads = 3;
-            let mut wl: WakeList<u64> = WakeList::new(threads, horizon);
-            // Naive model: (seq, until, value) per slot, expiry checked by
-            // comparison instead of wake tokens.
-            let mut naive = vec![[None::<(u64, u64, u64)>; 2]; threads];
-            let mut now = 0u64;
-            let mut next_seq = 0u64;
-            wl.begin_cycle(now);
-            for (advance, thread, side, delta, invalidate) in ops {
-                for _ in 0..advance {
-                    now += 1;
-                    wl.begin_cycle(now);
-                }
-                if invalidate {
-                    wl.invalidate(thread, side);
-                    naive[thread][side] = None;
-                } else {
-                    let until = now + 1 + delta;
-                    let seq = next_seq;
-                    next_seq += 1;
-                    wl.record_blocked(thread, side, seq, until, seq * 10);
-                    naive[thread][side] = Some((seq, until, seq * 10));
-                }
-                for (t, sides) in naive.iter().enumerate() {
-                    for (s, slot) in sides.iter().enumerate() {
-                        let expected = slot.filter(|&(_, until, _)| now < until);
-                        prop_assert_eq!(wl.blocked(t, s), expected,
-                            "thread {} side {} at cycle {}", t, s, now);
-                    }
-                }
-            }
-            // Drain the tail: every verdict eventually expires.
-            for _ in 0..64 {
-                now += 1;
-                wl.begin_cycle(now);
-            }
-            for (t, sides) in naive.iter().enumerate() {
-                for (s, slot) in sides.iter().enumerate() {
-                    let expected = slot.filter(|&(_, until, _)| now < until);
-                    prop_assert_eq!(wl.blocked(t, s), expected);
-                }
-            }
         }
     }
 }
