@@ -5,7 +5,7 @@ use std::fmt;
 
 use dsmt_isa::RegClass;
 
-/// An assembler (or trace-text parser) error, located in the source.
+/// An assembler error, located in the source.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsmError {
     /// 1-based source line.
@@ -56,12 +56,6 @@ pub enum AsmErrorKind {
     OverlappingPlacement(u64),
     /// The source contains no instructions.
     EmptyProgram,
-    /// A trace-text line whose operands are not in canonical form
-    /// (see `dsmt_isa::text::is_canonical`).
-    NonCanonical(&'static str),
-    /// A parsed trace-text instruction that fails `Instruction::validate`
-    /// (the message is the validator's).
-    InvalidInstruction(String),
 }
 
 impl fmt::Display for AsmError {
@@ -89,8 +83,6 @@ impl fmt::Display for AsmErrorKind {
                 write!(f, "two placements at address {pc:#x}")
             }
             AsmErrorKind::EmptyProgram => write!(f, "program has no instructions"),
-            AsmErrorKind::NonCanonical(what) => write!(f, "non-canonical trace text: {what}"),
-            AsmErrorKind::InvalidInstruction(msg) => write!(f, "invalid instruction: {msg}"),
         }
     }
 }

@@ -12,12 +12,6 @@
 //! * [`assemble`] — a two-pass assembler (labels, `.org`/`.word`
 //!   directives, typed [`AsmError`]s with line/column spans); grammar in
 //!   [`assemble`]'s module docs and `ARCHITECTURE.md`;
-//! * [`encode_program`] / [`decode_program`] — a canonical, checksummed
-//!   binary artifact format (`DSMTASM1`) for assembled programs, used by
-//!   `dsmt asm build` and the golden-fixture tests;
-//! * [`parse_trace`] — the inverse of [`dsmt_isa::text::render_trace`]:
-//!   parses canonical trace text back into instructions, rejecting
-//!   non-canonical forms with spans;
 //! * [`corpus`] — the compiled-in `examples/asm` corpus (pointer chaser,
 //!   FP kernel, branchy scanner).
 //!
@@ -40,12 +34,8 @@
 #![warn(missing_debug_implementations)]
 
 mod assemble;
-mod binfmt;
 pub mod corpus;
 mod error;
-mod tracetext;
 
 pub use assemble::assemble;
-pub use binfmt::{decode_program, encode_program, ProgramBinError, PROGRAM_MAGIC};
 pub use error::{AsmError, AsmErrorKind};
-pub use tracetext::{parse_trace, parse_trace_line};

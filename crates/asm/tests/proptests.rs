@@ -1,64 +1,8 @@
-//! Property tests for the assembler front-end.
-//!
-//! Two families: *totality* — no input, however malformed, may panic the
-//! assembler, the trace-text parser or the program decoder — and the
-//! *canonical round-trip* — `render_trace → parse_trace → encode_stream`
-//! is byte-identical for arbitrary sequences of canonical instructions.
+//! Property tests for the assembler front-end: no input, however
+//! malformed, may panic the assembler.
 
-use dsmt_asm::{assemble, corpus, decode_program, parse_trace};
-use dsmt_isa::text::{is_canonical, render_trace};
-use dsmt_isa::{encode_stream, ArchReg, BranchInfo, Instruction, MemRef, OpClass};
+use dsmt_asm::{assemble, corpus};
 use proptest::prelude::*;
-
-fn arb_reg() -> impl Strategy<Value = ArchReg> {
-    (any::<bool>(), 0u8..32).prop_map(|(fp, i)| if fp { ArchReg::fp(i) } else { ArchReg::int(i) })
-}
-
-/// An arbitrary instruction that satisfies [`is_canonical`]: a dest of the
-/// class the operation writes, sources filling a prefix of the operand
-/// order, a memory reference exactly when the class is a memory operation,
-/// and a branch outcome (zero target when not taken) exactly when it is a
-/// control operation.
-fn arb_canonical() -> impl Strategy<Value = Instruction> {
-    (
-        any::<u64>(),
-        0u8..13,
-        0u8..32,
-        0usize..3,
-        arb_reg(),
-        arb_reg(),
-        (any::<u64>(), any::<u8>()),
-        (any::<bool>(), any::<u64>()),
-    )
-        .prop_map(
-            |(pc, tag, dest_idx, num_srcs, s1, s2, (addr, size), (taken, target))| {
-                let op = OpClass::from_tag(tag).unwrap();
-                let mut inst = Instruction::new(pc, op);
-                if op.writes_fp() {
-                    inst.dest = Some(ArchReg::fp(dest_idx));
-                } else if op.writes_int() {
-                    inst.dest = Some(ArchReg::int(dest_idx));
-                }
-                if num_srcs >= 1 {
-                    inst.src1 = Some(s1);
-                }
-                if num_srcs >= 2 {
-                    inst.src2 = Some(s2);
-                }
-                if op.is_mem() {
-                    inst.mem = Some(MemRef::new(addr, size));
-                }
-                if op.is_control() {
-                    inst.branch = Some(if taken {
-                        BranchInfo::taken(target)
-                    } else {
-                        BranchInfo::not_taken()
-                    });
-                }
-                inst
-            },
-        )
-}
 
 proptest! {
     #[test]
@@ -77,32 +21,5 @@ proptest! {
         let (name, source) = corpus::CORPUS[which];
         let text = format!("{source}\n{}", String::from_utf8_lossy(&bytes));
         let _ = assemble(name, &text);
-    }
-
-    #[test]
-    fn parsing_arbitrary_trace_text_never_panics(
-        bytes in prop::collection::vec(any::<u8>(), 0..256),
-    ) {
-        let _ = parse_trace(&String::from_utf8_lossy(&bytes));
-    }
-
-    #[test]
-    fn decoding_arbitrary_program_bytes_never_panics(
-        bytes in prop::collection::vec(any::<u8>(), 0..256),
-    ) {
-        let _ = decode_program(&bytes);
-    }
-
-    #[test]
-    fn canonical_sequences_roundtrip_byte_identically(
-        insts in prop::collection::vec(arb_canonical(), 0..48),
-    ) {
-        for inst in &insts {
-            prop_assert!(is_canonical(inst), "generator produced non-canonical {inst}");
-        }
-        let text = render_trace(&insts);
-        let parsed = parse_trace(&text);
-        prop_assert!(parsed.is_ok(), "canonical text failed to parse: {parsed:?}");
-        prop_assert_eq!(encode_stream(&parsed.unwrap()), encode_stream(&insts));
     }
 }

@@ -10,14 +10,10 @@
 //!   `target/sweep-cache`). With the cache enabled, a re-run only simulates
 //!   cells whose parameters changed and reports `0 simulated` otherwise.
 //! * `DSMT_RESULTS=<dir>` — export directory (default `results`).
-//! * `--shard i/n` — run only the i-th of n deterministic shards of every
-//!   figure grid (warming the shared cache), skip rendering. Once all
-//!   shards have run — on any mix of hosts sharing `DSMT_SWEEP_CACHE` — a
-//!   plain run renders everything from cache.
 
 use dsmt_experiments::{
-    ablations, fetch_policy, fetch_policy_hetero, fig1, fig3, fig4, fig5, maybe_run_shard,
-    seed_variance, ExperimentParams,
+    ablations, fetch_policy, fetch_policy_hetero, fig1, fig3, fig4, fig5, seed_variance,
+    ExperimentParams,
 };
 use dsmt_sweep::{export, SweepReport};
 
@@ -45,22 +41,6 @@ fn export_report(report: &SweepReport, out_dir: &str) -> String {
 
 fn main() {
     let params = ExperimentParams::from_env();
-    // `--shard i/n`: run the i-th deterministic shard of *every* figure
-    // grid (warming the shared cache) and skip rendering — the multi-host
-    // path for regenerating the whole paper.
-    let mut all_grids = vec![
-        fig1::grid(&params),
-        fig3::grid(&params),
-        fig4::grid(&params),
-    ];
-    all_grids.extend(fig5::grids(&params));
-    all_grids.extend(ablations::grids(&params));
-    all_grids.push(fetch_policy::grid(&params));
-    all_grids.push(fetch_policy_hetero::grid(&params));
-    all_grids.push(seed_variance::grid(&params));
-    if maybe_run_shard(&all_grids, &params) {
-        return;
-    }
     let out_dir = std::env::var("DSMT_RESULTS").unwrap_or_else(|_| "results".to_string());
     eprintln!(
         "running all experiments ({} instructions/point, {} workers)",

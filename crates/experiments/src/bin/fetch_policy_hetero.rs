@@ -4,20 +4,12 @@
 //!
 //! Usage: `cargo run --release -p dsmt-experiments --bin fetch_policy_hetero`
 //! Set `DSMT_INSTS` to change the number of instructions per data point and
-//! `DSMT_SWEEP_CACHE` to relocate or disable the result cache. Pass
-//! `--shard i/n` to run only the i-th of n deterministic shards (warming
-//! the shared cache) instead of rendering the figure.
+//! `DSMT_SWEEP_CACHE` to relocate or disable the result cache.
 
-use dsmt_experiments::{fetch_policy_hetero, maybe_run_shard, ExperimentParams};
+use dsmt_experiments::{fetch_policy_hetero, ExperimentParams};
 
 fn main() {
     let params = ExperimentParams::from_env();
-    if maybe_run_shard(
-        std::slice::from_ref(&fetch_policy_hetero::grid(&params)),
-        &params,
-    ) {
-        return;
-    }
     eprintln!(
         "running hetero fetch-policy sweep ({} instructions/point, {} workers)...",
         params.instructions_per_point, params.workers

@@ -3,17 +3,12 @@
 //!
 //! Usage: `cargo run --release -p dsmt-experiments --bin seed_variance`
 //! Set `DSMT_INSTS` to change the number of instructions per data point and
-//! `DSMT_SWEEP_CACHE` to relocate or disable the result cache. Pass
-//! `--shard i/n` to run only the i-th of n deterministic shards (warming
-//! the shared cache) instead of rendering the study.
+//! `DSMT_SWEEP_CACHE` to relocate or disable the result cache.
 
-use dsmt_experiments::{maybe_run_shard, seed_variance, ExperimentParams};
+use dsmt_experiments::{seed_variance, ExperimentParams};
 
 fn main() {
     let params = ExperimentParams::from_env();
-    if maybe_run_shard(std::slice::from_ref(&seed_variance::grid(&params)), &params) {
-        return;
-    }
     eprintln!(
         "running seed-variance sweep ({} instructions/point, {} workers, {} seeds/point)...",
         params.instructions_per_point,

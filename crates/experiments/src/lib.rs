@@ -58,10 +58,7 @@ pub use dsmt_sweep::{
     Axis, RunRecord, Scenario, Setting, SweepEngine, SweepGrid, SweepReport, WorkloadSpec,
 };
 pub use report::Table;
-pub use runner::{
-    maybe_run_shard, parallel_map, parse_shard_selector, plan_file_name, run_shard_grids,
-    ExperimentParams, ShardedGridRun,
-};
+pub use runner::ExperimentParams;
 
 /// The L2 latencies swept by the paper (Figures 1 and 4).
 pub const L2_LATENCIES: [u64; 6] = [1, 16, 32, 64, 128, 256];

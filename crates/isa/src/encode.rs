@@ -1,6 +1,9 @@
-//! Compact binary encoding of instructions for on-disk traces.
+//! The canonical byte form of a dynamic instruction.
 //!
-//! The format is a simple self-describing byte stream:
+//! Two instruction streams are equal exactly when their encodings are, so
+//! the golden tests pin an assembled program's expansion by hashing
+//! [`encode_stream`] with [`crate::fnv1a64`]. The form is a simple
+//! self-describing byte stream:
 //!
 //! ```text
 //! op-tag: u8
@@ -14,9 +17,8 @@
 //! [branch target] u64
 //! ```
 //!
-//! The encoding favours simplicity and robustness over maximum density: a
-//! typical record is 11–20 bytes, small enough that multi-million-instruction
-//! trace files stay comfortably small.
+//! The encoding favours simplicity over density: a typical record is 11–20
+//! bytes. [`decode_stream`] inverts it, which is what makes it injective.
 
 use bytes::{Buf, BufMut};
 

@@ -1,9 +1,8 @@
-//! FNV-1a hashing for checksummed binary formats.
+//! FNV-1a hashing: the workspace's one stable 64-bit hash.
 //!
-//! The store crate carries its own copy for the `.dsrs` segment layout;
-//! this one lives at the bottom of the dependency graph so the trace-file
-//! and assembled-program formats (which cannot depend on the store) share
-//! the same checksum without a cycle.
+//! It lives at the bottom of the dependency graph so every layer shares it:
+//! the store re-exports it for cache keys, segment names and checksums, and
+//! the assembler's golden tests digest instruction streams with it.
 
 /// FNV-1a 64-bit hash of `bytes` (offset basis `0xcbf29ce484222325`,
 /// prime `0x100000001b3`).

@@ -1,5 +1,4 @@
-//! Canonical text rendering of dynamic instructions (the disassembler half
-//! of the trace text format).
+//! Canonical text rendering of dynamic instructions.
 //!
 //! One instruction renders to one line:
 //!
@@ -11,25 +10,10 @@
 //! memory reference (`[0x<addr>+<size>]`), then the branch outcome
 //! (`-> 0x<target>` when taken, `not-taken` otherwise) — and absent fields
 //! are simply omitted. The rendering is exactly [`Instruction`]'s `Display`
-//! implementation; this module gives it a name, a multi-line form and a
-//! canonicality predicate so the `dsmt-asm` crate can parse the text back
-//! and guarantee `render → parse → encode` reproduces the original bytes.
-//!
-//! Because absent fields are omitted, a register list is only unambiguous
-//! when the present registers fill a *prefix* of the operand order: `dest`,
-//! `src1`, `src2` for operations that write a register, `src1`, `src2` for
-//! those that do not (stores, branches, jumps, nops). [`is_canonical`]
-//! checks that property (plus `target == 0` for not-taken branches, whose
-//! target the text does not carry); only canonical instructions round-trip
-//! byte-identically.
+//! implementation; this module gives it the multi-line form that
+//! `dsmt asm inspect --expand` prints.
 
 use crate::Instruction;
-
-/// Renders one instruction to its canonical one-line text form.
-#[must_use]
-pub fn render_instruction(inst: &Instruction) -> String {
-    inst.to_string()
-}
 
 /// Renders a sequence of instructions, one line each, with a trailing
 /// newline after every line.
@@ -43,38 +27,10 @@ pub fn render_trace(insts: &[Instruction]) -> String {
     out
 }
 
-/// Whether `inst` is in canonical text form: valid, registers filling a
-/// prefix of the operand order, and a zero target on not-taken branches.
-///
-/// The text rendering omits absent operands, so `ialu r1, r2` cannot
-/// distinguish `src1 = r2` from `src2 = r2`; parsers assign parsed
-/// registers in prefix order, and only instructions already in that shape
-/// survive `render → parse` unchanged.
-#[must_use]
-pub fn is_canonical(inst: &Instruction) -> bool {
-    if inst.validate().is_err() {
-        return false;
-    }
-    let writes = inst.op.writes_int() || inst.op.writes_fp();
-    let prefix_ok = if writes {
-        // dest, src1, src2 must be populated left to right.
-        !(inst.dest.is_none() && (inst.src1.is_some() || inst.src2.is_some()))
-            && !(inst.src1.is_none() && inst.src2.is_some())
-    } else {
-        // No dest slot: src1 then src2.
-        inst.dest.is_none() && !(inst.src1.is_none() && inst.src2.is_some())
-    };
-    let branch_ok = match inst.branch {
-        Some(b) => b.taken || b.target == 0,
-        None => true,
-    };
-    prefix_ok && branch_ok
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArchReg, BranchInfo, OpClass};
+    use crate::{ArchReg, OpClass};
 
     #[test]
     fn rendering_matches_display() {
@@ -82,59 +38,7 @@ mod tests {
             .with_dest(ArchReg::fp(2))
             .with_src1(ArchReg::int(4))
             .with_mem(0x8000, 8);
-        assert_eq!(render_instruction(&ld), "0x1000: ldt f2, r4, [0x8000+8]");
         let text = render_trace(&[ld, Instruction::new(0x1004, OpClass::Nop)]);
         assert_eq!(text, "0x1000: ldt f2, r4, [0x8000+8]\n0x1004: nop\n");
-    }
-
-    #[test]
-    fn canonical_accepts_prefix_operands() {
-        let alu = Instruction::new(0, OpClass::IntAlu)
-            .with_dest(ArchReg::int(1))
-            .with_src1(ArchReg::int(2));
-        assert!(is_canonical(&alu));
-        let st = Instruction::new(0, OpClass::StoreInt)
-            .with_src1(ArchReg::int(1))
-            .with_src2(ArchReg::int(2))
-            .with_mem(0x10, 8);
-        assert!(is_canonical(&st));
-        assert!(is_canonical(&Instruction::new(4, OpClass::Nop)));
-    }
-
-    #[test]
-    fn canonical_rejects_gapped_operands() {
-        // src2 without src1: the text would collapse it into src1.
-        let mut st = Instruction::new(0, OpClass::StoreInt).with_mem(0x10, 8);
-        st.src2 = Some(ArchReg::int(2));
-        assert!(!is_canonical(&st));
-        // dest-writing op with src2 but no src1.
-        let mut alu = Instruction::new(0, OpClass::IntAlu).with_dest(ArchReg::int(1));
-        alu.src2 = Some(ArchReg::int(3));
-        assert!(!is_canonical(&alu));
-        // A store must not carry a dest (validate allows it; text order
-        // would misparse it as src1 — but validate() actually permits dest
-        // on stores, so the canonical check rejects it).
-        let mut st = Instruction::new(0, OpClass::StoreInt).with_mem(0x10, 8);
-        st.dest = Some(ArchReg::int(1));
-        assert!(!is_canonical(&st));
-    }
-
-    #[test]
-    fn canonical_rejects_not_taken_with_target() {
-        let b = Instruction::new(0, OpClass::CondBranch)
-            .with_src1(ArchReg::int(1))
-            .with_branch(BranchInfo::new(false, 0x40));
-        assert!(!is_canonical(&b));
-        let b = Instruction::new(0, OpClass::CondBranch)
-            .with_src1(ArchReg::int(1))
-            .with_branch(BranchInfo::not_taken());
-        assert!(is_canonical(&b));
-    }
-
-    #[test]
-    fn canonical_rejects_invalid_instructions() {
-        // Load without a memory reference fails validate().
-        let ld = Instruction::new(0, OpClass::LoadInt).with_dest(ArchReg::int(1));
-        assert!(!is_canonical(&ld));
     }
 }

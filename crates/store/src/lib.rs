@@ -52,15 +52,7 @@ pub use store::{CompactOutcome, GcOutcome, SegmentInfo, SegmentRecords, Store, S
 
 /// Stable 64-bit FNV-1a hash: cache keys, seed derivation, segment names
 /// and every checksum in the persistence layer use this one function.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use dsmt_isa::fnv1a64;
 
 /// Streaming form of [`fnv1a64`]: feed byte ranges with [`Fnv64::update`]
 /// and take the digest with [`Fnv64::finish`]. Hashing a contiguous buffer

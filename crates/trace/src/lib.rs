@@ -23,9 +23,10 @@
 //! * [`Program`] / [`ProgramTrace`] / [`ProgramWorkload`] — *assembled*
 //!   workloads: static programs (built by hand or by the `dsmt-asm`
 //!   assembler) interpreted into dynamic instruction streams, so threads
-//!   can run genuinely heterogeneous code;
-//! * [`TraceWriter`] / [`TraceReader`] — a compact binary trace file format
-//!   so real traces can be captured, stored and replayed.
+//!   can run genuinely heterogeneous code.
+//!
+//! Workloads are never stored: a scenario names a profile and a seed, or
+//! carries assembly source, and the stream is rebuilt in process.
 //!
 //! # Example
 //!
@@ -42,7 +43,6 @@
 #![warn(missing_debug_implementations)]
 
 mod addr;
-mod file;
 mod profile;
 mod program;
 mod source;
@@ -51,7 +51,6 @@ mod synth;
 mod workload;
 
 pub use addr::{ArrayStream, ScalarRegion};
-pub use file::{TraceFileError, TraceReader, TraceWriter, TRACE_MAGIC};
 pub use profile::{spec_fp95_profile, spec_fp95_profiles, BenchmarkProfile};
 pub use program::{
     AluOp, Cond, Operand, ProgInst, ProgOp, Program, ProgramTrace, ProgramWorkload, ACCESS_BYTES,

@@ -1,18 +1,16 @@
-//! Defining a custom workload profile and capturing it to a trace file.
+//! Defining a custom workload profile.
 //!
 //! This example shows the full workload pipeline:
 //!
 //! 1. describe a program's behaviour with a [`BenchmarkProfile`];
 //! 2. synthesise an instruction stream from it;
-//! 3. write a segment of that stream to a binary trace file and read it
-//!    back (exact replay);
-//! 4. run both the pathological and a well-behaved variant through the
+//! 3. run both the pathological and a well-behaved variant through the
 //!    simulator and compare.
 //!
 //! Run with: `cargo run --release --example custom_benchmark`
 
 use dsmt_repro::core::{Processor, SimConfig};
-use dsmt_repro::trace::{BenchmarkProfile, SyntheticTrace, TraceReader, TraceSource, TraceWriter};
+use dsmt_repro::trace::{BenchmarkProfile, SyntheticTrace, TraceSource};
 
 fn simulate(profile: &BenchmarkProfile) -> f64 {
     let config = SimConfig::paper_multithreaded(1)
@@ -37,19 +35,6 @@ fn main() {
     bad.name = "lossy-kernel".to_string();
     bad.lod_frac = 0.9;
     bad.int_load_use_dist = 1;
-
-    // Capture a segment of the good kernel to a trace file and replay it.
-    let mut generator = SyntheticTrace::new(&good, 3);
-    let mut file_bytes = Vec::new();
-    TraceWriter::write_from_source(&mut file_bytes, &mut generator, 10_000)
-        .expect("in-memory write cannot fail");
-    let replay = TraceReader::read(&mut file_bytes.as_slice()).expect("roundtrip");
-    println!(
-        "captured {} instructions of '{}' into a {}-byte trace file",
-        replay.len(),
-        replay.name(),
-        file_bytes.len()
-    );
 
     let good_ipc = simulate(&good);
     let bad_ipc = simulate(&bad);

@@ -4,8 +4,7 @@
 //! a filesystem:
 //!
 //! ```text
-//! dsmt asm build <file.s>... [--out-dir DIR]
-//! dsmt asm inspect <file.s|file.dsmtasm> [--expand N] [--seed S]
+//! dsmt asm inspect <file.s> [--expand N] [--seed S]
 //! dsmt shard plan <grid> --shards N [--strategy S] [--out plan.json]
 //! dsmt shard run <plan.json> --index I | --missing [--steal-after SECS]
 //!                --store DIR [--workers W]
@@ -22,8 +21,7 @@
 //! dsmt obs report [snapshot.json|report.json] [--json out.json] [--csv out.csv]
 //! ```
 //!
-//! `dsmt asm build` assembles `.s` sources into checksummed `DSMTASM1`
-//! artifacts; `dsmt asm inspect` summarises a source or artifact and, with
+//! `dsmt asm inspect` assembles a `.s` source, summarises it and, with
 //! `--expand N`, renders the first N interpreted instructions as canonical
 //! trace text.
 //!
@@ -77,8 +75,7 @@ const USAGE: &str = "\
 dsmt — sharded sweeps, result-store tooling and report export
 
 USAGE:
-  dsmt asm build <file.s>... [--out-dir DIR]
-  dsmt asm inspect <file.s|file.dsmtasm> [--expand N] [--seed S]
+  dsmt asm inspect <file.s> [--expand N] [--seed S]
   dsmt shard plan <grid> --shards N [--strategy contiguous|strided|hashed] [--out plan.json]
   dsmt shard run <plan.json> --index I | --missing [--steal-after SECS]
                  --store DIR [--workers W]
@@ -258,79 +255,31 @@ fn resolve_grid(spec: &str) -> Result<SweepGrid, String> {
 
 fn asm_cmd(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
-        Some("build") => asm_build(&args[1..]),
         Some("inspect") => asm_inspect(&args[1..]),
-        _ => Err(format!("usage: dsmt asm build|inspect ...\n\n{USAGE}")),
+        _ => Err(format!("usage: dsmt asm inspect ...\n\n{USAGE}")),
     }
-}
-
-/// Loads a program from either a `.s` source (assembled on the spot, name
-/// = file stem) or a `.dsmtasm` artifact (decoded and checksum-verified).
-fn load_program(path: &str) -> Result<dsmt_trace::Program, String> {
-    if path.ends_with(".dsmtasm") {
-        let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-        return dsmt_asm::decode_program(&bytes).map_err(|e| format!("{path}: {e}"));
-    }
-    let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let name = Path::new(path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("program");
-    dsmt_asm::assemble(name, &source).map_err(|e| format!("{path}: {e}"))
-}
-
-fn asm_build(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["out-dir"])?;
-    if p.positional.is_empty() {
-        return Err("usage: dsmt asm build <file.s>... [--out-dir DIR]".into());
-    }
-    let out_dir = p.flag("out-dir").map(PathBuf::from);
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    }
-    for path in &p.positional {
-        let program = load_program(path)?;
-        let bytes = dsmt_asm::encode_program(&program);
-        let out = out_dir
-            .as_deref()
-            .unwrap_or_else(|| Path::new(path).parent().unwrap_or(Path::new(".")))
-            .join(format!("{}.dsmtasm", program.name));
-        std::fs::write(&out, &bytes).map_err(|e| format!("{}: {e}", out.display()))?;
-        println!(
-            "{path}: `{}` {} instructions, {} data cells -> {} ({} bytes, fnv {:#018x})",
-            program.name,
-            program.code.len(),
-            program.data.len(),
-            out.display(),
-            bytes.len(),
-            dsmt_isa::fnv1a64(&bytes),
-        );
-    }
-    Ok(())
 }
 
 fn asm_inspect(args: &[String]) -> Result<(), String> {
     let p = parse(args, &["expand", "seed"])?;
     let [path] = p.positional.as_slice() else {
-        return Err("usage: dsmt asm inspect <file.s|file.dsmtasm> [--expand N] [--seed S]".into());
+        return Err("usage: dsmt asm inspect <file.s> [--expand N] [--seed S]".into());
     };
-    let program = load_program(path)?;
+    let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let name = Path::new(path)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or("program");
+    let program = dsmt_asm::assemble(name, &source).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "program `{}`: {} instructions, {} data cells",
         program.name,
         program.code.len(),
         program.data.len(),
     );
-    let artifact = dsmt_asm::encode_program(&program);
-    println!(
-        "artifact: {} bytes, fnv {:#018x}",
-        artifact.len(),
-        dsmt_isa::fnv1a64(&artifact),
-    );
     if let Some(limit) = p.usize_flag("expand")? {
         let seed = p.usize_flag("seed")?.unwrap_or(0) as u64;
         let insts = program.expand(seed, limit as u64);
-        // Canonical trace text — `dsmt_asm::parse_trace` reads it back.
         print!("{}", dsmt_isa::text::render_trace(&insts));
         let classes = dsmt_isa::OpClass::ALL
             .iter()

@@ -3,8 +3,7 @@
 
 use dsmt_repro::core::{Processor, SimConfig};
 use dsmt_repro::trace::{
-    spec_fp95_profile, BenchmarkProfile, SyntheticTrace, ThreadWorkload, TraceReader, TraceSource,
-    TraceWriter, VecTrace,
+    spec_fp95_profile, BenchmarkProfile, SyntheticTrace, ThreadWorkload, TraceSource,
 };
 
 const RUN: u64 = 40_000;
@@ -50,39 +49,6 @@ fn different_seeds_change_the_run_but_not_the_big_picture() {
     assert_ne!(a.cycles, b.cycles);
     // Aggregate behaviour stays in the same ballpark.
     assert!((a.ipc() - b.ipc()).abs() < 1.5);
-}
-
-#[test]
-fn trace_file_replay_matches_generator_driven_simulation() {
-    // Capture a synthetic trace to the binary format, then simulate both the
-    // captured replay and a fresh generator limited to the same prefix: the
-    // cycle counts must match exactly.
-    let profile = spec_fp95_profile("mgrid").unwrap();
-    let n = 30_000u64;
-
-    let mut bytes = Vec::new();
-    let mut generator = SyntheticTrace::new(&profile, 77);
-    TraceWriter::write_from_source(&mut bytes, &mut generator, n).unwrap();
-    let replay = TraceReader::read(&mut bytes.as_slice()).unwrap();
-    assert_eq!(replay.len() as u64, n);
-
-    let config = SimConfig::paper_multithreaded(1);
-    let from_file = {
-        let traces: Vec<Box<dyn TraceSource>> = vec![Box::new(replay)];
-        Processor::new(config.clone(), traces).run(n)
-    };
-    let from_generator = {
-        // Re-capture the same prefix into a VecTrace to bound it identically.
-        let mut generator = SyntheticTrace::new(&profile, 77);
-        let insts: Vec<_> = (0..n)
-            .map(|_| generator.next_instruction().unwrap())
-            .collect();
-        let traces: Vec<Box<dyn TraceSource>> = vec![Box::new(VecTrace::new("mgrid", insts))];
-        Processor::new(config, traces).run(n)
-    };
-    assert_eq!(from_file.cycles, from_generator.cycles);
-    assert_eq!(from_file.instructions, from_generator.instructions);
-    assert_eq!(from_file.mem, from_generator.mem);
 }
 
 #[test]
