@@ -329,12 +329,6 @@ impl Processor {
         self.cycle
     }
 
-    /// Total graduated instructions across all threads.
-    #[must_use]
-    pub fn total_retired(&self) -> u64 {
-        self.retired
-    }
-
     /// Whether every thread has exhausted its trace and drained its
     /// pipeline.
     #[must_use]
@@ -420,18 +414,6 @@ impl Processor {
             self.advance(slice_end - self.cycle);
         }
         self.retired >= max_instructions || self.cycle >= cycle_cap || self.all_drained()
-    }
-
-    /// Runs for exactly `cycles` additional cycles.
-    pub fn run_cycles(&mut self, cycles: u64) -> SimResults {
-        let target = self.cycle + cycles;
-        while self.cycle < target {
-            if self.all_drained() {
-                break;
-            }
-            self.advance(target - self.cycle);
-        }
-        self.results()
     }
 
     /// Advances the simulation by at least one and at most `max_cycles`

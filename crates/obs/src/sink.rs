@@ -14,7 +14,7 @@ pub enum Level {
     Debug = 0,
     /// Lifecycle events (sweep done, shard published, claim stolen).
     Info = 1,
-    /// Something degraded but the run continues (GC skipped, publish
+    /// Something degraded but the run continues (claim lost, publish
     /// failed). Visible on stderr even with `DSMT_LOG` unset.
     Warn = 2,
 }

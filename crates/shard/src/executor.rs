@@ -154,7 +154,7 @@ impl MissingRun {
 /// shard is executed exactly once.
 ///
 /// A shard output that exists but fails verification (truncated, corrupt,
-/// foreign grid, evicted store segment) is treated as missing: it is
+/// foreign grid, deleted store segment) is treated as missing: it is
 /// re-run and atomically re-published. Claims release when this pass
 /// finishes; a worker that died *holding* a claim blocks the shard only
 /// until the claim expires — with [`RecoverOptions::steal_after`] set,

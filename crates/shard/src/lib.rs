@@ -29,7 +29,7 @@
 //! * [`transport`] — where shard outputs travel: published **into the
 //!   result store** keyed by `(grid content hash, shard index)` — one
 //!   shared directory carrying scenario cache and shard outputs alike,
-//!   with checksums, atomic publishes and LRU GC for free. [`Transport`]
+//!   with checksums and atomic publishes for free. [`Transport`]
 //!   wraps the store; `dsmt shard status` reports done/claimed/missing
 //!   per shard.
 //! * [`merge`] — [`merge_shards`] (and the transport-aware

@@ -5,12 +5,12 @@
 //! [`ShardManifest::shard_key`] (grid content hash + shard index + shard
 //! count, in the `shard-output` key namespace):
 //!
-//! * shard outputs inherit the store's checksummed segments, atomic
-//!   publishes, LRU GC and compaction for free (an evicted shard output is
-//!   simply re-run by the next `--missing` pass);
+//! * shard outputs inherit the store's checksummed segments and atomic
+//!   publishes for free (a deleted shard output is simply re-run by the
+//!   next `--missing` pass);
 //! * the whole fleet protocol reduces to **one store directory** — point
 //!   the transport at the same directory as `DSMT_SWEEP_CACHE` and
-//!   scenario results and shard outputs share segments, claims and GC;
+//!   scenario results and shard outputs share segments and claims;
 //! * the merger and `dsmt shard status` observe other hosts' publishes on
 //!   a live handle via [`dsmt_store::Store::refresh`].
 //!

@@ -18,11 +18,11 @@
 //!   never observe a partial segment.
 //! * [`store`] — a [`Store`]: a directory of segments plus a schema marker.
 //!   Lookups go through an in-memory key index (later segments shadow
-//!   earlier ones), eviction is segment-granular LRU, and [`Store::compact`]
-//!   folds every live record into a single fresh segment.
+//!   earlier ones). The store only grows: nothing evicts or rewrites a
+//!   segment, and a read writes nothing.
 //! * [`lock`] — `O_EXCL` **lockfile claims** ([`LockFile`]) and the
 //!   [`atomic_write`] publish helper. Any number of workers can race to
-//!   claim a unit of work (a shard, a GC pass) and exactly one wins;
+//!   claim a unit of work (a shard) and exactly one wins;
 //!   everything published lands via temp-file + rename. Claims whose
 //!   holder died without unwinding can be reaped after a deadline with
 //!   [`LockFile::acquire_or_steal`] — the self-healing half of the fleet
@@ -48,7 +48,7 @@ pub mod store;
 pub use codec::{get_raw_str, get_value, put_value, CodecError, StrTable};
 pub use lock::{atomic_write, Claim, ClaimInfo, Heartbeat, LockFile};
 pub use segment::{RecordEntry, Segment, SegmentHeader, SEGMENT_FORMAT_VERSION};
-pub use store::{CompactOutcome, GcOutcome, SegmentInfo, SegmentRecords, Store, StoreError};
+pub use store::{SegmentInfo, Store, StoreError};
 
 /// Stable 64-bit FNV-1a hash: cache keys, seed derivation, segment names
 /// and every checksum in the persistence layer use this one function.

@@ -1,8 +1,8 @@
 //! Immutable, checksummed segment files (`.dsrs`).
 //!
 //! A segment is a batch of `(u64 key, Value)` records that were published
-//! together — one sweep's cache misses, one shard output, one compaction. Like
-//! `.dsr` shard files, every decode error is fail-stop: a segment either
+//! together — one sweep's cache misses, one shard output. Like `.dsr` shard
+//! files, every decode error is fail-stop: a segment either
 //! verifies completely or is rejected as a unit.
 //!
 //! ## v2 layout (integers little-endian; `varint` is LEB128 as in

@@ -1,5 +1,6 @@
 //! The content-addressed record store: a directory of segments, a schema
-//! marker, an in-memory key index and segment-granular LRU eviction.
+//! marker and an in-memory key index. The store only grows: segments are
+//! published, never rewritten, and nothing a reader does writes to disk.
 //!
 //! Since segment format v2 the index is built from **key-directory
 //! headers**: open reads and checksum-verifies each segment's header —
@@ -18,7 +19,7 @@ use serde::{Deserialize, Serialize, Value};
 
 use crate::codec::{get_value, CodecError};
 use crate::fnv1a64;
-use crate::lock::{atomic_write, LockFile};
+use crate::lock::atomic_write;
 use crate::segment::{RecordEntry, Segment, SegmentHeader};
 
 /// The schema marker file kept at the store root. Its presence is what
@@ -138,65 +139,25 @@ pub struct SegmentInfo {
     pub bytes: u64,
     /// Records held.
     pub records: usize,
-    /// Last use (mtime: written on publish, re-touched on hit).
+    /// File mtime (written on publish).
     pub modified: SystemTime,
     /// Publish sequence number recorded in the header.
     pub seq: u64,
-}
-
-/// One segment's fully decoded records, yielded by
-/// [`Store::iter_segments`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SegmentRecords {
-    /// Segment file name.
-    pub name: String,
-    /// Publish sequence number.
-    pub seq: u64,
-    /// The `(key, value)` records in write order.
-    pub records: Vec<(u64, Value)>,
-}
-
-/// What a [`Store::gc`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcOutcome {
-    /// Segments present when the pass started.
-    pub examined: usize,
-    /// Segments removed.
-    pub evicted: usize,
-    /// Bytes freed.
-    pub evicted_bytes: u64,
-    /// Segments left resident.
-    pub kept: usize,
-    /// Bytes left resident.
-    pub kept_bytes: u64,
-}
-
-/// What a [`Store::compact`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompactOutcome {
-    /// Segments before compaction.
-    pub segments_before: usize,
-    /// Bytes before compaction.
-    pub bytes_before: u64,
-    /// Bytes after compaction (the single fresh segment).
-    pub bytes_after: u64,
-    /// Live records carried over.
-    pub records: usize,
 }
 
 /// A content-addressed store of `(u64 key, Value)` records.
 ///
 /// The store is a directory: a `STORE.json` schema marker, a `segments/`
 /// directory of immutable checksummed [`Segment`] files, and a `locks/`
-/// directory for [`LockFile`] claims. Open verifies every segment's
-/// *header* (fail-stop: one corrupt header rejects the open, with the
-/// offending file named) and indexes the keys it records; every
+/// directory for [`LockFile`](crate::LockFile) claims. Open verifies every
+/// segment's *header* (fail-stop: one corrupt header rejects the open, with
+/// the offending file named) and indexes the keys it records; every
 /// [`Store::get`] reads and decodes its record from disk, verified against
 /// the per-record FNV from the header. Nothing decoded is kept, so a
 /// long-lived handle holds headers only. Duplicate keys resolve by the
 /// recorded publish **sequence number** (then mtime, then name): later
 /// publishes shadow earlier ones as a recorded fact, immune to clock
-/// skew, `touch`es and backdated mtimes.
+/// skew and backdated mtimes.
 ///
 /// Writers batch records and [`Store::publish`] them as one new segment —
 /// an atomic-rename of a content-addressed file, so concurrent publishers
@@ -354,7 +315,7 @@ impl Store {
         self.dir.join("segments")
     }
 
-    /// The directory [`Store::claim`] locks live in.
+    /// The directory lock claims ([`LockFile`](crate::LockFile)) live in.
     #[must_use]
     pub fn locks_dir(&self) -> PathBuf {
         self.dir.join("locks")
@@ -545,9 +506,7 @@ impl Store {
         }
     }
 
-    /// The file name of the segment currently winning `key` — a stable
-    /// identity clients can use to deduplicate per-segment work (e.g.
-    /// touching a segment once per sweep instead of once per hit).
+    /// The file name of the segment currently winning `key`.
     #[must_use]
     pub fn segment_name_of(&self, key: u64) -> Option<&str> {
         let &(seg, _) = self.index.get(&key)?;
@@ -592,38 +551,6 @@ impl Store {
             .into_iter()
             .map(|i| self.segment_infos_for(i))
             .collect()
-    }
-
-    /// Streams every segment's records, ascending precedence order, one
-    /// segment fully decoded from disk at a time. Folding the stream left-to-right therefore reproduces the index:
-    /// a later segment's records overwrite an earlier one's — which is
-    /// exactly how [`Store::compact`] consumes it.
-    pub fn iter_segments(&self) -> impl Iterator<Item = Result<SegmentRecords, StoreError>> + '_ {
-        let mut order: Vec<usize> = (0..self.segments.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.segments[a]
-                .precedence()
-                .cmp(&self.segments[b].precedence())
-        });
-        order.into_iter().map(move |i| self.decode_segment_at(i))
-    }
-
-    /// Fully decodes segment `i` from disk (fail-stop, whole-file
-    /// verification).
-    fn decode_segment_at(&self, i: usize) -> Result<SegmentRecords, StoreError> {
-        let s = &self.segments[i];
-        let raw = std::fs::read(&s.path)?;
-        let records = Segment::decode(&raw)
-            .map_err(|e| StoreError::Corrupt {
-                file: s.name.clone(),
-                why: e.to_string(),
-            })?
-            .records;
-        Ok(SegmentRecords {
-            name: s.name.clone(),
-            seq: s.seq,
-            records,
-        })
     }
 
     /// Publishes `records` as one new immutable segment (atomic rename of
@@ -688,26 +615,6 @@ impl Store {
         }
     }
 
-    /// Re-touches the segment holding `key` (best effort) so LRU eviction
-    /// tracks use, not just creation.
-    ///
-    /// Since precedence became the recorded sequence number, touching is
-    /// purely an LRU affair: it can no longer promote a segment's shadowed
-    /// records over a newer publish (the hazard the old mtime rule had for
-    /// clients that overwrite keys with different values). Once another
-    /// process evicts a segment's file, its records read as absent until
-    /// the next [`Store::refresh`] drops the segment from the index.
-    pub fn touch(&self, key: u64) {
-        if let Some(&(seg, _)) = self.index.get(&key) {
-            if let Ok(f) = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&self.segments[seg].path)
-            {
-                let _ = f.set_modified(SystemTime::now());
-            }
-        }
-    }
-
     /// Mtime of the segments directory itself, which the kernel bumps on
     /// every entry add/remove — a one-stat change detector for publishes.
     fn stat_segments_dir(&self) -> Option<SystemTime> {
@@ -718,11 +625,10 @@ impl Store {
 
     /// Brings the handle up to date with the segments directory: picks up
     /// segments other processes published since open (or the last
-    /// refresh), and drops segments whose files are gone (a peer's
-    /// [`Store::gc`] or [`Store::compact`] removed them), re-resolving
-    /// their keys from the segments that remain. Surviving segments keep
-    /// their in-memory headers. Returns how many new segments were
-    /// found.
+    /// refresh), and drops segments whose files are gone (a peer deleted
+    /// them), re-resolving their keys from the segments that remain.
+    /// Surviving segments keep their in-memory headers. Returns how many
+    /// new segments were found.
     ///
     /// Polling callers (`dsmt shard status --watch`) hit this every few seconds; re-statting every
     /// segment each poll is wasted work when nothing changed. Adding or
@@ -793,150 +699,6 @@ impl Store {
         Ok(found)
     }
 
-    /// Tries to claim `name` in the store's lock directory; `Ok(None)`
-    /// means another claimant holds it.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error other than the lock already existing.
-    pub fn claim(&self, name: &str) -> std::io::Result<Option<LockFile>> {
-        LockFile::acquire(self.locks_dir(), name)
-    }
-
-    /// Evicts least-recently-used segments until the store fits in
-    /// `max_bytes`. Returns what was examined, evicted and kept.
-    ///
-    /// Recency is mtime order — sequence numbers decide *shadowing*, not
-    /// *eviction*: a heavily read old segment deserves to stay resident
-    /// even though newer publishes outrank it for overlapping keys.
-    ///
-    /// The pass is guarded by a `gc` lock claim so concurrent collectors
-    /// (two sweeps finishing together) do not double-evict; the loser
-    /// returns an all-kept outcome, with a warning on stderr naming the
-    /// claim holder — a claim left by a worker that died without unwinding
-    /// must be removed by hand (its holder pid is recorded in the file),
-    /// or the byte cap would silently stop being enforced. Eviction is
-    /// best-effort: a segment that cannot be removed is counted as kept.
-    pub fn gc(&mut self, max_bytes: u64) -> GcOutcome {
-        let Ok(Some(_guard)) = self.claim("gc") else {
-            dsmt_obs::counter!("store.lock_contention").inc();
-            dsmt_obs::warn!(
-                "store.gc_skipped",
-                lock = self.locks_dir().join("gc.lock").display().to_string(),
-                holder = LockFile::holder(self.locks_dir(), "gc")
-                    .unwrap_or_else(|| "unknown holder".to_string()),
-                hint = "if no collector is running, the claim is stale — \
-                        remove the file to re-enable eviction"
-            );
-            return GcOutcome {
-                examined: self.segments.len(),
-                kept: self.segments.len(),
-                kept_bytes: self.total_bytes(),
-                ..GcOutcome::default()
-            };
-        };
-        // Re-stat mtimes first: touches (this process's or another's)
-        // happen on disk, and recency must reflect them.
-        for seg in &mut self.segments {
-            if let Ok(meta) = std::fs::metadata(&seg.path) {
-                seg.modified = meta.modified().unwrap_or(seg.modified);
-            }
-        }
-        // LRU order over current segments (self.segments is load-ordered,
-        // but publishes appended since may interleave with touches).
-        let mut order: Vec<usize> = (0..self.segments.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (sa, sb) = (&self.segments[a], &self.segments[b]);
-            sa.modified.cmp(&sb.modified).then(sa.name.cmp(&sb.name))
-        });
-        let mut outcome = GcOutcome {
-            examined: self.segments.len(),
-            ..GcOutcome::default()
-        };
-        let mut excess = self.total_bytes().saturating_sub(max_bytes);
-        let mut evicted_idx: Vec<usize> = Vec::new();
-        for idx in order {
-            let seg = &self.segments[idx];
-            let evicted = excess > 0 && std::fs::remove_file(&seg.path).is_ok();
-            if evicted {
-                excess = excess.saturating_sub(seg.bytes);
-                outcome.evicted += 1;
-                outcome.evicted_bytes += seg.bytes;
-                evicted_idx.push(idx);
-            } else {
-                outcome.kept += 1;
-                outcome.kept_bytes += seg.bytes;
-            }
-        }
-        if !outcome.is_noop() {
-            evicted_idx.sort_unstable();
-            for idx in evicted_idx.into_iter().rev() {
-                self.segments.remove(idx);
-            }
-            self.reindex();
-            dsmt_obs::counter!("store.gc_evictions").add(outcome.evicted as u64);
-            dsmt_obs::info!(
-                "store.gc",
-                evicted = outcome.evicted,
-                evicted_bytes = outcome.evicted_bytes,
-                kept = outcome.kept,
-                kept_bytes = outcome.kept_bytes,
-                max_bytes = max_bytes
-            );
-        }
-        outcome
-    }
-
-    /// Folds every live record into one fresh segment (in ascending key
-    /// order, so compaction is deterministic) and removes the old
-    /// segments. Shadowed duplicates are dropped.
-    ///
-    /// Segments stream through one at a time ([`Store::iter_segments`]),
-    /// so peak memory is the live records plus a single decoded segment —
-    /// not every shadowed copy ever published.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on filesystem failure; the store is reloaded
-    /// from disk on success.
-    pub fn compact(&mut self) -> Result<CompactOutcome, StoreError> {
-        let _span = dsmt_obs::span("store.compact")
-            .field("segments_before", self.segments.len())
-            .field("bytes_before", self.total_bytes());
-        let before_segments = self.segments.len();
-        let before_bytes = self.total_bytes();
-        let mut live: HashMap<u64, Value> = HashMap::with_capacity(self.index.len());
-        for part in self.iter_segments() {
-            // Ascending precedence: later segments overwrite earlier ones,
-            // reproducing exactly what the index resolves.
-            for (key, value) in part?.records {
-                live.insert(key, value);
-            }
-        }
-        let mut records: Vec<(u64, Value)> = live.into_iter().collect();
-        records.sort_unstable_by_key(|&(key, _)| key);
-        let n_records = records.len();
-        let old_names: Vec<(String, PathBuf)> = self
-            .segments
-            .iter()
-            .map(|s| (s.name.clone(), s.path.clone()))
-            .collect();
-        let fresh = self.publish(records)?;
-        let fresh_name = fresh.as_ref().map(|i| i.name.clone());
-        for (name, path) in old_names {
-            if Some(&name) != fresh_name.as_ref() {
-                let _ = std::fs::remove_file(&path);
-            }
-        }
-        self.load_segments()?;
-        Ok(CompactOutcome {
-            segments_before: before_segments,
-            bytes_before: before_bytes,
-            bytes_after: self.total_bytes(),
-            records: n_records,
-        })
-    }
-
     /// Rebuilds the key index under the store's one precedence rule:
     /// highest `(seq, mtime, name)` wins — the same order [`Store::open`]
     /// applies, so the in-memory view and a reopen always resolve a
@@ -963,12 +725,6 @@ fn read_prefix(path: &Path, cap: u64) -> std::io::Result<Vec<u8>> {
     let mut buf = Vec::with_capacity(usize::try_from(cap).unwrap_or(usize::MAX));
     f.take(cap).read_to_end(&mut buf)?;
     Ok(buf)
-}
-
-impl GcOutcome {
-    fn is_noop(&self) -> bool {
-        self.evicted == 0
-    }
 }
 
 #[cfg(test)]
@@ -1210,72 +966,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_evicts_lru_segments_down_to_cap() {
-        let dir = temp_store("gc");
-        let mut store = Store::open(&dir, 1).expect("open");
-        for n in 0..4 {
-            store.publish(vec![(n, value(n))]).unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        let infos = store.segment_infos();
-        assert_eq!(infos.len(), 4);
-        let newest = infos.last().unwrap().clone();
-        // Touch key 0 so its (oldest) segment becomes the most recent.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        store.touch(0);
-        let outcome = store.gc(newest.bytes * 2);
-        assert_eq!(outcome.examined, 4);
-        assert_eq!(outcome.evicted, 2);
-        assert_eq!(outcome.kept, 2);
-        assert!(store.contains(0), "touched segment survives");
-        assert!(store.contains(3), "newest segment survives");
-        assert!(!store.contains(1) && !store.contains(2));
-        // A generous cap evicts nothing; zero empties the store.
-        assert_eq!(store.gc(u64::MAX).evicted, 0);
-        assert_eq!(store.gc(0).evicted, 2);
-        assert_eq!(store.record_count(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compact_folds_everything_into_one_segment() {
-        let dir = temp_store("compact");
-        let mut store = Store::open(&dir, 1).expect("open");
-        store.publish(vec![(1, value(1)), (2, value(2))]).unwrap();
-        store.publish(vec![(2, value(22)), (3, value(3))]).unwrap();
-        let outcome = store.compact().expect("compact");
-        assert_eq!(outcome.segments_before, 2);
-        assert_eq!(outcome.records, 3);
-        assert_eq!(store.segment_count(), 1);
-        assert_eq!(store.get(2), Some(value(22)), "shadow winner survives");
-        assert_eq!(store.get(1), Some(value(1)));
-        // Compacting a compacted store is a no-op fixed point.
-        let again = store.compact().expect("recompact");
-        assert_eq!(again.bytes_before, again.bytes_after);
-        assert_eq!(store.segment_count(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn iter_segments_streams_in_precedence_order() {
-        let dir = temp_store("iter");
-        let mut store = Store::open(&dir, 1).expect("open");
-        store.publish(vec![(1, value(1))]).unwrap();
-        store.publish(vec![(1, value(11)), (2, value(2))]).unwrap();
-        drop(store);
-        let store = Store::open(&dir, 1).expect("reopen (lazy)");
-        let parts: Vec<SegmentRecords> = store
-            .iter_segments()
-            .collect::<Result<_, _>>()
-            .expect("stream");
-        assert_eq!(parts.len(), 2);
-        assert!(parts[0].seq < parts[1].seq, "ascending precedence");
-        assert_eq!(parts[0].records, vec![(1, value(1))]);
-        assert_eq!(parts[1].records, vec![(1, value(11)), (2, value(2))]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn refresh_picks_up_foreign_segments() {
         let dir = temp_store("refresh");
         let mut a = Store::open(&dir, 1).expect("open a");
@@ -1299,8 +989,8 @@ mod tests {
 
     #[test]
     fn refresh_drops_segments_a_peer_removed() {
-        for peer_compacts in [false, true] {
-            let dir = temp_store(&format!("refresh-vanish-{peer_compacts}"));
+        for peer_replaces in [false, true] {
+            let dir = temp_store(&format!("refresh-vanish-{peer_replaces}"));
             let mut a = Store::open(&dir, 1).expect("open a");
             for n in 0..4 {
                 a.publish(vec![(n, value(n)), (9, value(n))]).unwrap();
@@ -1308,18 +998,24 @@ mod tests {
             // A decodes from disk, as a long-lived daemon handle would.
             let mut a = Store::open(&dir, 1).expect("reopen a");
             assert_eq!(a.get(9), Some(value(3)));
+            // The peer removes every segment file; when it replaces them,
+            // it first publishes the live records as one new segment.
             let mut b = Store::open(&dir, 1).expect("open b");
-            if peer_compacts {
-                b.compact().expect("compact");
-            } else {
-                assert_eq!(b.gc(0).evicted, 4);
+            let old = b.segment_infos();
+            if peer_replaces {
+                let live = [0, 1, 2, 3, 9].map(|k| (k, b.get(k).expect("live record")));
+                b.publish(live.to_vec()).unwrap();
+            }
+            for info in &old {
+                std::fs::remove_file(dir.join("segments").join(&info.name)).unwrap();
             }
             a.refresh().expect("refresh");
             let fresh = Store::open(&dir, 1).expect("fresh open");
+            assert_eq!(fresh.segment_count(), usize::from(peer_replaces));
             assert_eq!(
                 view(&a, 0..10),
                 view(&fresh, 0..10),
-                "compact: {peer_compacts}"
+                "replaced: {peer_replaces}"
             );
             assert_eq!(a.get(9), fresh.get(9));
             let _ = std::fs::remove_dir_all(&dir);

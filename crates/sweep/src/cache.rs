@@ -7,8 +7,7 @@
 //! segment when it finishes (or every [`FLUSH_THRESHOLD`] records,
 //! whichever comes first), so a warm cache is a handful of compact files
 //! instead of thousands of tiny ones: ~6x smaller on disk on the bench
-//! grid, and `ls`/GC touch segment metadata instead of streaming every
-//! entry.
+//! grid.
 //!
 //! Entries are keyed by the scenario's stable cache key and carry a
 //! second, independently derived scenario hash that is re-verified on every
@@ -21,10 +20,10 @@
 //! of every run. A [`crate::SweepEngine`] opens its cache on its first
 //! cached run and keeps the handle; every later run begins with
 //! [`ResultCache::refresh`], which picks up segments other handles and
-//! processes published since (and drops segments a peer's GC or
-//! compaction removed). Segments published *while* a run is going are not
-//! consulted until the next run; the cost of that race is re-simulating a
-//! cell another host just finished, never a wrong result. The handle keeps
+//! processes published since (and drops segments a peer deleted).
+//! Segments published *while* a run is going are not consulted until the
+//! next run; the cost of that race is re-simulating a cell another host
+//! just finished, never a wrong result. The handle keeps
 //! no decoded records (the store reads each hit from disk), so its memory
 //! stays bounded however many runs it serves. The shard transport
 //! (`dsmt_shard::transport`) refreshes before every read instead, because
@@ -35,27 +34,21 @@
 //! `shard-output` namespace of `dsmt_store::namespaced_key`. The two key
 //! sets are disjoint by construction, so one store directory — one shared
 //! mount point — can serve a fleet as both its scenario cache and its
-//! shard-output transport, under one LRU/GC/compaction policy. Both
-//! clients re-verify identity inside every value they read (this cache
-//! via the independent `verify` hash below, the transport via the grid
-//! hash and shard header it embeds), so even a freak 64-bit key collision
-//! degrades to a miss/re-run, never a wrong record.
+//! shard-output transport. Both clients re-verify identity inside every
+//! value they read (this cache via the independent `verify` hash below,
+//! the transport via the grid hash and shard header it embeds), so even a
+//! freak 64-bit key collision degrades to a miss/re-run, never a wrong
+//! record.
 //!
 //! Configuration via environment:
 //!
 //! * `DSMT_SWEEP_CACHE=off` disables caching;
 //! * `DSMT_SWEEP_CACHE=<dir>` uses `<dir>`;
-//! * unset: `target/sweep-cache` under the current directory;
-//! * `DSMT_SWEEP_CACHE_MAX_BYTES=<n>` caps the cache size — sweeps garbage
-//!   collect least-recently-used segments down to the cap when they finish
-//!   (`dsmt sweep gc` runs the same collection on demand).
+//! * unset: `target/sweep-cache` under the current directory.
 //!
-//! Recency for the LRU order is the segment file's modification time: a
-//! cache *hit* re-touches the segment, so segments that keep answering
-//! sweeps stay resident while abandoned parameter corners age out first.
-//! Touching is purely an LRU affair — shadow precedence between segments
-//! that repeat a key is the publish sequence number recorded in each
-//! segment's header, so a touch can never promote a stale duplicate.
+//! The cache only grows: a hit reads its record and writes nothing, so a
+//! fully warm run leaves the directory byte-for-byte and mtime-for-mtime
+//! as it found it. Nothing evicts; to reclaim space, delete the directory.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -63,7 +56,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
 use dsmt_core::SimResults;
-use dsmt_store::{CompactOutcome, GcOutcome, SegmentInfo, Store};
+use dsmt_store::Store;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::{CacheIdentity, Scenario, CACHE_SCHEMA_VERSION};
@@ -89,25 +82,6 @@ impl CacheMode {
             Ok(v) if v.eq_ignore_ascii_case("off") => CacheMode::Disabled,
             Ok(v) if !v.trim().is_empty() => CacheMode::Dir(PathBuf::from(v)),
             _ => CacheMode::Dir(PathBuf::from("target/sweep-cache")),
-        }
-    }
-
-    /// The size cap from `DSMT_SWEEP_CACHE_MAX_BYTES`, if set. An
-    /// unparseable value warns (on stderr) instead of silently disabling
-    /// eviction — a typo'd cap must not mean "unbounded".
-    #[must_use]
-    pub fn max_bytes_from_env() -> Option<u64> {
-        let v = std::env::var("DSMT_SWEEP_CACHE_MAX_BYTES").ok()?;
-        match v.trim().parse::<u64>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                dsmt_obs::warn!(
-                    "sweep.bad_cache_cap_env",
-                    value = v.as_str(),
-                    hint = "expected a plain byte count, e.g. 1073741824"
-                );
-                None
-            }
         }
     }
 }
@@ -163,7 +137,7 @@ fn decode_entry(value: &Value, id: CacheIdentity) -> Option<SimResults> {
 /// Shared by reference across the sweep pool's workers: lookups take a
 /// read lock on the store, misses buffer into a pending map and are
 /// published as one segment on [`ResultCache::flush`] (called
-/// automatically at the threshold, on GC, on refresh and on drop).
+/// automatically at the threshold, on refresh and on drop).
 ///
 /// A handle is meant to live as long as its [`crate::SweepEngine`]: call
 /// [`ResultCache::refresh`] before each run to see what other handles
@@ -173,11 +147,6 @@ fn decode_entry(value: &Value, id: CacheIdentity) -> Option<SimResults> {
 pub struct ResultCache {
     store: RwLock<Store>,
     pending: Mutex<HashMap<u64, Value>>,
-    /// Segments already LRU-touched since the last refresh. A warm sweep
-    /// hits hundreds of entries living in a handful of segments; one mtime
-    /// write per segment per run carries the same recency information as
-    /// one per hit, without the per-hit syscalls.
-    touched: Mutex<std::collections::HashSet<String>>,
 }
 
 impl ResultCache {
@@ -192,16 +161,13 @@ impl ResultCache {
         Ok(ResultCache {
             store: RwLock::new(store),
             pending: Mutex::new(HashMap::new()),
-            touched: Mutex::new(std::collections::HashSet::new()),
         })
     }
 
     /// Readies a long-lived handle for its next run: publishes pending
-    /// misses, brings the store up to date with the directory
+    /// misses and brings the store up to date with the directory
     /// ([`Store::refresh`]: segments published elsewhere appear, segments a
-    /// peer's GC or compaction removed disappear), and forgets which
-    /// segments were already LRU-touched, so each run touches every segment
-    /// it hits once.
+    /// peer deleted disappear).
     ///
     /// # Errors
     ///
@@ -215,7 +181,6 @@ impl ResultCache {
             .expect("store lock")
             .refresh()
             .map_err(invalid_data)?;
-        self.touched.lock().expect("touched lock").clear();
         Ok(())
     }
 
@@ -226,8 +191,6 @@ impl ResultCache {
     }
 
     /// Looks up a scenario; any missing or mismatching entry is a miss.
-    /// A hit re-touches the containing segment so the LRU eviction order
-    /// (see [`ResultCache::gc`]) tracks use, not just creation.
     #[must_use]
     pub fn lookup(&self, scenario: &Scenario) -> Option<SimResults> {
         self.lookup_identity(scenario.cache_identity())
@@ -240,19 +203,8 @@ impl ResultCache {
         if let Some(value) = self.pending.lock().expect("pending lock").get(&key) {
             return decode_entry(value, id);
         }
-        let store = self.store.read().expect("store lock");
-        let results = decode_entry(&store.get(key)?, id)?;
-        if let Some(name) = store.segment_name_of(key) {
-            if self
-                .touched
-                .lock()
-                .expect("touched lock")
-                .insert(name.to_string())
-            {
-                store.touch(key);
-            }
-        }
-        Some(results)
+        let value = self.store.read().expect("store lock").get(key)?;
+        decode_entry(&value, id)
     }
 
     /// Buffers a scenario's results for the next segment publish
@@ -336,54 +288,6 @@ impl ResultCache {
         let published = self.store.read().expect("store lock").record_count();
         published + self.pending.lock().expect("pending lock").len()
     }
-
-    /// Number of segment files on disk.
-    #[must_use]
-    pub fn segment_count(&self) -> usize {
-        self.store.read().expect("store lock").segment_count()
-    }
-
-    /// Metadata for every on-disk segment, least recently used first.
-    #[must_use]
-    pub fn segments(&self) -> Vec<SegmentInfo> {
-        self.store.read().expect("store lock").segment_infos()
-    }
-
-    /// Total bytes held by cache segments.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.store.read().expect("store lock").total_bytes()
-    }
-
-    /// Evicts least-recently-used segments until the cache fits in
-    /// `max_bytes` (flushing pending entries first so they participate).
-    /// Returns what was examined, evicted and kept.
-    ///
-    /// Eviction is best-effort and guarded by a store-level `gc` claim:
-    /// concurrent collectors do not double-evict, and writers may push the
-    /// cache back over the cap — the next sweep's collection catches it.
-    pub fn gc(&self, max_bytes: u64) -> GcOutcome {
-        self.flush();
-        // Post-eviction, segments may be gone: let later hits re-touch.
-        self.touched.lock().expect("touched lock").clear();
-        self.store.write().expect("store lock").gc(max_bytes)
-    }
-
-    /// Folds every live entry into one fresh segment, dropping shadowed
-    /// duplicates (flushes pending entries first).
-    ///
-    /// # Errors
-    ///
-    /// The store's error, as text.
-    pub fn compact(&self) -> Result<CompactOutcome, String> {
-        self.flush();
-        self.touched.lock().expect("touched lock").clear();
-        self.store
-            .write()
-            .expect("store lock")
-            .compact()
-            .map_err(|e| e.to_string())
-    }
 }
 
 fn invalid_data(e: dsmt_store::StoreError) -> std::io::Error {
@@ -433,12 +337,17 @@ mod tests {
         cache.store(&s, &results);
         // Served from the pending buffer before any flush...
         assert_eq!(cache.lookup(&s).expect("pending hit"), results);
-        assert_eq!(cache.segment_count(), 0);
+        let segments = || {
+            Store::open(cache.dir(), CACHE_SCHEMA_VERSION)
+                .unwrap()
+                .segment_count()
+        };
+        assert_eq!(segments(), 0);
         cache.flush();
         // ...and from the published segment afterwards.
         assert_eq!(cache.lookup(&s).expect("hit"), results);
         assert_eq!(cache.record_count(), 1);
-        assert_eq!(cache.segment_count(), 1);
+        assert_eq!(segments(), 1);
         // A different scenario misses.
         assert!(cache.lookup(&scenario(2)).is_none());
         let _ = std::fs::remove_dir_all(cache.dir());
@@ -468,100 +377,6 @@ mod tests {
         let cache = ResultCache::open(&dir).expect("reopen");
         assert_eq!(cache.lookup(&s).expect("hit after drop"), results);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn segments_report_sizes_and_lru_order() {
-        let cache = temp_cache("segments");
-        for seed in 0..3 {
-            let s = scenario(seed);
-            cache.store(&s, &s.execute());
-            cache.flush();
-            // Coarse-mtime filesystems need distinct timestamps for a
-            // deterministic recency check.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        let segments = cache.segments();
-        assert_eq!(segments.len(), 3);
-        assert!(segments.iter().all(|e| e.bytes > 0 && e.records == 1));
-        assert!(segments.windows(2).all(|w| w[0].modified <= w[1].modified));
-        assert_eq!(
-            cache.total_bytes(),
-            segments.iter().map(|e| e.bytes).sum::<u64>()
-        );
-        assert_eq!(cache.record_count(), 3);
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
-    fn gc_evicts_least_recently_used_down_to_cap() {
-        let cache = temp_cache("gc");
-        for seed in 10..14 {
-            let s = scenario(seed);
-            cache.store(&s, &s.execute());
-            cache.flush();
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        let segments = cache.segments();
-        let total = cache.total_bytes();
-        let newest = segments.last().expect("segments").clone();
-        // Cap to the newest segment's size: everything older must go.
-        let outcome = cache.gc(newest.bytes);
-        assert_eq!(outcome.examined, 4);
-        assert_eq!(outcome.evicted, 3);
-        assert_eq!(outcome.kept, 1);
-        assert_eq!(outcome.evicted_bytes + outcome.kept_bytes, total);
-        let left = cache.segments();
-        assert_eq!(left.len(), 1);
-        assert_eq!(left[0].name, newest.name);
-        // The survivor still hits.
-        assert!(cache.lookup(&scenario(13)).is_some());
-        // A generous cap evicts nothing.
-        let outcome = cache.gc(u64::MAX);
-        assert_eq!((outcome.evicted, outcome.kept), (0, 1));
-        // A zero cap empties the cache.
-        let outcome = cache.gc(0);
-        assert_eq!(outcome.evicted, 1);
-        assert_eq!(cache.segment_count(), 0);
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
-    fn hits_keep_segments_resident_across_gc() {
-        let cache = temp_cache("lru-touch");
-        for seed in 20..23 {
-            let s = scenario(seed);
-            cache.store(&s, &s.execute());
-            cache.flush();
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        // Hit the oldest entry: its segment moves to the back of the queue.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(cache.lookup(&scenario(20)).is_some());
-        let survivor_budget = cache.segments().last().unwrap().bytes * 2;
-        let outcome = cache.gc(survivor_budget);
-        assert_eq!(outcome.evicted, 1);
-        assert!(cache.lookup(&scenario(20)).is_some(), "hit entry survives");
-        assert!(cache.lookup(&scenario(21)).is_none(), "cold entry evicted");
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
-    fn compact_folds_segments_and_keeps_hits() {
-        let cache = temp_cache("compact");
-        let scenarios: Vec<Scenario> = (30..34).map(scenario).collect();
-        for s in &scenarios {
-            cache.store(s, &s.execute());
-            cache.flush();
-        }
-        assert_eq!(cache.segment_count(), 4);
-        let outcome = cache.compact().expect("compact");
-        assert_eq!(outcome.records, 4);
-        assert_eq!(cache.segment_count(), 1);
-        for s in &scenarios {
-            assert_eq!(cache.lookup(s).expect("hit"), s.execute());
-        }
-        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

@@ -4,7 +4,11 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::cache::{CacheMode, CacheStats, ResultCache};
-use crate::{batch, pool, CacheIdentity, CellPerf, RunRecord, SweepGrid, SweepReport};
+use crate::{batch, pool, CacheIdentity, Cell, CellPerf, RunRecord, SweepGrid, SweepReport};
+
+/// One unit of sweep work: the name and counters of the grid a cell
+/// belongs to, and the cell.
+type Job<'a> = (&'a str, &'a CacheStats, &'a Cell);
 
 /// Executes [`SweepGrid`]s on a work-stealing pool with optional caching.
 ///
@@ -117,46 +121,23 @@ impl SweepEngine {
     /// As for [`SweepEngine::run`].
     #[must_use]
     pub fn run_many(&self, grids: &[SweepGrid]) -> Vec<SweepReport> {
-        let cache = self.cache_handle();
         let stats: Vec<CacheStats> = grids.iter().map(|_| CacheStats::default()).collect();
-        // (grid index, cell) jobs, concatenated in grid order.
-        let jobs: Vec<(usize, crate::Cell)> = grids
+        let cells: Vec<Vec<Cell>> = grids.iter().map(SweepGrid::cells).collect();
+        // Jobs concatenated in grid order.
+        let jobs: Vec<Job<'_>> = grids
             .iter()
-            .enumerate()
-            .flat_map(|(gi, grid)| grid.cells().into_iter().map(move |c| (gi, c)))
+            .zip(&stats)
+            .zip(&cells)
+            .flat_map(|((grid, stats), cells)| {
+                cells.iter().map(move |c| (grid.name.as_str(), stats, c))
+            })
             .collect();
-
-        let span = dsmt_obs::span("sweep.run")
-            .field("grids", grids.len())
-            .field("cells", jobs.len())
-            .field("workers", self.workers);
-        let progress = self
-            .progress
-            .then(|| crate::ProgressLine::start(jobs.len()));
-        let done = progress.as_ref().map(crate::ProgressLine::counter);
-        let records = pool::run_batched(&jobs, self.workers, self.batch, |_, slice| {
-            let items: Vec<(&str, &CacheStats, &crate::Cell)> = slice
-                .iter()
-                .map(|(gi, cell)| (grids[*gi].name.as_str(), &stats[*gi], cell))
-                .collect();
-            let records = execute_batch(cache.as_deref(), &items);
-            if let Some(done) = &done {
-                done.fetch_add(slice.len(), std::sync::atomic::Ordering::Relaxed);
-            }
-            records
-        });
-        if let Some(progress) = progress {
-            progress.finish();
-        }
-        drop(span);
-        // A process-wide snapshot attached to each report while tracing is
-        // on; excluded from identity, so reports stay comparable.
-        let metrics_snapshot =
-            dsmt_obs::enabled(dsmt_obs::Level::Info).then(|| dsmt_obs::registry().snapshot());
-        // Split the flat record list back into per-grid reports. Jobs were
-        // concatenated in grid order, and run_indexed preserves input order.
+        let span = dsmt_obs::span("sweep.run").field("grids", grids.len());
+        let (records, metrics_snapshot) = self.run_jobs(span, &jobs);
+        // Split the flat record list back into per-grid reports; run_jobs
+        // keeps job order.
         let mut records = records.into_iter();
-        let reports = grids
+        grids
             .iter()
             .zip(&stats)
             .map(|(grid, stats)| {
@@ -183,17 +164,7 @@ impl SweepEngine {
                     metrics: metrics_snapshot.clone(),
                 }
             })
-            .collect();
-        // Publish the remaining misses now (Drop would too, but an
-        // explicit flush keeps the publish point well-defined). Sweeps
-        // with at most FLUSH_THRESHOLD misses publish exactly one
-        // key-sorted segment; larger ones flush incrementally, with
-        // scheduling-dependent batch boundaries.
-        if let Some(cache) = cache.as_deref() {
-            cache.flush();
-        }
-        Self::maybe_gc(cache.as_deref());
-        reports
+            .collect()
     }
 
     /// Runs only the cells of `grid` selected by `indices` (original grid
@@ -204,9 +175,9 @@ impl SweepEngine {
     ///
     /// Under the store transport the cache directory does double duty:
     /// point this engine's cache at the fleet's store directory and the
-    /// scenario results simulated here share segments (and GC policy) with
-    /// the shard outputs the executor publishes there afterwards — the
-    /// "one store directory" protocol (see `dsmt_shard::transport`).
+    /// scenario results simulated here share segments with the shard
+    /// outputs the executor publishes there afterwards — the "one store
+    /// directory" protocol (see `dsmt_shard::transport`).
     ///
     /// # Panics
     ///
@@ -214,34 +185,60 @@ impl SweepEngine {
     /// [`SweepEngine::run`].
     #[must_use]
     pub fn run_subset(&self, grid: &SweepGrid, indices: &[usize]) -> SweepReport {
-        let cache = self.cache_handle();
         let stats = CacheStats::default();
         let all_cells = grid.cells();
-        let cells: Vec<&crate::Cell> = indices
+        let jobs: Vec<Job<'_>> = indices
             .iter()
             .map(|&i| {
-                all_cells.get(i).unwrap_or_else(|| {
+                let cell = all_cells.get(i).unwrap_or_else(|| {
                     panic!(
                         "cell index {i} out of range (grid has {} cells)",
                         all_cells.len()
                     )
-                })
+                });
+                (grid.name.as_str(), &stats, cell)
             })
             .collect();
-        let span = dsmt_obs::span("sweep.run_subset")
-            .field("grid", grid.name.as_str())
-            .field("cells", cells.len())
+        let span = dsmt_obs::span("sweep.run_subset").field("grid", grid.name.as_str());
+        let (records, metrics) = self.run_jobs(span, &jobs);
+        let wall_secs = records.iter().map(|r| r.perf.wall_secs).sum();
+        SweepReport {
+            grid: grid.name.clone(),
+            records,
+            cache_hits: stats.hits(),
+            cache_misses: stats.misses(),
+            wall_secs,
+            metrics,
+        }
+    }
+
+    /// The body [`SweepEngine::run_many`] and [`SweepEngine::run_subset`]
+    /// share: drives `jobs` through the pool and the (optional) cache
+    /// under `span`, with the progress line when enabled, and returns one
+    /// record per job in job order, plus the process-wide metrics snapshot
+    /// taken while tracing is on (excluded from identity, so reports stay
+    /// comparable).
+    ///
+    /// The remaining misses are published before it returns (Drop would
+    /// too, but an explicit flush keeps the publish point well-defined).
+    /// Runs with at most [`crate::cache::FLUSH_THRESHOLD`] misses publish
+    /// exactly one key-sorted segment; larger ones flush incrementally,
+    /// with scheduling-dependent batch boundaries.
+    fn run_jobs(
+        &self,
+        span: dsmt_obs::Span,
+        jobs: &[Job<'_>],
+    ) -> (Vec<RunRecord>, Option<dsmt_obs::Snapshot>) {
+        let cache = self.cache_handle();
+        let span = span
+            .field("cells", jobs.len())
             .field("workers", self.workers);
         let progress = self
             .progress
-            .then(|| crate::ProgressLine::start(cells.len()));
+            .then(|| crate::ProgressLine::start(jobs.len()));
         let done = progress.as_ref().map(crate::ProgressLine::counter);
-        let records = pool::run_batched(&cells, self.workers, self.batch, |_, slice| {
-            let items: Vec<(&str, &CacheStats, &crate::Cell)> = slice
-                .iter()
-                .map(|cell| (grid.name.as_str(), &stats, *cell))
-                .collect();
-            let records = execute_batch(cache.as_deref(), &items);
+        let records = pool::run_batched(jobs, self.workers, self.batch, |_, slice| {
+            let records = execute_batch(cache.as_deref(), slice);
             if let Some(done) = &done {
                 done.fetch_add(slice.len(), std::sync::atomic::Ordering::Relaxed);
             }
@@ -251,21 +248,12 @@ impl SweepEngine {
             progress.finish();
         }
         drop(span);
-        let wall_secs = records.iter().map(|r| r.perf.wall_secs).sum();
-        let report = SweepReport {
-            grid: grid.name.clone(),
-            records,
-            cache_hits: stats.hits(),
-            cache_misses: stats.misses(),
-            wall_secs,
-            metrics: dsmt_obs::enabled(dsmt_obs::Level::Info)
-                .then(|| dsmt_obs::registry().snapshot()),
-        };
+        let metrics =
+            dsmt_obs::enabled(dsmt_obs::Level::Info).then(|| dsmt_obs::registry().snapshot());
         if let Some(cache) = cache.as_deref() {
             cache.flush();
         }
-        Self::maybe_gc(cache.as_deref());
-        report
+        (records, metrics)
     }
 
     /// The cache handle for the next run: the engine's handle, refreshed,
@@ -288,22 +276,6 @@ impl SweepEngine {
         *slot = Some(Arc::clone(&cache));
         Some(cache)
     }
-
-    /// Applies the `DSMT_SWEEP_CACHE_MAX_BYTES` cap, if configured, after a
-    /// sweep finishes (so a sweep never evicts entries it is about to hit).
-    fn maybe_gc(cache: Option<&ResultCache>) {
-        if let (Some(cache), Some(max_bytes)) = (cache, CacheMode::max_bytes_from_env()) {
-            let outcome = cache.gc(max_bytes);
-            if outcome.evicted > 0 {
-                dsmt_obs::warn!(
-                    "sweep.gc_evicted",
-                    evicted = outcome.evicted,
-                    evicted_bytes = outcome.evicted_bytes,
-                    max_bytes = max_bytes
-                );
-            }
-        }
-    }
 }
 
 impl Default for SweepEngine {
@@ -312,9 +284,9 @@ impl Default for SweepEngine {
     }
 }
 
-/// Produces one [`RunRecord`] per `(grid name, stats, cell)` item, in input
-/// order, through the (optional) cache — the **single** record-construction
-/// path shared by [`SweepEngine::run_many`] and [`SweepEngine::run_subset`],
+/// Produces one [`RunRecord`] per [`Job`], in input order, through the
+/// (optional) cache — the **single** record-construction path shared by
+/// [`SweepEngine::run_many`] and [`SweepEngine::run_subset`],
 /// so sharded and monolithic runs cannot drift apart and break their
 /// bit-identity guarantee.
 ///
@@ -322,10 +294,7 @@ impl Default for SweepEngine {
 /// as one interleaved batch ([`batch::drive`]) and published. Results do
 /// not depend on the batch composition, only each cell's `wall_secs`
 /// (excluded from record identity) does.
-fn execute_batch(
-    cache: Option<&ResultCache>,
-    items: &[(&str, &CacheStats, &crate::Cell)],
-) -> Vec<RunRecord> {
+fn execute_batch(cache: Option<&ResultCache>, items: &[Job<'_>]) -> Vec<RunRecord> {
     // Answer what the cache already knows; collect the rest as one batch.
     // One serialization per cell: its cache identity serves the lookup,
     // the miss's publish and the record's key.

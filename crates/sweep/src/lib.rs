@@ -59,9 +59,9 @@ pub use record::{CellPerf, RunRecord, SweepReport};
 pub use scenario::{AsmSource, CacheIdentity, Scenario, WorkloadSpec};
 pub use telemetry::ProgressLine;
 
-// The persistence layer's hash and segment surface, re-exported so sweep
-// consumers need not depend on `dsmt-store` directly.
-pub use dsmt_store::{fnv1a64, GcOutcome, SegmentInfo};
+// The persistence layer's hash, re-exported so sweep consumers need not
+// depend on `dsmt-store` directly.
+pub use dsmt_store::fnv1a64;
 
 /// Bumped whenever the cache key derivation or the serialized record layout
 /// changes; stale entries then miss instead of deserializing garbage.

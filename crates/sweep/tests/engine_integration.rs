@@ -1,10 +1,17 @@
 //! Integration tests for the sweep engine's two load-bearing guarantees:
 //! bit-identical records at any worker count, and a fully-cached second run
-//! that simulates nothing — plus the store-backed cache's size and
-//! concurrent-writer guarantees.
+//! that simulates nothing — plus the store-backed cache's size,
+//! concurrent-writer and read-only-replay guarantees.
+
+use std::path::Path;
+use std::time::{Duration, SystemTime};
 
 use dsmt_core::SimConfig;
-use dsmt_sweep::{Axis, ResultCache, SeedMode, SweepEngine, SweepGrid, SweepReport, WorkloadSpec};
+use dsmt_store::Store;
+use dsmt_sweep::{
+    Axis, ResultCache, SeedMode, SweepEngine, SweepGrid, SweepReport, WorkloadSpec,
+    CACHE_SCHEMA_VERSION,
+};
 use serde::{Serialize, Value};
 
 fn figure_like_grid(seed_mode: SeedMode) -> SweepGrid {
@@ -22,6 +29,11 @@ fn figure_like_grid(seed_mode: SeedMode) -> SweepGrid {
     .with_budget(8_000)
     .with_seed(42)
     .with_seed_mode(seed_mode)
+}
+
+/// Opens a cache directory as a plain store, for inspection.
+fn open_store(dir: &Path) -> Store {
+    Store::open(dir, CACHE_SCHEMA_VERSION).expect("open the cache's store")
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -185,8 +197,7 @@ fn warm_v3_store_is_at_least_5x_smaller_than_the_v2_layout() {
     let report = SweepEngine::new(2).with_cache_dir(&dir).run(&grid);
     assert_eq!(report.cache_misses, grid.len());
 
-    let cache = ResultCache::open(&dir).expect("reopen");
-    let v3_bytes = cache.total_bytes();
+    let v3_bytes = open_store(&dir).total_bytes();
     assert!(v3_bytes > 0);
     // What the same entries would have cost in the v2 layout.
     let v2_bytes: u64 = report
@@ -272,14 +283,27 @@ fn a_reused_engine_survives_a_peer_compacting_or_collecting_its_store() {
     for compact in [true, false] {
         let dir = temp_dir(&format!("reuse-peer-compact-{compact}"));
         let engine = SweepEngine::new(2).with_cache_dir(&dir);
-        // Two segments, so compaction really replaces files.
+        // Two segments, so the peer really replaces files.
         let _ = engine.run_subset(&grid, &[0, 1]);
         let _ = engine.run_subset(&grid, &[2, 3]);
-        let peer = ResultCache::open(&dir).expect("peer handle");
+        // The peer deletes every segment file; when it compacts, it first
+        // publishes the live records as one new segment.
+        let mut peer = open_store(&dir);
+        let old = peer.segment_infos();
+        assert_eq!(old.len(), 2);
         if compact {
-            peer.compact().expect("compact");
-        } else {
-            assert_eq!(peer.gc(0).evicted, 2);
+            let live = grid
+                .cells()
+                .iter()
+                .map(|cell| {
+                    let key = cell.scenario.cache_identity().key;
+                    (key, peer.get(key).expect("live record"))
+                })
+                .collect();
+            peer.publish(live).expect("publish");
+        }
+        for info in &old {
+            std::fs::remove_file(dir.join("segments").join(&info.name)).unwrap();
         }
         let next = engine.run(&grid);
         assert_eq!(next.records, fresh, "compact: {compact}");
@@ -295,7 +319,7 @@ fn an_engine_pointed_at_another_directory_writes_there() {
     let grid = reuse_grid();
     let engine = SweepEngine::new(2).with_cache_dir(&first_dir);
     let _ = engine.run(&grid);
-    let first_segments = ResultCache::open(&first_dir).unwrap().segments();
+    let first_segments = open_store(&first_dir).segment_infos();
     let engine = engine.with_cache_dir(&second_dir);
     let moved = engine.run(&grid);
     assert_eq!(
@@ -305,10 +329,59 @@ fn an_engine_pointed_at_another_directory_writes_there() {
     );
     assert_eq!(ResultCache::open(&second_dir).unwrap().record_count(), 4);
     assert_eq!(
-        ResultCache::open(&first_dir).unwrap().segments(),
+        open_store(&first_dir).segment_infos(),
         first_segments,
         "nothing was written into the first directory"
     );
     let _ = std::fs::remove_dir_all(&first_dir);
     let _ = std::fs::remove_dir_all(&second_dir);
+}
+
+/// Everything a replay could write: the store directory's and the
+/// `segments/` directory's own mtimes, and each segment's name and mtime.
+fn disk_state(dir: &Path) -> (SystemTime, SystemTime, Vec<(String, SystemTime)>) {
+    let mtime = |p: &Path| std::fs::metadata(p).unwrap().modified().unwrap();
+    let segments_dir = dir.join("segments");
+    let mut segments: Vec<(String, SystemTime)> = std::fs::read_dir(&segments_dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, mtime(&path))
+        })
+        .collect();
+    segments.sort();
+    (mtime(dir), mtime(&segments_dir), segments)
+}
+
+#[test]
+fn a_fully_warm_replay_writes_nothing() {
+    let dir = temp_dir("warm-read-only");
+    let grid = reuse_grid();
+    let engine = SweepEngine::new(2).with_cache_dir(&dir);
+    let _ = engine.run_subset(&grid, &[0, 1]);
+    let cold = engine.run(&grid);
+    drop(engine);
+    // Backdate every mtime, so any write the replay makes, however coarse
+    // the filesystem's clock, moves one of them.
+    let past = SystemTime::now() - Duration::from_secs(3600);
+    let segments_dir = dir.join("segments");
+    for entry in std::fs::read_dir(&segments_dir).unwrap() {
+        let file = std::fs::File::options()
+            .write(true)
+            .open(entry.unwrap().path())
+            .unwrap();
+        file.set_modified(past).unwrap();
+    }
+    for d in [&segments_dir, &dir] {
+        std::fs::File::open(d).unwrap().set_modified(past).unwrap();
+    }
+    let before = disk_state(&dir);
+    assert_eq!(before.2.len(), 2, "two segments published");
+
+    let warm = SweepEngine::new(2).with_cache_dir(&dir).run(&grid);
+    assert_eq!((warm.cache_hits, warm.cache_misses), (grid.len(), 0));
+    assert_eq!(warm.records, cold.records);
+    assert_eq!(disk_state(&dir), before, "a warm replay wrote to the store");
+    let _ = std::fs::remove_dir_all(&dir);
 }

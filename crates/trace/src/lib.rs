@@ -60,3 +60,11 @@ pub use source::{TraceSource, VecTrace};
 pub use stats::TraceStats;
 pub use synth::SyntheticTrace;
 pub use workload::{MultiProgramTrace, ThreadWorkload};
+
+/// Address-space separation between hardware threads, in bytes: thread `t`
+/// offsets every data address by `t * THREAD_ADDR_STRIDE`, in both
+/// [`ThreadWorkload`] and [`ProgramWorkload`]. The stride is deliberately
+/// *not* a multiple of typical L1 capacities, so each thread's hot (scalar)
+/// region maps to different cache sets: threads then compete for capacity,
+/// not for one pathological set.
+pub const THREAD_ADDR_STRIDE: u64 = 0x4000_0000 + 0x1_a000;

@@ -641,7 +641,6 @@ impl TraceSource for ProgramTrace {
 pub struct ProgramWorkload {
     programs: Vec<Program>,
     seed: u64,
-    thread_addr_stride: u64,
 }
 
 impl ProgramWorkload {
@@ -653,20 +652,7 @@ impl ProgramWorkload {
     #[must_use]
     pub fn new(programs: Vec<Program>, seed: u64) -> Self {
         assert!(!programs.is_empty(), "need at least one program");
-        ProgramWorkload {
-            programs,
-            seed,
-            // Same stride rationale as ThreadWorkload: disjoint regions,
-            // deliberately not a multiple of typical L1 capacities.
-            thread_addr_stride: 0x4000_0000 + 0x1_a000,
-        }
-    }
-
-    /// Overrides the emitted-address separation between threads.
-    #[must_use]
-    pub fn with_thread_addr_stride(mut self, stride: u64) -> Self {
-        self.thread_addr_stride = stride;
-        self
+        ProgramWorkload { programs, seed }
     }
 
     /// Number of distinct programs.
@@ -687,7 +673,7 @@ impl ProgramWorkload {
             .seed
             .wrapping_add(thread_id as u64)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let addr_offset = thread_id as u64 * self.thread_addr_stride;
+        let addr_offset = thread_id as u64 * crate::THREAD_ADDR_STRIDE;
         ProgramTrace::new(program, seed, addr_offset)
     }
 

@@ -93,8 +93,6 @@ pub struct ThreadWorkload {
     profiles: Vec<BenchmarkProfile>,
     insts_per_program: u64,
     seed: u64,
-    /// Address-space separation between threads, in bytes.
-    thread_addr_stride: u64,
 }
 
 impl ThreadWorkload {
@@ -110,11 +108,6 @@ impl ThreadWorkload {
             profiles,
             insts_per_program,
             seed,
-            // Threads get disjoint address regions. The stride is deliberately
-            // *not* a multiple of typical L1 capacities so that each thread's
-            // hot (scalar) region maps to different cache sets: threads then
-            // compete for capacity, not for one pathological set.
-            thread_addr_stride: 0x4000_0000 + 0x1_a000,
         }
     }
 
@@ -133,13 +126,6 @@ impl ThreadWorkload {
         self
     }
 
-    /// Overrides the address-space separation between threads.
-    #[must_use]
-    pub fn with_thread_addr_stride(mut self, stride: u64) -> Self {
-        self.thread_addr_stride = stride;
-        self
-    }
-
     /// Number of programs per thread.
     #[must_use]
     pub fn num_programs(&self) -> usize {
@@ -154,7 +140,7 @@ impl ThreadWorkload {
     pub fn thread_trace(&self, thread_id: usize) -> MultiProgramTrace {
         let n = self.profiles.len();
         let rotation = thread_id % n;
-        let addr_offset = thread_id as u64 * self.thread_addr_stride;
+        let addr_offset = thread_id as u64 * crate::THREAD_ADDR_STRIDE;
         let sources: Vec<SyntheticTrace> = (0..n)
             .map(|i| {
                 let p = &self.profiles[(i + rotation) % n];

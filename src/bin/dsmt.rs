@@ -12,9 +12,6 @@
 //! dsmt shard merge <plan.json> --store DIR [--wait SECS]
 //!                  [--out r.json] [--csv r.csv] [--dsr r.dsr]
 //! dsmt sweep run <grid> [--workers W] [--progress] [--out r.json] [--csv r.csv] [--dsr r.dsr]
-//! dsmt sweep ls
-//! dsmt sweep gc [--max-bytes N]
-//! dsmt sweep compact
 //! dsmt store stat <dir>
 //! dsmt store synth <dir> --records N [--per-segment M] [--schema S]
 //! dsmt report <file.dsr|report.json> [--json out.json] [--csv out.csv] [--canonical]
@@ -30,8 +27,8 @@
 //! figure grids (`fig1`, `fig3`, `fig4`, `fig5-l2-16`, `fig5-l2-64`) and
 //! the ablations (`ablation-iq-depth`, `ablation-mshr`,
 //! `ablation-unit-split`, `ablation-l1-assoc`). Built-in figure grids
-//! honour `DSMT_INSTS`; caching honours `DSMT_SWEEP_CACHE` and
-//! `DSMT_SWEEP_CACHE_MAX_BYTES` like every other binary.
+//! honour `DSMT_INSTS`; caching honours `DSMT_SWEEP_CACHE` like every
+//! other binary.
 //!
 //! `--store DIR` names the store shard outputs are published into (and
 //! merged back out of), keyed by grid content hash + shard index. Point it
@@ -67,9 +64,7 @@ use dsmt_shard::{
     ShardStrategy, Transport, DEFAULT_HEARTBEAT,
 };
 use dsmt_store::Store;
-use dsmt_sweep::{
-    export, Axis, CacheMode, ResultCache, SweepEngine, SweepGrid, SweepReport, WorkloadSpec,
-};
+use dsmt_sweep::{export, Axis, SweepEngine, SweepGrid, SweepReport, WorkloadSpec};
 
 const USAGE: &str = "\
 dsmt — sharded sweeps, result-store tooling and report export
@@ -82,9 +77,6 @@ USAGE:
   dsmt shard status <plan.json> --store DIR [--watch SECS] [--json]
   dsmt shard merge <plan.json> --store DIR [--wait SECS] [--out report.json] [--csv report.csv] [--dsr merged.dsr]
   dsmt sweep run <grid> [--workers W] [--progress] [--out report.json] [--csv report.csv] [--dsr report.dsr]
-  dsmt sweep ls
-  dsmt sweep gc [--max-bytes N]
-  dsmt sweep compact
   dsmt store stat <dir>
   dsmt store synth <dir> --records N [--per-segment M] [--schema S]
   dsmt report <file.dsr|report.json> [--json out.json] [--csv out.csv] [--canonical]
@@ -104,7 +96,6 @@ GRIDS:
 ENVIRONMENT:
   DSMT_INSTS                  instructions per cell for built-in figure grids
   DSMT_SWEEP_CACHE            result store dir, or `off`
-  DSMT_SWEEP_CACHE_MAX_BYTES  LRU size cap applied after sweeps and by `sweep gc`
   DSMT_LOG                    structured tracing: off | pretty | jsonl[:FILE]
                               (unset = warnings only, pretty, on stderr)
   DSMT_METRICS                write the metrics registry to this JSON file on exit
@@ -550,12 +541,7 @@ fn shard_merge(args: &[String]) -> Result<(), String> {
 fn sweep_cmd(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("run") => sweep_run(&args[1..]),
-        Some("ls") => sweep_ls(),
-        Some("gc") => sweep_gc(&args[1..]),
-        Some("compact") => sweep_compact(),
-        _ => Err(format!(
-            "usage: dsmt sweep run|ls|gc|compact ...\n\n{USAGE}"
-        )),
+        _ => Err(format!("usage: dsmt sweep run ...\n\n{USAGE}")),
     }
 }
 
@@ -583,82 +569,6 @@ fn sweep_run(args: &[String]) -> Result<(), String> {
         report.wall_secs,
     );
     write_outputs(&report, Some(&grid), &p)?;
-    Ok(())
-}
-
-fn open_env_cache() -> Result<ResultCache, String> {
-    match CacheMode::from_env() {
-        CacheMode::Disabled => Err("the sweep cache is disabled (DSMT_SWEEP_CACHE=off)".into()),
-        CacheMode::Dir(dir) => {
-            ResultCache::open(&dir).map_err(|e| format!("{}: {e}", dir.display()))
-        }
-    }
-}
-
-fn sweep_ls() -> Result<(), String> {
-    let cache = open_env_cache()?;
-    let segments = cache.segments();
-    let total: u64 = segments.iter().map(|e| e.bytes).sum();
-    println!(
-        "store: {} ({} segments, {} records, {} bytes)",
-        cache.dir().display(),
-        segments.len(),
-        cache.record_count(),
-        total
-    );
-    let now = std::time::SystemTime::now();
-    for e in &segments {
-        let age = now
-            .duration_since(e.modified)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        println!(
-            "  {}  seq {:>4}  {:>8} bytes  {:>6} records  last used {:>6}s ago",
-            e.name, e.seq, e.bytes, e.records, age
-        );
-    }
-    if let Some(cap) = CacheMode::max_bytes_from_env() {
-        let status = if total > cap { "OVER" } else { "within" };
-        println!("cap: DSMT_SWEEP_CACHE_MAX_BYTES={cap} ({status} cap)");
-    }
-    Ok(())
-}
-
-fn sweep_compact() -> Result<(), String> {
-    let cache = open_env_cache()?;
-    let outcome = cache.compact()?;
-    println!(
-        "compacted {}: {} segments ({} bytes) -> 1 segment ({} bytes), {} records",
-        cache.dir().display(),
-        outcome.segments_before,
-        outcome.bytes_before,
-        outcome.bytes_after,
-        outcome.records,
-    );
-    Ok(())
-}
-
-fn sweep_gc(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["max-bytes"])?;
-    let cap = match p.flag("max-bytes") {
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| format!("--max-bytes expects a number, got `{v}`"))?,
-        None => CacheMode::max_bytes_from_env()
-            .ok_or("no cap given: pass --max-bytes or set DSMT_SWEEP_CACHE_MAX_BYTES")?,
-    };
-    let cache = open_env_cache()?;
-    let outcome = cache.gc(cap);
-    println!(
-        "gc {}: examined {}, evicted {} ({} bytes), kept {} ({} bytes, cap {})",
-        cache.dir().display(),
-        outcome.examined,
-        outcome.evicted,
-        outcome.evicted_bytes,
-        outcome.kept,
-        outcome.kept_bytes,
-        cap,
-    );
     Ok(())
 }
 
