@@ -3,23 +3,27 @@
 //! Each thread keeps its in-flight instructions in one ring of compact
 //! slots (see [`crate::thread`]): an instruction is written once at fetch,
 //! renamed in place at dispatch, and referenced by ring position from the
-//! issue windows and from its completion event in the [`EventWheel`].
+//! issue windows. Completion is a cycle, not an event: issue records when
+//! the instruction finishes, and graduation compares that cycle with the
+//! clock. Only conditional branches act when they finish; each thread
+//! keeps its issued ones in a FIFO of resolve cycles.
 //!
 //! Head scheduling is event-driven: when a window head is proven blocked
 //! until a known cycle (the blocking operand's recorded ready cycle), the
 //! issue stage keeps one verdict `{seq, until, cause}` for that (thread,
 //! side). The verdict is live while `cycle < until`; while it is, the
-//! issue stage replays it in O(1) instead of re-reading register files,
-//! and after a step that did nothing the stall fast-forward reuses the
-//! live verdicts (plus the wheel's next-due bound) to jump fully blocked
-//! windows. Both paths are bit-identical to naive per-cycle re-probing —
-//! pinned by `golden_stats.rs` and the differential proptests against
+//! issue stage replays it in O(1) instead of re-reading register files.
+//! After a step that did nothing, the stall fast-forward proves how long
+//! nothing can happen and jumps there (see
+//! [`try_fast_forward`](Processor::try_fast_forward)). Both paths are
+//! bit-identical to naive per-cycle re-probing — pinned by
+//! `golden_stats.rs` and the differential proptests against
 //! [`Processor::set_reference_model`].
 
 use dsmt_isa::{steer, ArchReg, Instruction, OpClass, RegClass, Unit};
 use dsmt_mem::{AccessKind, AccessResponse, MemorySystem};
 use dsmt_trace::{ThreadWorkload, TraceSource};
-use dsmt_uarch::{icount_pick_into, round_robin_pick_into, EventWheel, FuPool, RoundRobin};
+use dsmt_uarch::{icount_pick_into, round_robin_pick_into, FuPool, RoundRobin};
 
 use crate::thread::{SaqEntry, Slot, ThreadContext, NO_REG};
 use crate::{PerceivedLatency, SimConfig, SimResults, SlotUse, UnitSlots};
@@ -114,14 +118,6 @@ pub fn fold_commit(hash: u64, inst: &Instruction) -> u64 {
     })
 }
 
-/// A deferred "instruction finishes executing" event: the instruction's
-/// ring position in its thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CompletionEvent {
-    thread: u32,
-    pos: u32,
-}
-
 /// The outcome of probing the head of an in-order window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HeadProbe {
@@ -162,7 +158,6 @@ pub struct Processor {
     mem: MemorySystem,
     arbiter: RoundRobin,
     cycle: u64,
-    completions: EventWheel<CompletionEvent>,
     /// Per-thread, per-side blocked-head verdicts (side 0 = AP window,
     /// side 1 = EP instruction queue).
     verdicts: Vec<[Verdict; 2]>,
@@ -201,6 +196,9 @@ struct Scratch {
     eligible: Vec<bool>,
     /// Threads selected to fetch this cycle (fetch stage).
     picks: Vec<usize>,
+    /// Window heads the fast-forward found blocked for its whole window
+    /// without a bound of their own: `(thread, side, seq, cause)`.
+    unbounded: Vec<(usize, usize, u64, BlockedCause)>,
 }
 
 impl std::fmt::Debug for Processor {
@@ -256,18 +254,10 @@ impl Processor {
             .into_iter()
             .map(|trace| ThreadContext::new(&config, trace))
             .collect();
-        let mem_cfg = config.effective_mem();
-        // Fast-path horizon for the completion wheel: an unqueued fill
-        // (L1 detect + L2 + some bus slack) or a functional-unit latency,
-        // whichever is larger. Deeper bus queueing spills to the wheel's
-        // overflow heap, so this is a performance hint, not a correctness
-        // bound.
-        let horizon = (mem_cfg.l1d.hit_latency + mem_cfg.l2_latency + 64)
-            .max(config.ap_latency.max(config.ep_latency) + 1);
         Processor {
             ap_fus: FuPool::new(config.ap_units, config.ap_latency, true),
             ep_fus: FuPool::new(config.ep_units, config.ep_latency, true),
-            mem: MemorySystem::new(mem_cfg),
+            mem: MemorySystem::new(config.effective_mem()),
             arbiter: RoundRobin::new(config.num_threads),
             verdicts: vec![[Verdict::NONE; 2]; config.num_threads],
             reference_model: false,
@@ -276,7 +266,6 @@ impl Processor {
             perf: CorePerf::default(),
             threads,
             cycle: 0,
-            completions: EventWheel::with_horizon(horizon),
             ap_slots: UnitSlots::default(),
             ep_slots: UnitSlots::default(),
             perceived: PerceivedLatency::default(),
@@ -365,8 +354,8 @@ impl Processor {
     pub fn step(&mut self) {
         let cycle = self.cycle;
         self.mem.begin_cycle(cycle);
-        self.process_completions(cycle);
-        let mut progress = self.retire();
+        self.resolve_branches(cycle);
+        let mut progress = self.retire(cycle);
         let mut order = std::mem::take(&mut self.scratch.order);
         self.arbiter.ordering_into(&mut order);
         progress |= self.issue(Unit::Ap, &order, cycle);
@@ -434,35 +423,47 @@ impl Processor {
     /// cycle. Succeeds only when the next `n >= 2` cycles are provably
     /// no-ops apart from per-cycle accounting:
     ///
-    /// * no completion event is due (bounded via the event wheel);
     /// * no thread may fetch (buffer full, wrong path, branch limit, or
-    ///   trace drained) — fetch eligibility only changes through completions;
+    ///   trace drained), and no branch resolves to change that;
     /// * no thread can dispatch (empty fetch buffer or a structural stall
-    ///   that only retirement/issue could clear);
-    /// * no ROB head is completed (so retirement does nothing);
-    /// * every non-empty window head is blocked with an exactly known
-    ///   wake-up cycle (the blocking operand's recorded ready cycle).
+    ///   that only retirement or issue could clear);
+    /// * no ROB head has finished, so retirement does nothing;
+    /// * every non-empty window head is blocked: by an operand with a
+    ///   recorded ready cycle, by one whose producer has not issued or an
+    ///   older overlapping store (neither can change while nothing issues
+    ///   or retires), or by a memory access refused for want of an MSHR
+    ///   (none frees before the oldest fill completes).
     ///
-    /// Live verdicts the issue stage recorded are reused without touching
-    /// the register files, and any head probed fresh here is recorded for
-    /// the issue stage in turn. The skip target is the earliest of the
-    /// verdicts' `until` and the completion wheel's next due event.
+    /// The skip target is the earliest of the ROB heads' finish cycles,
+    /// the branch FIFO fronts, the known ready cycles and the MSHR
+    /// releases. Live verdicts the issue stage recorded are reused without
+    /// touching the register files, and any head probed fresh here is
+    /// recorded for the issue stage in turn.
     ///
     /// On success it replays the per-cycle bookkeeping those `n` steps
     /// would have performed — issue-slot attribution (rotation-exact),
-    /// perceived-latency stalls, arbiter rotation — and jumps the clock.
-    /// Returns the number of cycles skipped.
+    /// perceived-latency stalls, MSHR refusals, arbiter rotation — and
+    /// jumps the clock. Returns the number of cycles skipped.
     fn try_fast_forward(&mut self, max_cycles: u64) -> Option<u64> {
         let cycle = self.cycle;
         let max_unresolved = self.config.max_unresolved_branches;
         // Exclusive upper bound on the cycles we may skip.
         let mut wake = cycle.checked_add(max_cycles)?;
+        // This cycle's MSHR releases decide which accesses are refused.
+        self.mem.begin_cycle(cycle);
+        self.scratch.unbounded.clear();
+        let mut refused = 0u64;
 
         let n_threads = self.threads.len();
         for t in 0..n_threads {
             let thread = &self.threads[t];
-            if thread.fetch_eligible(max_unresolved) || thread.ring.head_completed() {
+            let done_at = thread.ring.head_done_at();
+            if done_at <= cycle || thread.fetch_eligible(max_unresolved) {
                 return None;
+            }
+            wake = wake.min(done_at);
+            if let Some(&(_, resolve)) = thread.resolving.front() {
+                wake = wake.min(resolve);
             }
             if let Some(pos) = thread.ring.dispatch_front() {
                 if !thread.dispatch_blocked(thread.ring.get(pos)) {
@@ -477,36 +478,58 @@ impl Processor {
                 let verdict = &mut self.verdicts[t][side];
                 if cycle < verdict.until {
                     debug_assert_eq!(verdict.seq, head.seq, "verdict for a stale head");
-                } else {
-                    // Probe and record, so the issue stage replays it after
-                    // the skip lands.
-                    match probe_head(thread, head, cycle) {
-                        HeadProbe::Blocked {
+                    wake = wake.min(verdict.until);
+                    continue;
+                }
+                match probe_head(thread, head, cycle) {
+                    // Record it, so the issue stage replays it whether or
+                    // not the skip happens.
+                    HeadProbe::Blocked {
+                        cause,
+                        until: Some(until),
+                    } => {
+                        *verdict = Verdict {
+                            seq: head.seq,
+                            until,
                             cause,
-                            until: Some(until),
-                        } => {
-                            *verdict = Verdict {
-                                seq: head.seq,
-                                until,
-                                cause,
-                            };
+                        };
+                        wake = wake.min(until);
+                    }
+                    HeadProbe::Blocked { cause, until: None } => {
+                        self.scratch.unbounded.push((t, side, head.seq, cause));
+                    }
+                    HeadProbe::Ready => {
+                        // Only an access the MSHRs refuse stays blocked.
+                        if !head.op.is_mem() {
+                            return None;
                         }
-                        // Ready, or blocked without a known bound.
-                        _ => return None,
+                        let release = self.mem.mshr_wait(head.mem_addr)?;
+                        wake = wake.min(release);
+                        refused += 1;
+                        let cause = BlockedCause {
+                            kind: SlotUse::Other,
+                            miss_class: None,
+                        };
+                        self.scratch.unbounded.push((t, side, head.seq, cause));
                     }
                 }
-                wake = wake.min(verdict.until);
             }
         }
 
-        // Completion events bound the window too.
-        if let Some(due) = self.completions.next_due_before(wake) {
-            wake = due;
-        }
         let skip = wake.saturating_sub(cycle);
         if skip < 2 {
             return None;
         }
+        // The heads without a bound of their own stay blocked for exactly
+        // this window.
+        for &(t, side, seq, cause) in &self.scratch.unbounded {
+            self.verdicts[t][side] = Verdict {
+                seq,
+                until: wake,
+                cause,
+            };
+        }
+        self.mem.replay_mshr_rejections(refused * skip);
 
         // Replay the accounting of `skip` idle cycles exactly. Every
         // non-empty window head carries a live verdict here and empty
@@ -562,7 +585,6 @@ impl Processor {
         self.scratch.blocked = kinds;
 
         self.arbiter.advance(skip);
-        self.completions.skip_to(wake);
         self.cycle = wake;
         self.perf.busy_cycles_skipped += skip;
         self.perf.skip_windows += 1;
@@ -605,38 +627,32 @@ impl Processor {
     // Pipeline stages
     // ------------------------------------------------------------------
 
-    fn process_completions(&mut self, cycle: u64) {
-        // Destructured so the drain closure can borrow the thread array
-        // while the wheel is mutably borrowed. Delivery order within a
-        // cycle does not affect architectural state: each event touches
-        // only its own ring slot and its own branch bookkeeping.
-        let Processor {
-            completions,
-            threads,
-            ..
-        } = self;
-        completions.drain_due(cycle, |ev| {
-            let thread = &mut threads[ev.thread as usize];
-            thread.ring.complete(ev.pos);
-            let slot = thread.ring.get(ev.pos);
-            if slot.op.is_cond_branch() {
-                let seq = slot.seq;
-                thread.unresolved_branches = thread.unresolved_branches.saturating_sub(1);
+    /// Resolves the conditional branches that finish by `cycle`: each one
+    /// frees an unresolved-branch slot, and a mispredicted one lets its
+    /// thread fetch again.
+    fn resolve_branches(&mut self, cycle: u64) {
+        for thread in &mut self.threads {
+            while let Some(&(seq, resolve)) = thread.resolving.front() {
+                if resolve > cycle {
+                    break;
+                }
+                thread.resolving.pop();
+                thread.unresolved_branches -= 1;
                 if thread.blocked_on_mispredict == Some(seq) {
                     thread.blocked_on_mispredict = None;
                 }
             }
-        });
+        }
     }
 
     /// Graduates up to `retire_width` completed instructions per thread.
     /// Returns whether any graduated.
-    fn retire(&mut self) -> bool {
+    fn retire(&mut self, cycle: u64) -> bool {
         let width = self.config.retire_width;
         let before = self.retired;
         for thread in &mut self.threads {
             let mut n = 0;
-            while n < width && thread.ring.head_completed() {
+            while n < width && thread.ring.head_done_at() <= cycle {
                 let head = thread.ring.rob_head().expect("a completed head exists");
                 let (dest, prev_dest, is_store) =
                     (head.real_dest(), head.prev_dest, head.op.is_store());
@@ -804,6 +820,17 @@ impl Processor {
             }
         }
         thread.window_mut(unit).pop();
+        thread.ring.complete_at(pos, completion);
+        if head.op.is_cond_branch() {
+            debug_assert!(
+                thread.resolving.iter().all(|&(_, r)| r <= completion),
+                "branches resolve out of order"
+            );
+            thread
+                .resolving
+                .push((head.seq, completion))
+                .expect("at most max_unresolved_branches are in flight");
+        }
 
         if head.op.is_load() {
             self.loads += 1;
@@ -818,13 +845,6 @@ impl Processor {
             self.stores += 1;
         }
 
-        self.completions.push(
-            completion,
-            CompletionEvent {
-                thread: t as u32,
-                pos,
-            },
-        );
         Ok(())
     }
 

@@ -104,14 +104,15 @@ impl Slot {
 /// The ring holds exactly `rob + fetch` slots, so the two ranges can never
 /// overlap. A sequence number's slot is its position modulo that size;
 /// the three range ends keep their positions alongside, so no stage
-/// divides. Completion flags live apart from the slots, in one byte per
+/// divides. Completion cycles live apart from the slots, one word per
 /// position, so graduation polls a dense array rather than a slot per
 /// thread per cycle.
 pub(crate) struct InstRing {
     slots: Box<[Slot]>,
-    /// Whether the instruction at each position has finished executing
-    /// (the ROB's graduation condition).
-    done: Box<[bool]>,
+    /// The cycle at which the instruction at each position finishes
+    /// executing, `u64::MAX` until it issues. It graduates from that cycle
+    /// on, so completion needs no event of its own.
+    done_at: Box<[u64]>,
     rob_capacity: u64,
     fetch_capacity: u64,
     head: u64,
@@ -128,7 +129,7 @@ impl InstRing {
         assert!(u32::try_from(size).is_ok(), "instruction ring too large");
         InstRing {
             slots: vec![Slot::fetched(0, &Instruction::new(0, OpClass::Nop)); size].into(),
-            done: vec![false; size].into(),
+            done_at: vec![u64::MAX; size].into(),
             rob_capacity: rob_capacity as u64,
             fetch_capacity: fetch_capacity as u64,
             head: 0,
@@ -190,7 +191,7 @@ impl InstRing {
         debug_assert!(!self.fetch_full(), "fetch buffer overflow");
         let pos = self.tail_pos;
         self.slots[pos as usize] = Slot::fetched(self.tail, inst);
-        self.done[pos as usize] = false;
+        self.done_at[pos as usize] = u64::MAX;
         self.tail += 1;
         self.tail_pos = self.next(pos);
     }
@@ -214,20 +215,27 @@ impl InstRing {
         (self.head < self.dispatched).then(|| &self.slots[self.head_pos as usize])
     }
 
-    /// Marks the instruction at ring position `pos` as finished executing.
-    pub fn complete(&mut self, pos: u32) {
-        self.done[pos as usize] = true;
+    /// Records that the instruction at ring position `pos` finishes
+    /// executing at `cycle`.
+    pub fn complete_at(&mut self, pos: u32, cycle: u64) {
+        self.done_at[pos as usize] = cycle;
     }
 
-    /// Whether the oldest instruction in the reorder buffer has completed.
+    /// The cycle at which the oldest instruction in the reorder buffer
+    /// finishes executing: `u64::MAX` while it has not issued or the
+    /// reorder buffer is empty.
     #[inline]
-    pub fn head_completed(&self) -> bool {
-        self.head < self.dispatched && self.done[self.head_pos as usize]
+    pub fn head_done_at(&self) -> u64 {
+        if self.head < self.dispatched {
+            self.done_at[self.head_pos as usize]
+        } else {
+            u64::MAX
+        }
     }
 
     /// Graduates the reorder buffer's oldest instruction.
     pub fn retire_head(&mut self) {
-        debug_assert!(self.head_completed(), "retiring an incomplete head");
+        debug_assert!(self.head_done_at() != u64::MAX, "retiring an unissued head");
         self.head += 1;
         self.head_pos = self.next(self.head_pos);
     }
@@ -297,6 +305,10 @@ pub(crate) struct ThreadContext {
     pub predictor: BranchPredictor,
     /// Conditional branches fetched but not yet resolved.
     pub unresolved_branches: usize,
+    /// Issued conditional branches as `(seq, resolve cycle)`, oldest first.
+    /// Branches issue in order on the pipelined AP and all take
+    /// `ap_latency`, so resolve cycles are non-decreasing.
+    pub resolving: BoundedQueue<(u64, u64)>,
     /// When `Some(seq)`, fetch is on the wrong path of the branch with that
     /// sequence number and stays blocked until it resolves.
     pub blocked_on_mispredict: Option<u64>,
@@ -343,6 +355,7 @@ impl ThreadContext {
             saq: BoundedQueue::new(config.effective_saq_capacity()),
             predictor: BranchPredictor::new(config.bht_entries),
             unresolved_branches: 0,
+            resolving: BoundedQueue::new(config.max_unresolved_branches.max(1)),
             blocked_on_mispredict: None,
             trace_done: false,
             retired: 0,
@@ -455,7 +468,7 @@ mod tests {
             while ring.dispatch_front().is_some() && !ring.rob_full() {
                 ring.dispatch_one();
             }
-            ring.complete(ring.head_pos);
+            ring.complete_at(ring.head_pos, 0);
             retired.push(ring.rob_head().expect("non-empty ROB").seq);
             ring.retire_head();
         }
@@ -481,7 +494,7 @@ mod tests {
         let front = ring.dispatch_front().expect("one entry waits");
         assert_eq!(ring.get(front).seq, 3);
         assert_eq!(ring.rob_head().map(|s| s.seq), Some(0));
-        assert!(!ring.head_completed());
+        assert_eq!(ring.head_done_at(), u64::MAX);
     }
 }
 
@@ -493,8 +506,8 @@ mod proptests {
 
     proptest! {
         /// The ring agrees with a naive model of two FIFOs (fetch buffer and
-        /// ROB of `(seq, completed)`) under any interleaving of fetch,
-        /// dispatch, completion and graduation, across many wrap-arounds.
+        /// ROB of `(seq, done_at)`) under any interleaving of fetch,
+        /// dispatch, issue and graduation, across many wrap-arounds.
         #[test]
         fn ring_matches_naive_reference(
             rob in 1usize..6,
@@ -503,7 +516,7 @@ mod proptests {
         ) {
             let mut ring = InstRing::new(rob, fetch);
             let mut fetched: VecDeque<u64> = VecDeque::new();
-            let mut in_rob: VecDeque<(u64, bool)> = VecDeque::new();
+            let mut in_rob: VecDeque<(u64, u64)> = VecDeque::new();
             let mut next_seq = 0u64;
             for (op, k) in ops {
                 match op {
@@ -517,17 +530,17 @@ mod proptests {
                         let pos = ring.dispatch_front().expect("fetched entry");
                         prop_assert_eq!(ring.get(pos).seq, seq);
                         ring.dispatch_one();
-                        in_rob.push_back((seq, false));
+                        in_rob.push_back((seq, u64::MAX));
                     }
                     2 if k < in_rob.len() => {
-                        // Complete the k-th oldest ROB entry through its
-                        // position, as a completion event would.
+                        // Issue the k-th oldest ROB entry through its
+                        // position, finishing at cycle `k`.
                         let pos = (ring.head_pos as usize + k) % (rob + fetch);
                         prop_assert_eq!(ring.get(pos as u32).seq, in_rob[k].0);
-                        ring.complete(pos as u32);
-                        in_rob[k].1 = true;
+                        ring.complete_at(pos as u32, k as u64);
+                        in_rob[k].1 = k as u64;
                     }
-                    3 if in_rob.front().is_some_and(|e| e.1) => {
+                    3 if in_rob.front().is_some_and(|e| e.1 != u64::MAX) => {
                         ring.retire_head();
                         in_rob.pop_front();
                     }
@@ -539,7 +552,7 @@ mod proptests {
                 prop_assert_eq!(ring.rob_full(), in_rob.len() >= rob);
                 prop_assert_eq!(ring.next_seq(), next_seq);
                 prop_assert_eq!(ring.rob_head().map(|s| s.seq), in_rob.front().map(|e| e.0));
-                prop_assert_eq!(ring.head_completed(), in_rob.front().is_some_and(|e| e.1));
+                prop_assert_eq!(ring.head_done_at(), in_rob.front().map_or(u64::MAX, |e| e.1));
                 prop_assert_eq!(
                     ring.dispatch_front().map(|p| ring.get(p).seq),
                     fetched.front().copied()

@@ -100,8 +100,8 @@ fn golden_multithreaded_decoupled_l2_64() {
     assert_results_match(&actual, &expected);
 }
 
-/// Single-threaded 4-wide machine at 256-cycle L2: long-latency event-wheel
-/// deltas (fills land hundreds of cycles out) plus deep scaled queues.
+/// Single-threaded 4-wide machine at 256-cycle L2: long-latency
+/// completions (fills land hundreds of cycles out) plus deep scaled queues.
 #[test]
 fn golden_single_thread_l2_256() {
     let cfg = SimConfig::paper_single_thread_4wide().with_l2_latency(256);

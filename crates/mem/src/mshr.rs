@@ -140,6 +140,14 @@ impl MshrFile {
         self.entries.len() >= self.capacity
     }
 
+    /// The cycle at which the oldest outstanding fill completes, if any is
+    /// outstanding. Entries are released in allocation order, so no entry
+    /// frees earlier.
+    #[must_use]
+    pub fn next_release(&self) -> Option<u64> {
+        self.entries.front().map(|e| e.ready_cycle)
+    }
+
     /// Returns the pending fill-completion cycle if `line_addr` is already
     /// outstanding, without counting a merge.
     #[must_use]

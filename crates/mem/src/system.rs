@@ -116,10 +116,10 @@ impl MemorySystem {
 
     /// Attempts a data-cache access at `cycle` for the byte address `addr`.
     ///
-    /// Consumes one D-cache port on success (and on `NoMshr`, since the tag
-    /// lookup still happened). Misses allocate an MSHR, schedule the L2
-    /// access and the line fill over the bus, and account write-back traffic
-    /// for dirty victims.
+    /// Consumes one D-cache port on success; a refused access consumes
+    /// none. Ports are checked before MSHRs. Misses allocate an MSHR,
+    /// schedule the L2 access and the line fill over the bus, and account
+    /// write-back traffic for dirty victims.
     pub fn try_access(&mut self, cycle: u64, addr: u64, kind: AccessKind) -> AccessResponse {
         debug_assert_eq!(
             cycle, self.current_cycle,
@@ -198,6 +198,30 @@ impl MemorySystem {
             hit: false,
             ready_cycle,
         }
+    }
+
+    /// If an access to `addr` this cycle would be refused with
+    /// [`AccessResponse::NoMshr`], the first cycle at which it may not be:
+    /// the oldest outstanding fill's completion. Until then no primary miss
+    /// can allocate, so while no other access is accepted the L1 and the
+    /// MSHRs stay as they are and the refusal repeats every cycle.
+    #[must_use]
+    pub fn mshr_wait(&self, addr: u64) -> Option<u64> {
+        let refused = self.mshrs.is_full()
+            && self.mshrs.lookup(self.l1d.line_addr(addr)).is_none()
+            && !self.l1d.probe(addr);
+        refused.then(|| {
+            self.mshrs
+                .next_release()
+                .expect("a full MSHR file has an entry")
+        })
+    }
+
+    /// Counts `n` refusals for want of an MSHR without presenting the
+    /// accesses: the replay of refusals that [`mshr_wait`](Self::mshr_wait)
+    /// proved would repeat.
+    pub fn replay_mshr_rejections(&mut self, n: u64) {
+        self.stats.mshr_full_rejections += n;
     }
 
     fn record_access(&mut self, kind: AccessKind, hit: bool) {
@@ -346,6 +370,31 @@ mod tests {
         assert_eq!(m.stats().mshr_full_rejections, 1);
         assert!(m.stats().mshr_merges >= 1);
         assert_eq!(m.peak_outstanding_misses(), 2);
+    }
+
+    #[test]
+    fn mshr_wait_bounds_a_refusal_by_the_oldest_fill() {
+        let mut m = small_system(16);
+        m.begin_cycle(0);
+        assert_eq!(m.mshr_wait(0x2000), None, "a free MSHR refuses nothing");
+        m.try_access(0, 0x0, AccessKind::Load); // fills at 19
+        m.try_access(0, 0x1000, AccessKind::Load); // fills at 21
+        m.begin_cycle(1);
+        // A new line waits for the oldest fill; an outstanding line merges.
+        assert_eq!(m.mshr_wait(0x2000), Some(19));
+        assert_eq!(m.mshr_wait(0x8), None);
+        for cycle in 1..19 {
+            m.begin_cycle(cycle);
+            assert_eq!(
+                m.try_access(cycle, 0x2000, AccessKind::Load),
+                AccessResponse::NoMshr
+            );
+        }
+        m.begin_cycle(19);
+        assert_eq!(m.mshr_wait(0x2000), None);
+        assert!(m.try_access(19, 0x2000, AccessKind::Load).is_done());
+        m.replay_mshr_rejections(5);
+        assert_eq!(m.stats().mshr_full_rejections, 18 + 5);
     }
 
     #[test]

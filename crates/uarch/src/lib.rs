@@ -12,8 +12,7 @@
 //! * [`FuPool`] — a pool of (optionally pipelined) functional units;
 //! * [`RoundRobin`] — the rotating thread priority used by the shared issue
 //!   stage;
-//! * [`icount_pick`] — the RR-2.8 / I-COUNT fetch thread selection policy;
-//! * [`EventWheel`] — an O(1) timing wheel for deferred completion events.
+//! * [`icount_pick`] — the RR-2.8 / I-COUNT fetch thread selection policy.
 //!
 //! These pieces are deliberately independent of the simulator's main loop so
 //! that they can be unit-tested (and reused in ablation studies) in
@@ -28,7 +27,6 @@ mod fu;
 mod predictor;
 mod queue;
 mod regfile;
-mod wheel;
 
 pub use arbiter::RoundRobin;
 pub use fetch_policy::{icount_pick, icount_pick_into, round_robin_pick, round_robin_pick_into};
@@ -36,4 +34,3 @@ pub use fu::FuPool;
 pub use predictor::{BranchPredictor, PredictorStats};
 pub use queue::BoundedQueue;
 pub use regfile::{PhysReg, RegisterFile, RenameOutcome};
-pub use wheel::EventWheel;

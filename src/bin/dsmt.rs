@@ -101,6 +101,32 @@ ENVIRONMENT:
   DSMT_METRICS                write the metrics registry to this JSON file on exit
 ";
 
+/// `print!` to stdout, except that a reader which has gone away (as in
+/// `dsmt store stat DIR | head -1`) ends the process quietly with success
+/// instead of a panic.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` with the broken-pipe handling of [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = run(&args) {
@@ -119,7 +145,7 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("report") => report_cmd(&args[1..]),
         Some("obs") => obs_cmd(&args[1..]),
         None | Some("help" | "--help" | "-h") => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(())
         }
         Some(other) => Err(format!("unknown command `{other}`\n\n{USAGE}")),
@@ -262,7 +288,7 @@ fn asm_inspect(args: &[String]) -> Result<(), String> {
         .and_then(|s| s.to_str())
         .unwrap_or("program");
     let program = dsmt_asm::assemble(name, &source).map_err(|e| format!("{path}: {e}"))?;
-    println!(
+    outln!(
         "program `{}`: {} instructions, {} data cells",
         program.name,
         program.code.len(),
@@ -271,7 +297,7 @@ fn asm_inspect(args: &[String]) -> Result<(), String> {
     if let Some(limit) = p.usize_flag("expand")? {
         let seed = p.usize_flag("seed")?.unwrap_or(0) as u64;
         let insts = program.expand(seed, limit as u64);
-        print!("{}", dsmt_isa::text::render_trace(&insts));
+        out!("{}", dsmt_isa::text::render_trace(&insts));
         let classes = dsmt_isa::OpClass::ALL
             .iter()
             .map(|&c| (c.mnemonic(), insts.iter().filter(|i| i.op == c).count()))
@@ -330,7 +356,7 @@ fn shard_plan(args: &[String]) -> Result<(), String> {
     manifest
         .save(&out)
         .map_err(|e| format!("{}: {e}", out.display()))?;
-    println!(
+    outln!(
         "planned `{}`: {} cells -> {} shards ({}), grid hash {}",
         grid.name,
         grid.len(),
@@ -339,9 +365,9 @@ fn shard_plan(args: &[String]) -> Result<(), String> {
         manifest.grid_hash,
     );
     for (i, cells) in manifest.shards.iter().enumerate() {
-        println!("  shard {i}: {:>4} cells", cells.len());
+        outln!("  shard {i}: {:>4} cells", cells.len());
     }
-    println!("manifest: {}", out.display());
+    outln!("manifest: {}", out.display());
     Ok(())
 }
 
@@ -373,7 +399,7 @@ fn shard_run(args: &[String]) -> Result<(), String> {
         (Some(index), false) => {
             let run = run_shard(&manifest, index, &engine).map_err(|e| e.to_string())?;
             transport.publish(&manifest, &run.dsr)?;
-            println!(
+            outln!(
                 "shard {index}/{}: {} cells ({} cached, {} simulated) in {:.2}s -> {}",
                 manifest.num_shards(),
                 run.report.records.len(),
@@ -401,7 +427,7 @@ fn shard_run(args: &[String]) -> Result<(), String> {
                     .collect::<Vec<_>>()
                     .join(", ")
             };
-            println!(
+            outln!(
                 "recovery pass over {} shards ({}): executed [{}], already done [{}], \
                  claimed elsewhere [{}]",
                 manifest.num_shards(),
@@ -411,15 +437,16 @@ fn shard_run(args: &[String]) -> Result<(), String> {
                 list(&outcome.claimed_elsewhere()),
             );
             for steal in &outcome.steals {
-                println!(
+                outln!(
                     "stole stale claim on shard {} (was: {})",
-                    steal.shard_index, steal.previous
+                    steal.shard_index,
+                    steal.previous
                 );
             }
             if outcome.complete() {
-                println!("every shard now has a verified output; ready to merge");
+                outln!("every shard now has a verified output; ready to merge");
             } else {
-                println!("some shards are claimed by other workers; re-run to check on them");
+                outln!("some shards are claimed by other workers; re-run to check on them");
             }
             Ok(())
         }
@@ -442,7 +469,7 @@ fn shard_status(args: &[String]) -> Result<(), String> {
             // The same serializer the daemon's status endpoint uses, so
             // scripts parse one shape whether they poll a directory or a
             // URL.
-            println!("{}", serde::to_string_pretty(&report.to_value(&manifest)));
+            outln!("{}", serde::to_string_pretty(&report.to_value(&manifest)));
             let Some(secs) = watch else { break };
             if report.complete() {
                 break;
@@ -450,7 +477,7 @@ fn shard_status(args: &[String]) -> Result<(), String> {
             std::thread::sleep(std::time::Duration::from_secs(secs.max(1) as u64));
             continue;
         }
-        println!(
+        outln!(
             "plan `{}` (grid hash {}, {} shards) via {}:",
             manifest.grid.name,
             manifest.grid_hash,
@@ -461,21 +488,21 @@ fn shard_status(args: &[String]) -> Result<(), String> {
             let cells = manifest.shards[shard.index].len();
             match &shard.state {
                 ShardState::Done { records } => {
-                    println!("  shard {}: done ({records} records)", shard.index);
+                    outln!("  shard {}: done ({records} records)", shard.index);
                 }
                 ShardState::Claimed(info) => {
-                    println!(
+                    outln!(
                         "  shard {}: claimed by {} ({cells} cells)",
                         shard.index,
                         info.describe(),
                     );
                 }
                 ShardState::Missing => {
-                    println!("  shard {}: missing ({cells} cells)", shard.index);
+                    outln!("  shard {}: missing ({cells} cells)", shard.index);
                 }
             }
         }
-        println!(
+        outln!(
             "{} done, {} claimed, {} missing{}",
             report.done(),
             report.claimed(),
@@ -512,7 +539,7 @@ fn shard_merge(args: &[String]) -> Result<(), String> {
             if status.complete() {
                 break;
             }
-            println!(
+            outln!(
                 "waiting for `{}`: {} done, {} claimed, {} missing (poll every {}s)",
                 manifest.grid.name,
                 status.done(),
@@ -524,7 +551,7 @@ fn shard_merge(args: &[String]) -> Result<(), String> {
         }
     }
     let report = merge_from(&manifest, &mut transport).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "merged {} shards ({}) -> {} cells of `{}`",
         manifest.num_shards(),
         transport.describe(),
@@ -560,7 +587,7 @@ fn sweep_run(args: &[String]) -> Result<(), String> {
         engine = engine.with_progress();
     }
     let report = engine.run(&grid);
-    println!(
+    outln!(
         "`{}`: {} cells ({} cached, {} simulated) in {:.2}s",
         report.grid,
         report.records.len(),
@@ -599,7 +626,7 @@ fn store_stat(args: &[String]) -> Result<(), String> {
     let store = Store::open(&dir, schema).map_err(|e| format!("{}: {e}", dir.display()))?;
     let open_us = started.elapsed().as_micros();
     let segments = store.segment_infos();
-    println!(
+    outln!(
         "store: {} (schema {}, {} segments, {} records, {} bytes)",
         dir.display(),
         schema,
@@ -607,13 +634,13 @@ fn store_stat(args: &[String]) -> Result<(), String> {
         store.record_count(),
         store.total_bytes(),
     );
-    println!("open_us: {open_us}");
+    outln!("open_us: {open_us}");
     let registry = dsmt_obs::registry();
-    println!(
+    outln!(
         "header_index_hits: {}",
         registry.counter("store.header_index_hits").get()
     );
-    println!(
+    outln!(
         "records_lazy_decoded: {}",
         registry.counter("store.records_lazy_decoded").get()
     );
@@ -623,9 +650,13 @@ fn store_stat(args: &[String]) -> Result<(), String> {
             .duration_since(e.modified)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        println!(
+        outln!(
             "  {}  seq {:>4}  {:>8} bytes  {:>6} records  modified {:>6}s ago",
-            e.name, e.seq, e.bytes, e.records, age
+            e.name,
+            e.seq,
+            e.bytes,
+            e.records,
+            age
         );
     }
     Ok(())
@@ -670,7 +701,7 @@ fn store_synth(args: &[String]) -> Result<(), String> {
         store.publish(batch).map_err(|e| e.to_string())?;
         segments += 1;
     }
-    println!(
+    outln!(
         "synthesized {}: {} records in {} segments ({} bytes)",
         store.dir().display(),
         store.record_count(),
@@ -749,7 +780,7 @@ fn report_cmd(args: &[String]) -> Result<(), String> {
     if p.flag("canonical").is_some() {
         // Records only — the machine-independent identity of the sweep —
         // for byte-exact diffing between sharded and monolithic runs.
-        println!("{}", serde::to_string_pretty(&report.records));
+        outln!("{}", serde::to_string_pretty(&report.records));
     } else {
         print_report_summary(&report);
     }
@@ -784,14 +815,14 @@ fn obs_report(args: &[String]) -> Result<(), String> {
     };
     if let Some(out) = p.flag("json") {
         std::fs::write(out, snap.to_json()).map_err(|e| format!("{out}: {e}"))?;
-        println!("json: {out}");
+        outln!("json: {out}");
     }
     if let Some(out) = p.flag("csv") {
         std::fs::write(out, snap.to_csv()).map_err(|e| format!("{out}: {e}"))?;
-        println!("csv: {out}");
+        outln!("csv: {out}");
     }
     if p.flag("json").is_none() && p.flag("csv").is_none() {
-        print!("{}", snap.to_csv());
+        out!("{}", snap.to_csv());
     }
     Ok(())
 }
@@ -859,10 +890,10 @@ fn load_report(path: &str) -> Result<(SweepReport, Option<SweepGrid>), String> {
 }
 
 fn print_report_summary(report: &SweepReport) {
-    println!("grid `{}`: {} cells", report.grid, report.records.len());
+    outln!("grid `{}`: {} cells", report.grid, report.records.len());
     let axes = report.axis_names();
     if !axes.is_empty() {
-        println!("axes: {}", axes.join(", "));
+        outln!("axes: {}", axes.join(", "));
     }
     if report.records.is_empty() {
         return;
@@ -881,7 +912,7 @@ fn print_report_summary(report: &SweepReport) {
         let labels: Vec<String> = r.labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
         format!("cell {} [{}]", r.cell, labels.join(", "))
     };
-    println!(
+    outln!(
         "ipc: {:.3} ({}) .. {:.3} ({})",
         worst.results.ipc(),
         describe(worst),
@@ -894,18 +925,18 @@ fn print_report_summary(report: &SweepReport) {
 fn write_outputs(report: &SweepReport, grid: Option<&SweepGrid>, p: &Parsed) -> Result<(), String> {
     if let Some(out) = p.flag("out").or_else(|| p.flag("json")) {
         export::write_json(report, out).map_err(|e| format!("{out}: {e}"))?;
-        println!("json: {out}");
+        outln!("json: {out}");
     }
     if let Some(out) = p.flag("csv") {
         export::write_csv(report, out).map_err(|e| format!("{out}: {e}"))?;
-        println!("csv: {out}");
+        outln!("csv: {out}");
     }
     if let Some(out) = p.flag("dsr") {
         let grid = grid.ok_or("--dsr needs the grid, which this input does not carry")?;
         DsrFile::from_report(grid, report, 0, 1)
             .write(out)
             .map_err(|e| e.to_string())?;
-        println!("dsr: {out}");
+        outln!("dsr: {out}");
     }
     Ok(())
 }
