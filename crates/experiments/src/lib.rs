@@ -60,5 +60,22 @@ pub use dsmt_sweep::{
 pub use report::Table;
 pub use runner::ExperimentParams;
 
+/// Every figure grid at `params`: Figures 1, 3 and 4, both fetch-policy
+/// studies, the seed study, Figure 5's grids and the ablations.
+#[must_use]
+pub fn figure_grids(params: &ExperimentParams) -> Vec<SweepGrid> {
+    let mut grids = vec![
+        fig1::grid(params),
+        fig3::grid(params),
+        fig4::grid(params),
+        fetch_policy::grid(params),
+        fetch_policy_hetero::grid(params),
+        seed_variance::grid(params),
+    ];
+    grids.extend(fig5::grids(params));
+    grids.extend(ablations::grids(params));
+    grids
+}
+
 /// The L2 latencies swept by the paper (Figures 1 and 4).
 pub const L2_LATENCIES: [u64; 6] = [1, 16, 32, 64, 128, 256];

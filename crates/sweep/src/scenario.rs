@@ -1,5 +1,7 @@
 //! One simulation cell: a configuration, a workload, a seed and a budget.
 
+use std::sync::OnceLock;
+
 use dsmt_core::{Processor, SimConfig, SimResults};
 use dsmt_store::Fnv64;
 use dsmt_trace::{
@@ -135,19 +137,19 @@ impl CacheIdentity {
     }
 }
 
-/// FNV-1a over `prefix` followed by `canonical`, without concatenating them.
-fn prefixed_fnv(prefix: &[u8], canonical: &str) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(prefix);
-    h.update(canonical.as_bytes());
-    h.finish()
-}
-
-/// The cache key of a scenario's canonical JSON: FNV-1a of
-/// `v{schema}+{version}:{json}`.
-fn key_of(canonical: &str) -> u64 {
-    let prefix = format!("v{}+{}:", CACHE_SCHEMA_VERSION, env!("CARGO_PKG_VERSION"));
-    prefixed_fnv(prefix.as_bytes(), canonical)
+/// The key chain's FNV-1a state after its prefix `v{schema}+{version}:`,
+/// which every scenario shares.
+fn key_basis() -> Fnv64 {
+    static BASIS: OnceLock<Fnv64> = OnceLock::new();
+    BASIS
+        .get_or_init(|| {
+            let mut h = Fnv64::new();
+            h.update(
+                format!("v{}+{}:", CACHE_SCHEMA_VERSION, env!("CARGO_PKG_VERSION")).as_bytes(),
+            );
+            h
+        })
+        .clone()
 }
 
 /// A fully specified simulation: deterministic given its fields.
@@ -175,25 +177,35 @@ impl Scenario {
     /// `DSMT_SWEEP_CACHE=off` while iterating on the simulator itself.
     #[must_use]
     pub fn cache_key(&self) -> u64 {
-        key_of(&serde::to_string(self))
+        self.cache_identity().key
     }
 
-    /// The cache key and the verification hash, from a single
-    /// serialization (see [`CacheIdentity`]) — what every cache lookup and
-    /// store derives once per cell.
+    /// The cache key and the verification hash (see [`CacheIdentity`]) —
+    /// what every cache lookup and store derives once per cell. The
+    /// canonical JSON is written once and read once: each byte is folded
+    /// into both FNV-1a chains, `v{schema}+{version}:` for the key and
+    /// `verify:` for the verification hash, in the same loop.
     #[must_use]
     pub fn cache_identity(&self) -> CacheIdentity {
         let canonical = serde::to_string(self);
+        let mut key = key_basis();
+        let mut verify = Fnv64::new();
+        verify.update(b"verify:");
+        for byte in canonical.as_bytes() {
+            let byte = std::slice::from_ref(byte);
+            key.update(byte);
+            verify.update(byte);
+        }
         CacheIdentity {
-            key: key_of(&canonical),
-            verify: prefixed_fnv(b"verify:", &canonical),
+            key: key.finish(),
+            verify: verify.finish(),
         }
     }
 
     /// The cache key as a fixed-width hex string (file-name friendly).
     #[must_use]
     pub fn cache_key_hex(&self) -> String {
-        format!("{:016x}", self.cache_key())
+        self.cache_identity().key_hex()
     }
 
     /// Runs the simulation to completion.

@@ -13,8 +13,12 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use dsmt_core::{Processor, SimConfig};
-use dsmt_store::{Segment, Store};
-use dsmt_sweep::{Axis, SweepEngine, SweepGrid, WorkloadSpec};
+use dsmt_experiments::{figure_grids, ExperimentParams};
+use dsmt_store::{Fnv64, Segment, Store};
+use dsmt_sweep::{
+    Axis, CacheIdentity, Scenario, SweepEngine, SweepGrid, WorkloadSpec, CACHE_SCHEMA_VERSION,
+};
+use serde::Value;
 
 /// Samples per side.
 const SAMPLES: usize = 5;
@@ -30,6 +34,11 @@ const SCHEDULER_PAIRS: usize = 12;
 /// Instructions per core run in the scheduler gate: tens of milliseconds,
 /// long enough to time, short enough for a dozen pairs per cell.
 const SCHEDULER_BUDGET: u64 = 100_000;
+
+/// Interleaved passes per side over the figure cells in the cache
+/// identity gate. A pass takes 1-3 ms, so 40 pairs take well under a
+/// second.
+const IDENTITY_PAIRS: usize = 40;
 
 /// Records in the store the open gate prices: enough that the gap between
 /// a header-only open and decoding everything sits far above noise, small
@@ -85,7 +94,6 @@ fn cells_per_sec(workers: usize, cache: Option<&Path>) -> f64 {
 /// under shared field names, like the cache publishes) in 2048-record
 /// segments.
 fn build_store(dir: &Path) {
-    use serde::Value;
     let mut store = Store::open(dir, 1).expect("create store");
     let records: Vec<(u64, Value)> = (0..STORE_OPEN_RECORDS as u64)
         .map(|n| {
@@ -284,4 +292,132 @@ fn the_event_driven_scheduler_beats_the_reference_model() {
              (default / reference = {ratio:.3})"
         );
     }
+}
+
+/// A scenario's cache identity the way it was derived before JSON was
+/// written directly: build the `Value` tree, write it with the tree writer
+/// of that time ([`tree_json`]), then hash the text twice, once per prefix.
+fn tree_then_two_passes(scenario: &Scenario) -> CacheIdentity {
+    let mut canonical = String::new();
+    tree_json(&serde::Serialize::to_value(scenario), &mut canonical);
+    let prefixed = |prefix: &[u8]| {
+        let mut h = Fnv64::new();
+        h.update(prefix);
+        h.update(canonical.as_bytes());
+        h.finish()
+    };
+    let key_prefix = format!("v{}+{}:", CACHE_SCHEMA_VERSION, env!("CARGO_PKG_VERSION"));
+    CacheIdentity {
+        key: prefixed(key_prefix.as_bytes()),
+        verify: prefixed(b"verify:"),
+    }
+}
+
+/// The compact JSON writer `serde::to_string` used before `JsonWriter`,
+/// kept as the reference side of the cache identity gate: it walks a
+/// `Value` tree and formats each number into a fresh `String`.
+fn tree_json(v: &Value, out: &mut String) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::U64(n) => out.push_str(&n.to_string()),
+        Value::I64(n) => out.push_str(&n.to_string()),
+        Value::F64(x) if x.is_finite() => out.push_str(&format!("{x:?}")),
+        Value::F64(x) if x.is_nan() => out.push_str("\"NaN\""),
+        Value::F64(x) => out.push_str(if *x > 0.0 { "\"inf\"" } else { "\"-inf\"" }),
+        Value::Str(s) => tree_json_string(s, out),
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                tree_json(item, out);
+            }
+            out.push(']');
+        }
+        Value::Object(entries) => {
+            out.push('{');
+            for (i, (k, item)) in entries.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                tree_json_string(k, out);
+                out.push(':');
+                tree_json(item, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+fn tree_json_string(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Microseconds one pass of `identity` over `cells` takes.
+fn identity_pass_us(cells: &[Scenario], identity: fn(&Scenario) -> CacheIdentity) -> f64 {
+    let start = Instant::now();
+    for s in cells {
+        std::hint::black_box(identity(std::hint::black_box(s)));
+    }
+    start.elapsed().as_secs_f64() * 1e6
+}
+
+/// Every cache hit derives the cell's identity first, so on a warm store it
+/// is a large share of a hit. Writing the canonical JSON without a tree
+/// and hashing it in one pass must be at least twice as fast as the tree,
+/// its writer and two passes, over every cell of the figure grids.
+#[test]
+#[ignore = "timing gate: run in release by CI"]
+fn cache_identity_is_2x_faster_than_tree_then_two_passes() {
+    let cells: Vec<Scenario> = figure_grids(&ExperimentParams::standard())
+        .iter()
+        .flat_map(SweepGrid::cells)
+        .map(|cell| cell.scenario)
+        .collect();
+    for s in &cells {
+        assert_eq!(s.cache_identity(), tree_then_two_passes(s), "{s:?}");
+    }
+    let direct = |s: &Scenario| s.cache_identity();
+    let ratios: Vec<f64> = (0..IDENTITY_PAIRS)
+        .map(|pair| {
+            let (new, old) = if pair % 2 == 0 {
+                let new = identity_pass_us(&cells, direct);
+                (new, identity_pass_us(&cells, tree_then_two_passes))
+            } else {
+                let old = identity_pass_us(&cells, tree_then_two_passes);
+                (identity_pass_us(&cells, direct), old)
+            };
+            old / new.max(1e-9)
+        })
+        .collect();
+    let speedup = median(ratios);
+    let n = cells.len();
+    let new_us = median(
+        (0..SAMPLES)
+            .map(|_| identity_pass_us(&cells, direct) / n as f64)
+            .collect(),
+    );
+    println!(
+        "cache identity over {n} figure cells: {new_us:.2}us per cell, \
+         {speedup:.2}x faster than tree + two passes ({IDENTITY_PAIRS} pairs)"
+    );
+    assert!(
+        speedup >= 2.0,
+        "cache_identity is only {speedup:.2}x faster than building the tree and \
+         hashing twice over {n} figure cells"
+    );
 }
