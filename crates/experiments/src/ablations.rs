@@ -48,28 +48,35 @@ pub const UNIT_SPLITS: [(usize, usize); 3] = [(4, 4), (5, 3), (3, 5)];
 /// L1 associativities swept.
 pub const L1_ASSOCIATIVITIES: [usize; 3] = [1, 2, 4];
 
+/// Each study's grid name and its one swept axis, in run order.
+fn study_axes() -> [(&'static str, Axis); 4] {
+    [
+        ("ablation-iq-depth", Axis::iq_capacities(&IQ_DEPTHS)),
+        ("ablation-mshr", Axis::mshr_counts(&MSHR_COUNTS)),
+        ("ablation-unit-split", Axis::unit_splits(&UNIT_SPLITS)),
+        (
+            "ablation-l1-assoc",
+            Axis::l1_associativities(&L1_ASSOCIATIVITIES),
+        ),
+    ]
+}
+
 /// The ablation grids, one per study. All studies use the Figure-2 machine
 /// with 4 threads and a 64-cycle L2 (a point where both latency tolerance
 /// and bandwidth matter).
 #[must_use]
 pub fn grids(params: &ExperimentParams) -> Vec<SweepGrid> {
     let base = SimConfig::paper_multithreaded(4).with_l2_latency(64);
-    let study = |name: &str, axis: Axis| {
-        SweepGrid::new(name, base.clone())
-            .with_workload(params.spec_mix())
-            .with_axis(axis)
-            .with_seed(params.seed)
-            .with_budget(params.instructions_per_point)
-    };
-    vec![
-        study("ablation-iq-depth", Axis::iq_capacities(&IQ_DEPTHS)),
-        study("ablation-mshr", Axis::mshr_counts(&MSHR_COUNTS)),
-        study("ablation-unit-split", Axis::unit_splits(&UNIT_SPLITS)),
-        study(
-            "ablation-l1-assoc",
-            Axis::l1_associativities(&L1_ASSOCIATIVITIES),
-        ),
-    ]
+    study_axes()
+        .into_iter()
+        .map(|(name, axis)| {
+            SweepGrid::new(name, base.clone())
+                .with_workload(params.spec_mix())
+                .with_axis(axis)
+                .with_seed(params.seed)
+                .with_budget(params.instructions_per_point)
+        })
+        .collect()
 }
 
 /// Human-readable (study, setting) labels for one swept setting.
@@ -89,55 +96,42 @@ fn describe(setting: &Setting) -> (String, String) {
     }
 }
 
-/// Ablation results plus the merged sweep report they were distilled from.
-#[derive(Debug, Clone)]
-pub struct AblationSweep {
-    /// Raw sweep records (all studies merged) and cache telemetry.
-    pub report: SweepReport,
-    /// The distilled study data.
-    pub results: AblationResults,
-}
-
-/// Runs every ablation grid through the engine, keeping the merged report.
+/// Distils the merged report of every ablation grid into one point per
+/// (study, setting) cell.
+///
+/// # Panics
+///
+/// Panics if the records are not exactly the studies' cells in run order.
 #[must_use]
-pub fn sweep(params: &ExperimentParams) -> AblationSweep {
-    let grids = grids(params);
-    // One (study, setting) pair per cell, in grid order, for relabelling.
-    // Each study grid is one workload x one axis, so its cells are exactly
-    // its axis settings in order.
-    let descriptions: Vec<(String, String)> = grids
+pub fn distill(report: &SweepReport) -> AblationResults {
+    // One (grid, study, setting) triple per cell, in run order. Each study
+    // grid is one workload x one axis, so its cells are exactly its axis
+    // settings in order.
+    let cells: Vec<(&str, (String, String))> = study_axes()
         .iter()
-        .flat_map(|grid| {
-            debug_assert!(grid.workloads.len() == 1 && grid.axes.len() == 1);
-            grid.axes[0].settings.iter().map(describe)
-        })
+        .flat_map(|(grid, axis)| axis.settings.iter().map(|s| (*grid, describe(s))))
         .collect();
-    // One shared worker pool across all four studies (13 cells interleave
-    // instead of running as four small sequential sweeps).
-    let reports = params.engine().run_many(&grids);
-    let report = SweepReport::merged("ablations", reports);
+    assert_eq!(
+        report.records.len(),
+        cells.len(),
+        "an ablation report holds one record per study setting"
+    );
     let points = report
         .records
         .iter()
-        .zip(descriptions)
-        .map(|(rec, (study, setting))| AblationPoint {
-            study,
-            setting,
-            ipc: rec.results.ipc(),
-            perceived: rec.results.perceived.combined(),
-            bus_utilization: rec.results.bus_utilization,
+        .zip(cells)
+        .map(|(rec, (grid, (study, setting)))| {
+            assert_eq!(rec.grid, grid, "ablation records out of study order");
+            AblationPoint {
+                study,
+                setting,
+                ipc: rec.results.ipc(),
+                perceived: rec.results.perceived.combined(),
+                bus_utilization: rec.results.bus_utilization,
+            }
         })
         .collect();
-    AblationSweep {
-        report,
-        results: AblationResults { points },
-    }
-}
-
-/// Runs every ablation.
-#[must_use]
-pub fn run(params: &ExperimentParams) -> AblationResults {
-    sweep(params).results
+    AblationResults { points }
 }
 
 impl AblationResults {
@@ -225,7 +219,8 @@ mod tests {
             seed: 11,
             workers: 8,
         };
-        let r = run(&params);
+        let reports = params.engine().run_many(&grids(&params));
+        let r = distill(&SweepReport::merged("ablations", reports));
         assert_eq!(
             r.points.len(),
             IQ_DEPTHS.len() + MSHR_COUNTS.len() + UNIT_SPLITS.len() + L1_ASSOCIATIVITIES.len()

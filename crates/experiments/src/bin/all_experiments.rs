@@ -1,124 +1,122 @@
-//! Runs every experiment (Figures 1, 3, 4, 5 and the ablations) through the
-//! `dsmt-sweep` engine, prints a consolidated report suitable for pasting
-//! into EXPERIMENTS.md, and writes the raw sweep records as JSON and CSV
-//! under `results/`.
+//! The experiment driver: runs the figures of [`FIGURES`] through one
+//! `dsmt-sweep` engine, prints each figure's report section (tables and
+//! shape checks) as markdown suitable for pasting into EXPERIMENTS.md, and
+//! writes each figure's raw sweep records as JSON and CSV under `results/`.
 //!
-//! Usage: `cargo run --release -p dsmt-experiments --bin all_experiments`
+//! Usage: `cargo run --release -p dsmt-experiments --bin all_experiments [FIGURE...]`
+//!
+//! With no argument it runs every figure; with names it runs just those
+//! (`fig1 fig3 fig4 fig5 fetch-policy fetch-policy-hetero seed-variance
+//! ablations`), in report order. An unknown name exits 2 before anything
+//! runs.
 //!
 //! * `DSMT_INSTS=<n>` — instructions per data point (default 400000).
 //! * `DSMT_SWEEP_CACHE=<dir>|off` — result cache location (default
 //!   `target/sweep-cache`). With the cache enabled, a re-run only simulates
 //!   cells whose parameters changed and reports `0 simulated` otherwise.
 //! * `DSMT_RESULTS=<dir>` — export directory (default `results`).
+//!
+//! The exit status is 1 when an export file could not be written or a
+//! gating figure's shape check failed (see [`Figure::gates`]); every
+//! section and the summary are printed first.
 
-use dsmt_experiments::{
-    ablations, fetch_policy, fetch_policy_hetero, fig1, fig3, fig4, fig5, seed_variance,
-    ExperimentParams,
-};
+use std::process::ExitCode;
+
+use dsmt_experiments::{figure, ExperimentParams, Figure, FIGURES};
 use dsmt_sweep::{export, SweepReport};
 
-fn print_checks(checks: &[(String, bool)]) {
-    for (claim, ok) in checks {
-        println!("- [{}] {claim}", if *ok { "x" } else { " " });
-    }
-    println!();
-}
-
-/// Exports a report and returns a one-line summary for the run footer.
-fn export_report(report: &SweepReport, out_dir: &str) -> String {
+/// Exports a report and returns a one-line summary for the run footer,
+/// naming only the files written, and the number that could not be.
+fn export_report(report: &SweepReport, out_dir: &str) -> (String, usize) {
     let json = format!("{out_dir}/{}.json", report.grid);
     let csv = format!("{out_dir}/{}.csv", report.grid);
-    export::write_json(report, &json).unwrap_or_else(|e| eprintln!("warn: {json}: {e}"));
-    export::write_csv(report, &csv).unwrap_or_else(|e| eprintln!("warn: {csv}: {e}"));
-    format!(
-        "{:<6} {:>3} cells, {:>3} cached, {:>3} simulated -> {json}, {csv}",
+    let mut written = Vec::new();
+    for (path, result) in [
+        (json.clone(), export::write_json(report, &json)),
+        (csv.clone(), export::write_csv(report, &csv)),
+    ] {
+        match result {
+            Ok(()) => written.push(path),
+            Err(e) => eprintln!("warn: {path}: {e}"),
+        }
+    }
+    let failed = 2 - written.len();
+    let files = if written.is_empty() {
+        "nothing written".to_string()
+    } else {
+        written.join(", ")
+    };
+    let line = format!(
+        "{:<6} {:>3} cells, {:>3} cached, {:>3} simulated -> {files}",
         report.grid, // grid name
         report.records.len(),
         report.cache_hits,
         report.cache_misses,
-    )
+    );
+    (line, failed)
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = names.iter().find(|name| figure(name).is_none()) {
+        let valid: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        eprintln!(
+            "error: unknown figure `{unknown}`\nusage: all_experiments [FIGURE...]\nfigures: {}",
+            valid.join(" ")
+        );
+        return ExitCode::from(2);
+    }
+    let figures: Vec<&Figure> = FIGURES
+        .iter()
+        .filter(|f| names.is_empty() || names.iter().any(|name| name == f.name))
+        .collect();
+
     let params = ExperimentParams::from_env();
     let out_dir = std::env::var("DSMT_RESULTS").unwrap_or_else(|_| "results".to_string());
+    let what = if names.is_empty() {
+        "all experiments".to_string()
+    } else {
+        let selected: Vec<&str> = figures.iter().map(|f| f.name).collect();
+        selected.join(" ")
+    };
     eprintln!(
-        "running all experiments ({} instructions/point, {} workers)",
+        "running {what} ({} instructions/point, {} workers)",
         params.instructions_per_point, params.workers
     );
+    let engine = params.engine();
     let mut footer = Vec::new();
+    let (mut cells, mut hits, mut misses) = (0, 0, 0);
+    let mut failed_exports = 0;
+    let mut failed_gates = Vec::new();
+    for fig in figures {
+        let report = fig.run(&engine, &params);
+        let (section, holds) = fig.section(&report);
+        print!("{section}");
+        if fig.gates && !holds {
+            failed_gates.push(fig.name);
+        }
+        let (line, failed) = export_report(&report, &out_dir);
+        footer.push(line);
+        failed_exports += failed;
+        cells += report.records.len();
+        hits += report.cache_hits;
+        misses += report.cache_misses;
+    }
 
-    println!("## Figure 1 — latency hiding of single-threaded decoupling\n");
-    let f1 = fig1::sweep(&params);
-    println!("{}", f1.results.table_fig1a().to_markdown());
-    println!("{}", f1.results.table_fig1b().to_markdown());
-    println!("{}", f1.results.table_fig1c().to_markdown());
-    println!("{}", f1.results.table_fig1d().to_markdown());
-    print_checks(&f1.results.shape_checks());
-    footer.push(export_report(&f1.report, &out_dir));
-
-    println!("## Figure 3 — issue-slot breakdown vs thread count\n");
-    let f3 = fig3::sweep(&params);
-    println!("{}", f3.results.table().to_markdown());
-    print_checks(&f3.results.shape_checks());
-    footer.push(export_report(&f3.report, &out_dir));
-
-    println!("## Figure 4 — latency tolerance of the multithreaded decoupled machine\n");
-    let f4 = fig4::sweep(&params);
-    println!("{}", f4.results.table_fig4a().to_markdown());
-    println!("{}", f4.results.table_fig4b().to_markdown());
-    println!("{}", f4.results.table_fig4c().to_markdown());
-    print_checks(&f4.results.shape_checks());
-    footer.push(export_report(&f4.report, &out_dir));
-
-    println!("## Figure 5 — hardware contexts and bus saturation\n");
-    let f5 = fig5::sweep(&params);
-    println!("{}", f5.results.table(16).to_markdown());
-    println!("{}", f5.results.table(64).to_markdown());
-    print_checks(&f5.results.shape_checks());
-    footer.push(export_report(&f5.report, &out_dir));
-
-    println!("## Fetch policy (Section 3.1) — I-COUNT vs round-robin\n");
-    let fp = fetch_policy::sweep(&params);
-    println!("{}", fp.results.table().to_markdown());
-    print_checks(&fp.results.shape_checks());
-    footer.push(export_report(&fp.report, &out_dir));
-
-    println!("## Fetch policy on heterogeneous assembled workloads\n");
-    let fph = fetch_policy_hetero::sweep(&params);
-    println!("{}", fph.results.table().to_markdown());
-    print_checks(&fph.results.shape_checks());
-    footer.push(export_report(&fph.report, &out_dir));
-
-    println!("## Seed variance — how representative are single-seed figures?\n");
-    let sv = seed_variance::sweep(&params);
-    println!("{}", sv.results.table().to_markdown());
-    print_checks(&sv.results.shape_checks());
-    footer.push(export_report(&sv.report, &out_dir));
-
-    println!("## Ablations (beyond the paper)\n");
-    let ab = ablations::sweep(&params);
-    println!("{}", ab.results.to_markdown());
-    print_checks(&ab.results.shape_checks());
-    footer.push(export_report(&ab.report, &out_dir));
-
-    let (cells, hits, misses) = [
-        &f1.report,
-        &f3.report,
-        &f4.report,
-        &f5.report,
-        &fp.report,
-        &fph.report,
-        &sv.report,
-        &ab.report,
-    ]
-    .iter()
-    .fold((0, 0, 0), |(c, h, m), r| {
-        (c + r.records.len(), h + r.cache_hits, m + r.cache_misses)
-    });
     eprintln!("sweep summary:");
     for line in &footer {
         eprintln!("  {line}");
     }
     eprintln!("  total: {cells} cells, {hits} cached, {misses} simulated");
+    for name in &failed_gates {
+        eprintln!("error: {name}: shape checks failed");
+    }
+    if failed_exports > 0 {
+        eprintln!("error: {failed_exports} export file(s) not written under {out_dir}");
+    }
+    if failed_gates.is_empty() && failed_exports == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

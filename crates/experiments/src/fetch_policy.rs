@@ -68,24 +68,14 @@ pub struct FetchPolicyResults {
     pub rows: Vec<FetchPolicyRow>,
 }
 
-/// Fetch-policy results plus the sweep report they were distilled from.
-#[derive(Debug, Clone)]
-pub struct FetchPolicySweep {
-    /// Raw sweep records and cache telemetry.
-    pub report: SweepReport,
-    /// The distilled figure data.
-    pub results: FetchPolicyResults,
-}
-
-/// Runs the fetch-policy sweep through the engine, keeping the raw report.
+/// Distils a fetch-policy report into one row per thread count.
 ///
 /// # Panics
 ///
-/// Panics if the sweep records do not cover both policies at every thread
-/// count (a grid construction bug).
+/// Panics if the records do not cover both policies at every thread count
+/// (a grid construction bug).
 #[must_use]
-pub fn sweep(params: &ExperimentParams) -> FetchPolicySweep {
-    let report = params.engine().run(&grid(params));
+pub fn distill(report: &SweepReport) -> FetchPolicyResults {
     let ipc_of = |threads: usize, policy: &str| -> f64 {
         report
             .records
@@ -105,16 +95,7 @@ pub fn sweep(params: &ExperimentParams) -> FetchPolicySweep {
             round_robin_ipc: ipc_of(threads, "round-robin"),
         })
         .collect();
-    FetchPolicySweep {
-        report,
-        results: FetchPolicyResults { rows },
-    }
-}
-
-/// Runs the fetch-policy sweep.
-#[must_use]
-pub fn run(params: &ExperimentParams) -> FetchPolicyResults {
-    sweep(params).results
+    FetchPolicyResults { rows }
 }
 
 impl FetchPolicyResults {
@@ -194,11 +175,12 @@ mod tests {
 
     #[test]
     fn figure_distills_and_passes_its_shape_checks() {
-        let sweep = sweep(&tiny());
-        assert_eq!(sweep.results.rows.len(), THREAD_COUNTS.len());
-        let table = sweep.results.table();
+        let params = tiny();
+        let results = distill(&params.engine().run(&grid(&params)));
+        assert_eq!(results.rows.len(), THREAD_COUNTS.len());
+        let table = results.table();
         assert_eq!(table.num_rows(), THREAD_COUNTS.len());
-        for (claim, ok) in sweep.results.shape_checks() {
+        for (claim, ok) in results.shape_checks() {
             assert!(ok, "shape check failed: {claim}");
         }
     }

@@ -162,15 +162,6 @@ pub struct HeteroResults {
     pub rows: Vec<HeteroRow>,
 }
 
-/// Hetero results plus the sweep report they were distilled from.
-#[derive(Debug, Clone)]
-pub struct HeteroSweep {
-    /// Raw sweep records and cache telemetry.
-    pub report: SweepReport,
-    /// The distilled figure data.
-    pub results: HeteroResults,
-}
-
 /// Distils a hetero report: records are ordered mix-outermost (each mix
 /// contiguous for its [`REPLICAS`] replicas) with the policy axis fastest.
 ///
@@ -209,21 +200,6 @@ pub fn distill(report: &SweepReport) -> HeteroResults {
         })
         .collect();
     HeteroResults { rows }
-}
-
-/// Runs the hetero fetch-policy sweep through the engine, keeping the raw
-/// report.
-#[must_use]
-pub fn sweep(params: &ExperimentParams) -> HeteroSweep {
-    let report = params.engine().run(&grid(params));
-    let results = distill(&report);
-    HeteroSweep { report, results }
-}
-
-/// Runs the hetero fetch-policy sweep.
-#[must_use]
-pub fn run(params: &ExperimentParams) -> HeteroResults {
-    sweep(params).results
 }
 
 impl HeteroResults {
@@ -320,19 +296,20 @@ mod tests {
 
     #[test]
     fn figure_distills_and_passes_its_shape_checks() {
-        let sweep = sweep(&tiny());
-        assert_eq!(sweep.results.rows.len(), mixes().len());
-        let table = sweep.results.table();
+        let params = tiny();
+        let results = distill(&params.engine().run(&grid(&params)));
+        assert_eq!(results.rows.len(), mixes().len());
+        let table = results.table();
         assert_eq!(table.num_rows(), mixes().len());
-        for (claim, ok) in sweep.results.shape_checks() {
+        for (claim, ok) in results.shape_checks() {
             assert!(
                 ok,
                 "shape check failed: {claim}\n{}",
-                sweep.results.table().to_markdown()
+                results.table().to_markdown()
             );
         }
         // The headline separation survives at the tiny test scale; print
         // the table so threshold drift is easy to diagnose from test logs.
-        println!("{}", sweep.results.table().to_markdown());
+        println!("{}", results.table().to_markdown());
     }
 }

@@ -66,19 +66,9 @@ pub fn grid(params: &ExperimentParams) -> SweepGrid {
         .with_budget(params.instructions_per_point)
 }
 
-/// Figure 1 results plus the sweep report they were distilled from.
-#[derive(Debug, Clone)]
-pub struct Fig1Sweep {
-    /// Raw sweep records and cache telemetry.
-    pub report: SweepReport,
-    /// The distilled figure data.
-    pub results: Fig1Results,
-}
-
-/// Runs the Figure 1 sweep through the engine, keeping the raw report.
+/// Distils a Figure 1 report into one point per (benchmark, latency) cell.
 #[must_use]
-pub fn sweep(params: &ExperimentParams) -> Fig1Sweep {
-    let report = params.engine().run(&grid(params));
+pub fn distill(report: &SweepReport) -> Fig1Results {
     let points = report
         .records
         .iter()
@@ -95,17 +85,7 @@ pub fn sweep(params: &ExperimentParams) -> Fig1Sweep {
             }
         })
         .collect();
-    Fig1Sweep {
-        report,
-        results: Fig1Results { points },
-    }
-}
-
-/// Runs the full Figure 1 sweep: every SPEC FP95 profile at every L2
-/// latency.
-#[must_use]
-pub fn run(params: &ExperimentParams) -> Fig1Results {
-    sweep(params).results
+    Fig1Results { points }
 }
 
 impl Fig1Results {
@@ -329,7 +309,8 @@ mod tests {
         // Only exercise structure on a reduced latency set by filtering after
         // a tiny run would still be 60 points; keep it but with few
         // instructions per point so the debug-mode test stays fast.
-        let r = run(&tiny_params());
+        let params = tiny_params();
+        let r = distill(&params.engine().run(&grid(&params)));
         assert_eq!(r.points.len(), 10 * L2_LATENCIES.len());
         assert_eq!(r.benchmarks().len(), 10);
         assert!(r.point("tomcatv", 16).is_some());

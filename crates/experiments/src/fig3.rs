@@ -54,19 +54,9 @@ pub fn grid(params: &ExperimentParams) -> SweepGrid {
         .with_budget(params.instructions_per_point)
 }
 
-/// Figure 3 results plus the sweep report they were distilled from.
-#[derive(Debug, Clone)]
-pub struct Fig3Sweep {
-    /// Raw sweep records and cache telemetry.
-    pub report: SweepReport,
-    /// The distilled figure data.
-    pub results: Fig3Results,
-}
-
-/// Runs the Figure 3 sweep through the engine, keeping the raw report.
+/// Distils a Figure 3 report into one row per thread count.
 #[must_use]
-pub fn sweep(params: &ExperimentParams) -> Fig3Sweep {
-    let report = params.engine().run(&grid(params));
+pub fn distill(report: &SweepReport) -> Fig3Results {
     let rows = report
         .records
         .iter()
@@ -77,16 +67,7 @@ pub fn sweep(params: &ExperimentParams) -> Fig3Sweep {
             ep: rec.results.ep_slots,
         })
         .collect();
-    Fig3Sweep {
-        report,
-        results: Fig3Results { rows },
-    }
-}
-
-/// Runs the Figure 3 sweep.
-#[must_use]
-pub fn run(params: &ExperimentParams) -> Fig3Results {
-    sweep(params).results
+    Fig3Results { rows }
 }
 
 impl Fig3Results {
@@ -190,7 +171,7 @@ mod tests {
             seed: 3,
             workers: 6,
         };
-        let r = run(&params);
+        let r = distill(&params.engine().run(&grid(&params)));
         assert_eq!(r.rows.len(), THREAD_COUNTS.len());
         let table = r.table();
         assert_eq!(table.num_rows(), THREAD_COUNTS.len() * 2);

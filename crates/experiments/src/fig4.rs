@@ -69,19 +69,10 @@ pub fn grid(params: &ExperimentParams) -> SweepGrid {
     .with_budget(params.instructions_per_point)
 }
 
-/// Figure 4 results plus the sweep report they were distilled from.
-#[derive(Debug, Clone)]
-pub struct Fig4Sweep {
-    /// Raw sweep records and cache telemetry.
-    pub report: SweepReport,
-    /// The distilled figure data.
-    pub results: Fig4Results,
-}
-
-/// Runs the Figure 4 sweep through the engine, keeping the raw report.
+/// Distils a Figure 4 report into one point per (threads, decoupling,
+/// latency) cell.
 #[must_use]
-pub fn sweep(params: &ExperimentParams) -> Fig4Sweep {
-    let report = params.engine().run(&grid(params));
+pub fn distill(report: &SweepReport) -> Fig4Results {
     let points = report
         .records
         .iter()
@@ -93,16 +84,7 @@ pub fn sweep(params: &ExperimentParams) -> Fig4Sweep {
             ipc: rec.results.ipc(),
         })
         .collect();
-    Fig4Sweep {
-        report,
-        results: Fig4Results { points },
-    }
-}
-
-/// Runs the full Figure 4 sweep (8 configurations × 6 latencies).
-#[must_use]
-pub fn run(params: &ExperimentParams) -> Fig4Results {
-    sweep(params).results
+    Fig4Results { points }
 }
 
 impl Fig4Results {
@@ -299,7 +281,7 @@ mod tests {
             seed: 9,
             workers: 8,
         };
-        let r = run(&params);
+        let r = distill(&params.engine().run(&grid(&params)));
         assert_eq!(r.points.len(), THREAD_COUNTS.len() * 2 * L2_LATENCIES.len());
         assert!(r.point(2, true, 64).is_some());
         assert_eq!(r.table_fig4a().num_rows(), 8);

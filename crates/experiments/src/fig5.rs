@@ -88,22 +88,10 @@ pub fn grids(params: &ExperimentParams) -> Vec<SweepGrid> {
     ]
 }
 
-/// Figure 5 results plus the merged sweep report they were distilled from.
-#[derive(Debug, Clone)]
-pub struct Fig5Sweep {
-    /// Raw sweep records (both grids merged) and cache telemetry.
-    pub report: SweepReport,
-    /// The distilled figure data.
-    pub results: Fig5Results,
-}
-
-/// Runs both Figure 5 grids through the engine, keeping the merged report.
+/// Distils the merged report of both Figure 5 grids into one point per
+/// (latency, threads, decoupling) cell.
 #[must_use]
-pub fn sweep(params: &ExperimentParams) -> Fig5Sweep {
-    // One shared worker pool across both grids: cells interleave, so the
-    // small L2=16 grid does not serialize behind the L2=64 one.
-    let reports = params.engine().run_many(&grids(params));
-    let report = SweepReport::merged("fig5", reports);
+pub fn distill(report: &SweepReport) -> Fig5Results {
     let points = report
         .records
         .iter()
@@ -116,16 +104,7 @@ pub fn sweep(params: &ExperimentParams) -> Fig5Sweep {
             load_miss_ratio: rec.results.load_miss_ratio(),
         })
         .collect();
-    Fig5Sweep {
-        report,
-        results: Fig5Results { points },
-    }
-}
-
-/// Runs the full Figure 5 sweep.
-#[must_use]
-pub fn run(params: &ExperimentParams) -> Fig5Results {
-    sweep(params).results
+    Fig5Results { points }
 }
 
 impl Fig5Results {
@@ -325,7 +304,8 @@ mod tests {
             seed: 5,
             workers: 8,
         };
-        let r = run(&params);
+        let reports = params.engine().run_many(&grids(&params));
+        let r = distill(&SweepReport::merged("fig5", reports));
         assert_eq!(
             r.points.len(),
             THREADS_L2_16.len() * 2 + THREADS_L2_64.len() * 2

@@ -1,12 +1,11 @@
-//! Shared experiment infrastructure: parameters and single runs.
+//! The experiment-wide parameters.
 //!
 //! All sweep mechanics (parallel scheduling, caching, export) live in
-//! [`dsmt_sweep`]; this module only holds the experiment-wide parameters and
-//! thin wrappers that express single runs as [`Scenario`]s so every
-//! simulation — swept or not — goes down one code path.
+//! [`dsmt_sweep`]; a single run is a [`dsmt_sweep::Scenario`] built from
+//! these parameters, so every simulation — swept or not — goes down one
+//! code path.
 
-use dsmt_core::{SimConfig, SimResults};
-use dsmt_sweep::{Scenario, SweepEngine, WorkloadSpec};
+use dsmt_sweep::{SweepEngine, WorkloadSpec};
 
 /// Knobs shared by every experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,19 +28,6 @@ impl ExperimentParams {
         ExperimentParams {
             instructions_per_point: 400_000,
             insts_per_program: 40_000,
-            seed: 42,
-            workers: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4),
-        }
-    }
-
-    /// A reduced configuration for quick smoke tests and benchmarks.
-    #[must_use]
-    pub fn quick() -> Self {
-        ExperimentParams {
-            instructions_per_point: 60_000,
-            insts_per_program: 15_000,
             seed: 42,
             workers: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -104,37 +90,6 @@ fn parse_insts(value: &str) -> Option<u64> {
     value.trim().parse::<u64>().ok().map(|n| n.max(1_000))
 }
 
-/// Runs one simulation of the multithreaded SPEC FP95 workload under
-/// `config`.
-#[must_use]
-pub fn run_spec(config: SimConfig, params: &ExperimentParams) -> SimResults {
-    Scenario {
-        config,
-        workload: params.spec_mix(),
-        seed: params.seed,
-        budget: params.instructions_per_point,
-    }
-    .execute()
-}
-
-/// Runs one single-benchmark simulation (Section 2 style).
-#[must_use]
-pub fn run_single_benchmark(
-    config: SimConfig,
-    profile: &dsmt_trace::BenchmarkProfile,
-    params: &ExperimentParams,
-) -> SimResults {
-    Scenario {
-        config,
-        workload: WorkloadSpec::Profile {
-            profile: profile.clone(),
-        },
-        seed: params.seed,
-        budget: params.instructions_per_point,
-    }
-    .execute()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,38 +108,8 @@ mod tests {
     fn params_constructors() {
         let std = ExperimentParams::standard();
         assert!(std.instructions_per_point >= 100_000);
-        let quick = ExperimentParams::quick();
-        assert!(quick.instructions_per_point < std.instructions_per_point);
         assert!(std.workers >= 1);
         assert_eq!(ExperimentParams::default(), std);
-    }
-
-    #[test]
-    fn quick_spec_run_produces_sane_results() {
-        let params = ExperimentParams {
-            instructions_per_point: 20_000,
-            insts_per_program: 5_000,
-            seed: 1,
-            workers: 2,
-        };
-        let r = run_spec(dsmt_core::SimConfig::paper_multithreaded(2), &params);
-        assert!(r.instructions >= 20_000);
-        assert!(r.ipc() > 0.3 && r.ipc() < 8.0);
-    }
-
-    #[test]
-    fn quick_single_benchmark_run() {
-        let params = ExperimentParams {
-            instructions_per_point: 15_000,
-            insts_per_program: 5_000,
-            seed: 1,
-            workers: 1,
-        };
-        let profile = dsmt_trace::spec_fp95_profile("mgrid").unwrap();
-        let cfg = dsmt_core::SimConfig::paper_single_thread_4wide();
-        let r = run_single_benchmark(cfg, &profile, &params);
-        assert!(r.instructions >= 15_000);
-        assert!(r.ipc() > 0.2 && r.ipc() < 4.0);
     }
 
     #[test]

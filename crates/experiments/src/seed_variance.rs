@@ -93,15 +93,6 @@ pub struct VarianceResults {
     pub rows: Vec<VarianceRow>,
 }
 
-/// Variance results plus the sweep report they were distilled from.
-#[derive(Debug, Clone)]
-pub struct VarianceSweep {
-    /// Raw sweep records and cache telemetry.
-    pub report: SweepReport,
-    /// The distilled study data.
-    pub results: VarianceResults,
-}
-
 /// Distils a seed-variance report: records are grouped by their position
 /// within each workload-replica block (replicas are the outermost grid
 /// dimension, so cell `i` belongs to configuration `i % block`).
@@ -128,21 +119,6 @@ pub fn distill(report: &SweepReport) -> VarianceResults {
         })
         .collect();
     VarianceResults { rows }
-}
-
-/// Runs the seed-variance sweep through the engine, keeping the raw
-/// report.
-#[must_use]
-pub fn sweep(params: &ExperimentParams) -> VarianceSweep {
-    let report = params.engine().run(&grid(params));
-    let results = distill(&report);
-    VarianceSweep { report, results }
-}
-
-/// Runs the seed-variance sweep.
-#[must_use]
-pub fn run(params: &ExperimentParams) -> VarianceResults {
-    sweep(params).results
 }
 
 impl VarianceResults {
@@ -227,14 +203,15 @@ mod tests {
 
     #[test]
     fn study_distills_and_passes_its_shape_checks() {
-        let sweep = sweep(&tiny());
-        assert_eq!(sweep.results.rows.len(), 4);
-        assert_eq!(sweep.results.table().num_rows(), 4);
-        for (claim, ok) in sweep.results.shape_checks() {
+        let params = tiny();
+        let results = distill(&params.engine().run(&grid(&params)));
+        assert_eq!(results.rows.len(), 4);
+        assert_eq!(results.table().num_rows(), 4);
+        for (claim, ok) in results.shape_checks() {
             assert!(ok, "shape check failed: {claim}");
         }
         // Mean sits inside the sample spread.
-        for row in &sweep.results.rows {
+        for row in &results.rows {
             assert!(row.min() <= row.mean && row.mean <= row.max());
             assert!(row.stddev >= 0.0);
         }

@@ -13,7 +13,7 @@
 //! second, independently derived scenario hash that is re-verified on every
 //! hit — a collision on the key alone degrades to a miss instead of
 //! returning the wrong cell. Both come from one serialization of the
-//! scenario ([`Scenario::cache_identity`]), computed once per lookup or
+//! scenario ([`crate::Scenario::cache_identity`]), computed once per lookup or
 //! store.
 //!
 //! **Visibility contract**: one handle per engine, refreshed at the start
@@ -59,7 +59,7 @@ use dsmt_core::SimResults;
 use dsmt_store::Store;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::{CacheIdentity, Scenario, CACHE_SCHEMA_VERSION};
+use crate::{CacheIdentity, CACHE_SCHEMA_VERSION};
 
 /// Pending misses are published as a segment once this many accumulate,
 /// bounding how much a crashed sweep can lose.
@@ -190,14 +190,8 @@ impl ResultCache {
         self.store.read().expect("store lock").dir().to_path_buf()
     }
 
-    /// Looks up a scenario; any missing or mismatching entry is a miss.
-    #[must_use]
-    pub fn lookup(&self, scenario: &Scenario) -> Option<SimResults> {
-        self.lookup_identity(scenario.cache_identity())
-    }
-
-    /// [`lookup`](Self::lookup) for a caller that already derived the
-    /// scenario's [`CacheIdentity`].
+    /// The entry for the scenario `id` identifies, from the pending buffer
+    /// or the store; any missing or mismatching entry is a miss.
     fn lookup_identity(&self, id: CacheIdentity) -> Option<SimResults> {
         let key = id.key;
         if let Some(value) = self.pending.lock().expect("pending lock").get(&key) {
@@ -207,14 +201,9 @@ impl ResultCache {
         decode_entry(&value, id)
     }
 
-    /// Buffers a scenario's results for the next segment publish
-    /// (best-effort: caching failures only cost future re-simulation).
-    pub fn store(&self, scenario: &Scenario, results: &SimResults) {
-        self.store_identity(scenario.cache_identity(), results);
-    }
-
-    /// [`store`](Self::store) for a caller that already derived the
-    /// scenario's [`CacheIdentity`].
+    /// Buffers the results of the scenario `id` identifies for the next
+    /// segment publish (best-effort: caching failures only cost future
+    /// re-simulation).
     fn store_identity(&self, id: CacheIdentity, results: &SimResults) {
         let flush_now = {
             let mut pending = self.pending.lock().expect("pending lock");
@@ -244,26 +233,12 @@ impl ResultCache {
         }
     }
 
-    /// Runs a scenario through the cache: hit returns the stored results,
-    /// miss executes and stores. Counters update accordingly.
-    #[must_use]
-    pub fn run_cached(&self, scenario: &Scenario, stats: &CacheStats) -> SimResults {
-        let id = scenario.cache_identity();
-        if let Some(results) = self.try_hit(id, stats) {
-            return results;
-        }
-        let results = scenario.execute();
-        self.publish_miss(id, &results, stats);
-        results
-    }
-
-    /// The hit half of [`run_cached`](Self::run_cached): answers the
-    /// scenario `id` identifies from the cache with full hit bookkeeping,
-    /// or returns `None` without touching any counter. The batched-cell
-    /// drive loop uses this and [`publish_miss`](Self::publish_miss) so
-    /// several simulations can be interleaved between the lookup and the
-    /// store; it derives `id` once per cell and reuses it for both halves
-    /// and for the record's key.
+    /// Answers the scenario `id` identifies from the cache with full hit
+    /// bookkeeping, or returns `None` without touching any counter. The
+    /// batched-cell drive loop uses this and
+    /// [`publish_miss`](Self::publish_miss) so several simulations can be
+    /// interleaved between the lookup and the store; it derives `id` once
+    /// per cell and reuses it for both halves and for the record's key.
     #[must_use]
     pub fn try_hit(&self, id: CacheIdentity, stats: &CacheStats) -> Option<SimResults> {
         let results = self.lookup_identity(id)?;
@@ -273,8 +248,8 @@ impl ResultCache {
         Some(results)
     }
 
-    /// The miss half of [`run_cached`](Self::run_cached): stores a result
-    /// the caller simulated itself, with full miss bookkeeping.
+    /// Stores a result the caller simulated itself, with full miss
+    /// bookkeeping.
     pub fn publish_miss(&self, id: CacheIdentity, results: &SimResults, stats: &CacheStats) {
         self.store_identity(id, results);
         stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -303,7 +278,7 @@ impl Drop for ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WorkloadSpec;
+    use crate::{Scenario, WorkloadSpec};
     use dsmt_core::SimConfig;
 
     fn scenario(seed: u64) -> Scenario {
@@ -328,15 +303,20 @@ mod tests {
         ResultCache::open(temp_dir(tag)).expect("cache dir")
     }
 
+    /// A hit for `s`, counted on a throwaway tally.
+    fn lookup(cache: &ResultCache, s: &Scenario) -> Option<SimResults> {
+        cache.try_hit(s.cache_identity(), &CacheStats::default())
+    }
+
     #[test]
     fn store_then_lookup_round_trips_exactly() {
         let cache = temp_cache("roundtrip");
         let s = scenario(1);
-        assert!(cache.lookup(&s).is_none());
+        assert!(lookup(&cache, &s).is_none());
         let results = s.execute();
-        cache.store(&s, &results);
+        cache.publish_miss(s.cache_identity(), &results, &CacheStats::default());
         // Served from the pending buffer before any flush...
-        assert_eq!(cache.lookup(&s).expect("pending hit"), results);
+        assert_eq!(lookup(&cache, &s).expect("pending hit"), results);
         let segments = || {
             Store::open(cache.dir(), CACHE_SCHEMA_VERSION)
                 .unwrap()
@@ -345,11 +325,11 @@ mod tests {
         assert_eq!(segments(), 0);
         cache.flush();
         // ...and from the published segment afterwards.
-        assert_eq!(cache.lookup(&s).expect("hit"), results);
+        assert_eq!(lookup(&cache, &s).expect("hit"), results);
         assert_eq!(cache.record_count(), 1);
         assert_eq!(segments(), 1);
         // A different scenario misses.
-        assert!(cache.lookup(&scenario(2)).is_none());
+        assert!(lookup(&cache, &scenario(2)).is_none());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -358,8 +338,12 @@ mod tests {
         let cache = temp_cache("counters");
         let stats = CacheStats::default();
         let s = scenario(3);
-        let first = cache.run_cached(&s, &stats);
-        let second = cache.run_cached(&s, &stats);
+        let id = s.cache_identity();
+        // The engine's path: a miss simulates and publishes, then hits.
+        assert!(cache.try_hit(id, &stats).is_none());
+        let first = s.execute();
+        cache.publish_miss(id, &first, &stats);
+        let second = cache.try_hit(id, &stats).expect("hit");
         assert_eq!(first, second);
         assert_eq!((stats.hits(), stats.misses()), (1, 1));
         let _ = std::fs::remove_dir_all(cache.dir());
@@ -372,10 +356,10 @@ mod tests {
         let results = s.execute();
         {
             let cache = ResultCache::open(&dir).expect("cache dir");
-            cache.store(&s, &results);
+            cache.publish_miss(s.cache_identity(), &results, &CacheStats::default());
         }
         let cache = ResultCache::open(&dir).expect("reopen");
-        assert_eq!(cache.lookup(&s).expect("hit after drop"), results);
+        assert_eq!(lookup(&cache, &s).expect("hit after drop"), results);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,7 +9,7 @@ use std::time::{Duration, SystemTime};
 use dsmt_core::SimConfig;
 use dsmt_store::Store;
 use dsmt_sweep::{
-    Axis, ResultCache, SeedMode, SweepEngine, SweepGrid, SweepReport, WorkloadSpec,
+    Axis, CacheStats, ResultCache, SeedMode, SweepEngine, SweepGrid, SweepReport, WorkloadSpec,
     CACHE_SCHEMA_VERSION,
 };
 use serde::{Serialize, Value};
@@ -264,7 +264,12 @@ fn a_reused_engine_hits_cells_a_peer_published_between_its_runs() {
     // A peer handle simulates and publishes the other two cells.
     let peer = ResultCache::open(&dir).expect("peer handle");
     for cell in &grid.cells()[2..] {
-        peer.store(&cell.scenario, &cell.scenario.execute());
+        let results = cell.scenario.execute();
+        peer.publish_miss(
+            cell.scenario.cache_identity(),
+            &results,
+            &CacheStats::default(),
+        );
     }
     peer.flush();
     let second = engine.run(&grid);

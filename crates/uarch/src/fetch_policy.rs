@@ -3,11 +3,14 @@
 //! The paper fetches from two threads per cycle, each supplying up to eight
 //! consecutive instructions, choosing "those with less instructions pending
 //! to be dispatched (similar to the RR-2.8 with I-COUNT schemes)". That
-//! load-aware scheme is [`icount_pick`]; the plain rotation it is compared
-//! against in Section 3.1 (RR-2.8 without I-COUNT) is [`round_robin_pick`].
+//! load-aware scheme is [`icount_pick_into`]; the plain rotation it is
+//! compared against in Section 3.1 (RR-2.8 without I-COUNT) is
+//! [`round_robin_pick_into`].
 
 /// Selects up to `max_threads` eligible threads with the fewest pending
-/// (fetched but not yet dispatched) instructions.
+/// (fetched but not yet dispatched) instructions, writing them into `out`
+/// (cleared first): the simulator calls the fetch policy every cycle with a
+/// reused scratch `Vec`.
 ///
 /// Ties are broken by thread index rotated by `rotation`, so that equally
 /// loaded threads share fetch bandwidth fairly over time.
@@ -19,32 +22,15 @@
 /// # Example
 ///
 /// ```
-/// use dsmt_uarch::icount_pick;
+/// use dsmt_uarch::icount_pick_into;
 ///
 /// let pending = [5, 0, 3, 0];
 /// let eligible = [true, true, true, true];
+/// let mut picked = Vec::new();
+/// icount_pick_into(&pending, &eligible, 2, 0, &mut picked);
 /// // The two least-loaded threads are 1 and 3.
-/// assert_eq!(icount_pick(&pending, &eligible, 2, 0), vec![1, 3]);
+/// assert_eq!(picked, vec![1, 3]);
 /// ```
-#[must_use]
-pub fn icount_pick(
-    pending: &[usize],
-    eligible: &[bool],
-    max_threads: usize,
-    rotation: usize,
-) -> Vec<usize> {
-    let mut out = Vec::new();
-    icount_pick_into(pending, eligible, max_threads, rotation, &mut out);
-    out
-}
-
-/// [`icount_pick`] writing into a caller-owned buffer (cleared first): the
-/// allocation-free form used by the simulator hot loop, which calls the
-/// fetch policy every cycle with a reused scratch `Vec`.
-///
-/// # Panics
-///
-/// Panics if `pending` and `eligible` have different lengths.
 pub fn icount_pick_into(
     pending: &[usize],
     eligible: &[bool],
@@ -81,20 +67,11 @@ pub fn icount_pick_into(
     out.truncate(max_threads);
 }
 
-/// Selects up to `max_threads` eligible threads by plain rotation: thread
-/// `rotation % n` has top priority this cycle, then indices wrap upward.
-/// Pending-instruction counts are ignored — this is the paper's RR-2.8
-/// scheme *without* I-COUNT, the baseline its fetch discussion compares
-/// against.
-#[must_use]
-pub fn round_robin_pick(eligible: &[bool], max_threads: usize, rotation: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    round_robin_pick_into(eligible, max_threads, rotation, &mut out);
-    out
-}
-
-/// [`round_robin_pick`] writing into a caller-owned buffer (cleared first):
-/// the allocation-free form used by the simulator hot loop.
+/// Selects up to `max_threads` eligible threads by plain rotation, writing
+/// them into `out` (cleared first): thread `rotation % n` has top priority
+/// this cycle, then indices wrap upward. Pending-instruction counts are
+/// ignored — this is the paper's RR-2.8 scheme *without* I-COUNT, the
+/// baseline its fetch discussion compares against.
 pub fn round_robin_pick_into(
     eligible: &[bool],
     max_threads: usize,
@@ -118,6 +95,23 @@ pub fn round_robin_pick_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn icount_pick(
+        pending: &[usize],
+        eligible: &[bool],
+        max_threads: usize,
+        rotation: usize,
+    ) -> Vec<usize> {
+        let mut out = vec![usize::MAX];
+        icount_pick_into(pending, eligible, max_threads, rotation, &mut out);
+        out
+    }
+
+    fn round_robin_pick(eligible: &[bool], max_threads: usize, rotation: usize) -> Vec<usize> {
+        let mut out = vec![usize::MAX];
+        round_robin_pick_into(eligible, max_threads, rotation, &mut out);
+        out
+    }
 
     #[test]
     fn picks_least_loaded() {

@@ -12,7 +12,8 @@
 //! * [`FuPool`] — a pool of (optionally pipelined) functional units;
 //! * [`RoundRobin`] — the rotating thread priority used by the shared issue
 //!   stage;
-//! * [`icount_pick`] — the RR-2.8 / I-COUNT fetch thread selection policy.
+//! * [`icount_pick_into`] — the RR-2.8 / I-COUNT fetch thread selection
+//!   policy.
 //!
 //! These pieces are deliberately independent of the simulator's main loop so
 //! that they can be unit-tested (and reused in ablation studies) in
@@ -29,7 +30,7 @@ mod queue;
 mod regfile;
 
 pub use arbiter::RoundRobin;
-pub use fetch_policy::{icount_pick, icount_pick_into, round_robin_pick, round_robin_pick_into};
+pub use fetch_policy::{icount_pick_into, round_robin_pick_into};
 pub use fu::FuPool;
 pub use predictor::{BranchPredictor, PredictorStats};
 pub use queue::BoundedQueue;

@@ -23,12 +23,11 @@
 //! trace text.
 //!
 //! `<grid>` is either a path to a `SweepGrid` JSON file or a built-in name:
-//! `demo`, `fetch-policy`, `fetch-policy-hetero`, `seed-variance`, the
-//! figure grids (`fig1`, `fig3`, `fig4`, `fig5-l2-16`, `fig5-l2-64`) and
-//! the ablations (`ablation-iq-depth`, `ablation-mshr`,
-//! `ablation-unit-split`, `ablation-l1-assoc`). Built-in figure grids
-//! honour `DSMT_INSTS`; caching honours `DSMT_SWEEP_CACHE` like every
-//! other binary.
+//! `demo` or one of the figure grids (`fig1`, `fig3`, `fig4`, `fig5-l2-16`,
+//! `fig5-l2-64`, `fetch-policy`, `fetch-policy-hetero`, `seed-variance`,
+//! `ablation-iq-depth`, `ablation-mshr`, `ablation-unit-split`,
+//! `ablation-l1-assoc`). Built-in figure grids honour `DSMT_INSTS`;
+//! caching honours `DSMT_SWEEP_CACHE` like every other binary.
 //!
 //! `--store DIR` names the store shard outputs are published into (and
 //! merged back out of), keyed by grid content hash + shard index. Point it
@@ -55,10 +54,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use dsmt_core::SimConfig;
-use dsmt_experiments::{
-    ablations, fetch_policy, fetch_policy_hetero, fig1, fig3, fig4, fig5, seed_variance,
-    ExperimentParams,
-};
+use dsmt_experiments::{figure_grids, ExperimentParams};
 use dsmt_shard::{
     merge_from, plan, recover, run_shard, DsrFile, RecoverOptions, ShardManifest, ShardState,
     ShardStrategy, Transport, DEFAULT_HEARTBEAT,
@@ -222,18 +218,8 @@ fn engine(workers: Option<usize>) -> SweepEngine {
 // Grid resolution.
 
 fn builtin_grids() -> Vec<SweepGrid> {
-    let params = ExperimentParams::from_env();
-    let mut grids = vec![
-        demo_grid(),
-        fetch_policy::grid(&params),
-        fetch_policy_hetero::grid(&params),
-        seed_variance::grid(&params),
-    ];
-    grids.push(fig1::grid(&params));
-    grids.push(fig3::grid(&params));
-    grids.push(fig4::grid(&params));
-    grids.extend(fig5::grids(&params));
-    grids.extend(ablations::grids(&params));
+    let mut grids = vec![demo_grid()];
+    grids.extend(figure_grids(&ExperimentParams::from_env()));
     grids
 }
 

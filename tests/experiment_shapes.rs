@@ -1,10 +1,11 @@
 //! Integration tests that run reduced versions of the paper's experiments
 //! end-to-end through the harness crate and assert the qualitative shapes
-//! the paper reports. The full-scale versions live in the `fig1`..`fig5`
-//! binaries and EXPERIMENTS.md.
+//! the paper reports. The full-scale versions are `all_experiments`'
+//! figure sections and EXPERIMENTS.md.
 
+use dsmt_repro::core::{SimConfig, SimResults};
 use dsmt_repro::experiments::{fig3, fig4, fig5, ExperimentParams};
-use dsmt_repro::sweep::SweepEngine;
+use dsmt_repro::sweep::{Scenario, SweepEngine};
 
 fn tiny() -> ExperimentParams {
     ExperimentParams {
@@ -15,6 +16,17 @@ fn tiny() -> ExperimentParams {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(4),
     }
+}
+
+/// One simulation of the multithreaded SPEC FP95 workload under `config`.
+fn run_spec_mix(config: SimConfig, params: &ExperimentParams) -> SimResults {
+    Scenario {
+        config,
+        workload: params.spec_mix(),
+        seed: params.seed,
+        budget: params.instructions_per_point,
+    }
+    .execute()
 }
 
 #[test]
@@ -58,7 +70,7 @@ fn figure4_shape_decoupling_flattens_the_latency_curve() {
     let params = tiny();
     let run = |threads, decoupled, lat| {
         let cfg = fig4::fig4_config(threads, decoupled, lat);
-        dsmt_repro::experiments::runner::run_spec(cfg, &params)
+        run_spec_mix(cfg, &params)
     };
     for &threads in &[1usize, 4] {
         let dec_fast = run(threads, true, 1);
@@ -81,7 +93,7 @@ fn figure5_shape_decoupled_needs_fewer_threads() {
     let params = tiny();
     let run = |threads, decoupled| {
         let cfg = fig5::fig5_config(threads, decoupled, 64);
-        dsmt_repro::experiments::runner::run_spec(cfg, &params)
+        run_spec_mix(cfg, &params)
     };
     // With only 4 threads the decoupled machine already clearly outperforms
     // the non-decoupled one at a 64-cycle L2.
