@@ -32,7 +32,7 @@
 //! renders — and the one driver, `all_experiments [FIGURE...]`, runs any
 //! of them from that table.
 //!
-//! Sweeps execute on the `dsmt-sweep` work-stealing engine: cells run in
+//! Sweeps execute on the `dsmt-sweep` engine: cells run in
 //! parallel with deterministic per-cell seeding (results are bit-identical
 //! at any worker count) and an on-disk result cache keyed by
 //! (config, workload, seed, budget) — re-running a figure only simulates

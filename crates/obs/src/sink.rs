@@ -373,14 +373,6 @@ impl Span {
         }
         self
     }
-
-    /// Attaches a field through a mutable reference (for fields only known
-    /// mid-scope).
-    pub fn add_field(&mut self, key: &str, value: impl Into<FieldValue>) {
-        if let Some(inner) = &mut self.inner {
-            inner.fields.push((key.to_string(), value.into()));
-        }
-    }
 }
 
 impl Drop for Span {
@@ -419,10 +411,7 @@ mod tests {
             ok = true,
             rate = 1.5
         );
-        {
-            let mut s = span("t.span").field("grid", "demo");
-            s.add_field("cells", 3usize);
-        }
+        drop(span("t.span").field("grid", "demo").field("cells", 3usize));
         let text = std::fs::read_to_string(&path).expect("trace file");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "{text}");

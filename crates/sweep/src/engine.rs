@@ -10,7 +10,7 @@ use crate::{batch, pool, CacheIdentity, Cell, CellPerf, RunRecord, SweepGrid, Sw
 /// belongs to, and the cell.
 type Job<'a> = (&'a str, &'a CacheStats, &'a Cell);
 
-/// Executes [`SweepGrid`]s on a work-stealing pool with optional caching.
+/// Executes [`SweepGrid`]s on the worker [`pool`] with optional caching.
 ///
 /// An engine keeps **one** [`ResultCache`] handle for its whole life: it
 /// opens the cache directory on its first cached run and, on every later

@@ -9,10 +9,11 @@
 //!   [`Setting`] axes over [`SimConfig`](dsmt_core::SimConfig) knobs crossed
 //!   with [`WorkloadSpec`] workloads (the ten SPEC FP95 profiles,
 //!   multiprogram mixes, custom profiles).
-//! * **Deterministic parallelism** — a work-stealing pool over
-//!   `std::thread` executes cells concurrently. Each cell's seed is a pure
-//!   function of the grid seed (and, in per-cell mode, the cell index), so
-//!   the resulting [`RunRecord`]s are bit-identical at any worker count.
+//! * **Deterministic parallelism** — a worker pool over `std::thread`
+//!   executes cells concurrently, claiming them from one shared cursor.
+//!   Each cell's seed is a pure function of the grid seed (and, in
+//!   per-cell mode, the cell index), so the resulting [`RunRecord`]s are
+//!   bit-identical at any worker count.
 //! * **Result caching** — an on-disk cache keyed by a hash of
 //!   (config, workload, seed, instruction budget) lets a re-run of
 //!   `all_experiments` simulate only changed cells. See [`cache`].

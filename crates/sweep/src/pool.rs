@@ -1,72 +1,31 @@
-//! A work-stealing worker pool over `std::thread` scoped threads.
+//! The sweep's worker pool: guided self-scheduling over `std::thread`
+//! scoped threads.
 //!
-//! Cells of a sweep vary wildly in cost (a 16-thread, 256-cycle-latency cell
+//! Cells of a sweep vary widely in cost (a 16-thread, 256-cycle-latency cell
 //! simulates far more work per instruction than a 1-thread, 1-cycle cell),
-//! so static partitioning leaves workers idle. Here each worker owns a
-//! contiguous range of the input; when it runs dry it steals the upper half
-//! of the largest remaining range.
-//!
-//! Two properties keep synchronisation off the critical path (in the spirit
-//! of deterministic chunked work distribution à la Bobpp, arXiv:1406.2844):
-//!
-//! * **chunked claims** — a worker pops a chunk of up to 1/8 of its
-//!   remaining span per lock acquisition (not a single index), and a thief
-//!   takes half the victim's span in one acquisition, so lock traffic is
-//!   O(log n) per worker rather than O(n);
-//! * **slab output** — every result is written into a pre-sized, per-cell
-//!   slot (`Mutex<Option<O>>`, uncontended because exactly one worker ever
-//!   touches a given cell), so there is no shared append vector to fight
-//!   over and no final sort: outputs are already in input order.
+//! so static partitioning leaves workers idle. Here every worker claims the
+//! next run of items from one shared atomic cursor, one compare-and-swap
+//! per claim. A claim takes `(n - lo) / (2 * workers)` of the items left,
+//! clamped to `1..=max_batch`: whole batches while much remains, single
+//! items at the tail, so the workers finish together (guided
+//! self-scheduling, Polychronopoulos & Kuck, IEEE TC 1987).
 //!
 //! Determinism: the pool only affects *which worker* computes each output,
 //! never the output itself — outputs are returned in input order, and each
 //! job sees only its own input. Callers derive any randomness from the job
 //! index, not from scheduling.
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
-/// A half-open index range owned by one worker.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    lo: usize,
-    hi: usize,
-}
-
-impl Span {
-    fn len(&self) -> usize {
-        self.hi - self.lo
-    }
-}
-
-/// How much of its remaining span a worker claims per lock acquisition
-/// (`max(1, remaining / CHUNK_DIVISOR)`). Small enough to keep spans
-/// stealable, large enough to amortise locking.
-const CHUNK_DIVISOR: usize = 8;
-
-/// Applies `f` to every item, running up to `workers` jobs concurrently on a
-/// work-stealing pool, and returns the outputs in input order.
+/// Applies `f` to contiguous slices of `items`, running up to `workers`
+/// slices concurrently, and returns the outputs in input order.
 ///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn run_indexed<I, O, F>(items: &[I], workers: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(usize, &I) -> O + Sync,
-{
-    run_batched(items, workers, 1, |base, slice| vec![f(base, &slice[0])])
-}
-
-/// Like [`run_indexed`], but hands `f` contiguous slices of up to
-/// `max_batch` items at a time: `f(base, slice)` must return one output per
-/// slice item, in order. The sweep engine's batched-cell drive loop uses
-/// this to interleave several simulations per call; `max_batch = 1`
-/// degenerates to per-item dispatch.
-///
-/// Work distribution is unchanged from [`run_indexed`] (chunked claims,
-/// half-span steals): batches never cross a claimed chunk's boundary, so
-/// outputs land in input order exactly as before.
+/// `f(base, slice)` receives `items[base..base + slice.len()]`, at most
+/// `max_batch` items, and must return one output per slice item, in
+/// order. The sweep engine's batched-cell drive loop uses this to
+/// interleave several simulations per call; `max_batch = 1` degenerates to
+/// per-item dispatch. The calling thread is one of the workers.
 ///
 /// # Panics
 ///
@@ -84,211 +43,136 @@ where
     }
     let max_batch = max_batch.max(1);
     let workers = workers.clamp(1, n);
-    if workers == 1 {
-        let mut out: Vec<O> = Vec::with_capacity(n);
-        let mut lo = 0usize;
-        while lo < n {
-            let hi = (lo + max_batch).min(n);
-            let batch = f(lo, &items[lo..hi]);
-            assert_eq!(batch.len(), hi - lo, "batch at {lo} returned wrong count");
-            out.extend(batch);
-            lo = hi;
+    let claim = |lo: usize| ((n - lo) / (2 * workers)).clamp(1, max_batch);
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let started = Instant::now();
+        let mut busy = Duration::ZERO;
+        let mut slices = Vec::new();
+        while let Ok(lo) = cursor.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |lo| {
+            (lo < n).then(|| lo + claim(lo))
+        }) {
+            let hi = lo + claim(lo);
+            let slice_started = Instant::now();
+            let outs = f(lo, &items[lo..hi]);
+            busy += slice_started.elapsed();
+            assert_eq!(outs.len(), hi - lo, "batch at {lo} returned wrong count");
+            slices.push((lo, outs));
         }
-        return out;
-    }
+        let idle = started.elapsed().saturating_sub(busy);
+        dsmt_obs::counter!("sweep.pool.busy_ms").add(busy.as_millis() as u64);
+        dsmt_obs::counter!("sweep.pool.idle_ms").add(idle.as_millis() as u64);
+        slices
+    };
 
-    // Initial even partition; spans are then mutated by their owner (pop
-    // chunks from the front) and by thieves (split off the back half).
-    let spans: Vec<Mutex<Span>> = (0..workers)
-        .map(|w| {
-            let lo = w * n / workers;
-            let hi = (w + 1) * n / workers;
-            Mutex::new(Span { lo, hi })
-        })
-        .collect();
-
-    // Pre-sized output slab, one slot per cell. Each slot is written exactly
-    // once, so the per-slot locks are never contended; they exist to make
-    // the scatter safe without `unsafe`.
-    let slab: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let f = &f;
-    let spans = &spans;
-    let slab = &slab;
-
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            scope.spawn(move || {
-                let started = std::time::Instant::now();
-                let mut busy = std::time::Duration::ZERO;
-                let mut cells = 0u64;
-                let mut steals = 0u64;
-                loop {
-                    // Claim the next chunk from my own span: one lock
-                    // acquisition hands out up to 1/CHUNK_DIVISOR of what
-                    // remains (always at least one index).
-                    let chunk = {
-                        let mut span = spans[me].lock().expect("span lock");
-                        let remaining = span.len();
-                        if remaining > 0 {
-                            let take = (remaining / CHUNK_DIVISOR).max(1);
-                            let lo = span.lo;
-                            span.lo += take;
-                            Some(Span { lo, hi: lo + take })
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some(chunk) = chunk {
-                        dsmt_obs::counter!("sweep.pool.chunks").inc();
-                        let chunk_started = std::time::Instant::now();
-                        let mut lo = chunk.lo;
-                        while lo < chunk.hi {
-                            let hi = (lo + max_batch).min(chunk.hi);
-                            let outs = f(lo, &items[lo..hi]);
-                            assert_eq!(outs.len(), hi - lo, "batch at {lo} returned wrong count");
-                            for (k, out) in outs.into_iter().enumerate() {
-                                let mut slot = slab[lo + k].lock().expect("slab slot lock");
-                                debug_assert!(slot.is_none(), "cell {} computed twice", lo + k);
-                                *slot = Some(out);
-                            }
-                            lo = hi;
-                        }
-                        busy += chunk_started.elapsed();
-                        cells += chunk.len() as u64;
-                        continue;
-                    }
-                    // Steal the upper half of the largest remaining span,
-                    // in a single lock acquisition on the victim.
-                    let mut best: Option<(usize, usize)> = None; // (victim, len)
-                    for (v, span) in spans.iter().enumerate() {
-                        if v == me {
-                            continue;
-                        }
-                        let len = span.lock().expect("span lock").len();
-                        if len > 1 && best.is_none_or(|(_, l)| len > l) {
-                            best = Some((v, len));
-                        }
-                    }
-                    let Some((victim, _)) = best else {
-                        break; // Nothing worth stealing anywhere: done.
-                    };
-                    let stolen = {
-                        let mut span = spans[victim].lock().expect("span lock");
-                        let len = span.len();
-                        if len <= 1 {
-                            None // Raced: the victim drained it meanwhile.
-                        } else {
-                            let mid = span.lo + len / 2;
-                            let stolen = Span {
-                                lo: mid,
-                                hi: span.hi,
-                            };
-                            span.hi = mid;
-                            Some(stolen)
-                        }
-                    };
-                    if let Some(stolen) = stolen {
-                        steals += 1;
-                        dsmt_obs::counter!("sweep.pool.steals").inc();
-                        let mut mine = spans[me].lock().expect("span lock");
-                        *mine = stolen;
-                    }
-                }
-                let busy_ms = busy.as_millis() as u64;
-                let idle_ms = started.elapsed().saturating_sub(busy).as_millis() as u64;
-                dsmt_obs::counter!("sweep.pool.busy_ms").add(busy_ms);
-                dsmt_obs::counter!("sweep.pool.idle_ms").add(idle_ms);
-                dsmt_obs::debug!(
-                    "sweep.pool.worker_done",
-                    worker = me,
-                    cells = cells,
-                    steals = steals,
-                    busy_ms = busy_ms,
-                    idle_ms = idle_ms
-                );
-            });
+    let mut slices = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut slices = work();
+        for helper in helpers {
+            match helper.join() {
+                Ok(theirs) => slices.extend(theirs),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
+        slices
     });
-
-    slab.iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.lock()
-                .expect("slab slot lock")
-                .take()
-                .unwrap_or_else(|| panic!("cell {i} produced no output"))
-        })
-        .collect()
-}
-
-/// Order-preserving parallel map (the classic harness entry point).
-pub fn parallel_map<I, O, F>(inputs: Vec<I>, workers: usize, f: F) -> Vec<O>
-where
-    I: Send + Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    run_indexed(&inputs, workers, |_, x| f(x))
+    slices.sort_unstable_by_key(|&(base, _)| base);
+    let mut out = Vec::with_capacity(n);
+    for (_, outs) in slices {
+        out.extend(outs);
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn outputs_are_in_input_order_for_any_worker_count() {
         let inputs: Vec<u64> = (0..101).collect();
         let expect: Vec<u64> = inputs.iter().map(|x| x * 3).collect();
         for workers in [1, 2, 3, 8, 64, 200] {
-            let out = parallel_map(inputs.clone(), workers, |x| x * 3);
-            assert_eq!(out, expect, "workers={workers}");
+            for max_batch in [1, 4] {
+                let out = run_batched(&inputs, workers, max_batch, |_, s| {
+                    s.iter().map(|x| x * 3).collect()
+                });
+                assert_eq!(out, expect, "workers={workers} max_batch={max_batch}");
+            }
         }
     }
 
     #[test]
     fn every_job_runs_exactly_once() {
-        let n = 500;
+        let n = 1013; // prime: no claim size divides it
         let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let items: Vec<usize> = (0..n).collect();
-        let out = run_indexed(&items, 7, |i, &x| {
-            counters[i].fetch_add(1, Ordering::SeqCst);
-            x
+        let out = run_batched(&items, 5, 3, |base, slice| {
+            for (k, &x) in slice.iter().enumerate() {
+                assert_eq!(base + k, x);
+                counters[x].fetch_add(1, Ordering::SeqCst);
+            }
+            slice.iter().map(|x| x * 2).collect()
         });
-        assert_eq!(out, items);
+        assert_eq!(out, (0..n).map(|x| x * 2).collect::<Vec<_>>());
         assert!(counters.iter().all(|c| c.load(Ordering::SeqCst) == 1));
     }
 
     #[test]
+    fn claims_tile_the_input_and_shrink_to_one() {
+        let (n, max_batch) = (64, 8);
+        let items: Vec<usize> = (0..n).collect();
+        // Every output names the claim that computed it.
+        let out = run_batched(&items, 2, max_batch, |base, slice| {
+            vec![(base, slice.len()); slice.len()]
+        });
+        let mut claims = out.clone();
+        claims.dedup();
+        let mut next = 0;
+        for &(base, len) in &claims {
+            assert_eq!(base, next, "claims {claims:?} leave a gap or overlap");
+            assert!((1..=max_batch).contains(&len), "claim {base}+{len}");
+            next = base + len;
+        }
+        assert_eq!(next, n);
+        assert!(claims.windows(2).all(|w| w[1].1 <= w[0].1), "{claims:?}");
+        assert!(
+            claims.iter().rev().take(4).all(|&(_, len)| len == 1),
+            "{claims:?}"
+        );
+    }
+
+    #[test]
     fn uneven_job_costs_still_complete() {
-        // Front-loaded cost forces stealing from the first worker's span.
+        // Front-loaded cost: the other workers drain the cheap tail.
         let items: Vec<u64> = (0..64).collect();
-        let out = run_indexed(&items, 8, |i, &x| {
+        let out = run_batched(&items, 8, 1, |i, s| {
             if i < 8 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
+                std::thread::sleep(Duration::from_millis(2));
             }
-            x + 1
+            vec![s[0] + 1]
         });
         assert_eq!(out, (1..=64).collect::<Vec<_>>());
     }
 
     #[test]
-    fn chunked_claims_cover_every_index() {
-        // More items than workers by a wide margin exercises repeated
-        // chunked pops (remaining/8 shrinking to 1) and steals.
-        let n = 1013; // prime: uneven partitions everywhere
-        let items: Vec<usize> = (0..n).collect();
-        let out = run_indexed(&items, 5, |i, &x| {
-            assert_eq!(i, x);
-            x * 2
-        });
-        assert_eq!(out, (0..n).map(|x| x * 2).collect::<Vec<_>>());
+    fn a_panicking_job_panics_the_pool() {
+        let items: Vec<usize> = (0..32).collect();
+        for workers in [1, 4] {
+            let run = std::panic::catch_unwind(|| {
+                run_batched(&items, workers, 2, |_, slice| {
+                    assert!(!slice.contains(&10), "job 10 fails");
+                    slice.to_vec()
+                })
+            });
+            assert!(run.is_err(), "workers={workers}");
+        }
     }
 
     #[test]
     fn empty_and_single_inputs() {
-        let empty: Vec<u64> = Vec::new();
-        assert!(parallel_map(empty, 4, |x: &u64| *x).is_empty());
-        assert_eq!(parallel_map(vec![5u64], 4, |x| x + 1), vec![6]);
+        let double = |_: usize, s: &[u64]| -> Vec<u64> { s.iter().map(|x| x * 2).collect() };
+        assert!(run_batched(&[], 4, 4, double).is_empty());
+        assert_eq!(run_batched(&[5u64], 4, 4, double), vec![10]);
     }
 }

@@ -62,11 +62,6 @@ impl ArrayStream {
     pub fn peek_addr(&self) -> u64 {
         self.base + self.pos
     }
-
-    /// Restarts the walk at the base address.
-    pub fn rewind(&mut self) {
-        self.pos = 0;
-    }
 }
 
 /// A small, heavily reused region (scalars, stack, lookup tables).
@@ -130,8 +125,10 @@ mod tests {
         assert_eq!(a.peek_addr(), 0x0);
         a.next_addr();
         assert_eq!(a.peek_addr(), 0x10);
-        a.rewind();
-        assert_eq!(a.peek_addr(), 0x0);
+        for _ in 0..3 {
+            a.next_addr();
+        }
+        assert_eq!(a.peek_addr(), 0x0, "a full pass rewinds to the base");
         assert_eq!(a.base(), 0x0);
         assert_eq!(a.size(), 64);
     }

@@ -46,7 +46,6 @@ mod addr;
 mod profile;
 mod program;
 mod source;
-mod stats;
 mod synth;
 mod workload;
 
@@ -57,7 +56,6 @@ pub use program::{
     INST_BYTES,
 };
 pub use source::{TraceSource, VecTrace};
-pub use stats::TraceStats;
 pub use synth::SyntheticTrace;
 pub use workload::{MultiProgramTrace, ThreadWorkload};
 

@@ -78,12 +78,6 @@ impl FuPool {
         self.latency
     }
 
-    /// Whether the units are pipelined.
-    #[must_use]
-    pub fn is_pipelined(&self) -> bool {
-        self.pipelined
-    }
-
     /// Number of operations issued to this pool in total.
     #[must_use]
     pub fn total_issued(&self) -> u64 {

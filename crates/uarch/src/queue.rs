@@ -66,12 +66,6 @@ impl<T: Copy + Default> BoundedQueue<T> {
         self.len >= self.capacity()
     }
 
-    /// Remaining free slots.
-    #[must_use]
-    pub fn free_slots(&self) -> usize {
-        self.capacity() - self.len
-    }
-
     /// Highest occupancy seen since construction.
     #[must_use]
     pub fn peak_occupancy(&self) -> usize {
@@ -127,11 +121,6 @@ impl<T: Copy + Default> BoundedQueue<T> {
     #[must_use]
     pub fn front(&self) -> Option<&T> {
         (self.len > 0).then(|| &self.slots[self.head])
-    }
-
-    /// A mutable reference to the oldest item.
-    pub fn front_mut(&mut self) -> Option<&mut T> {
-        (self.len > 0).then(|| &mut self.slots[self.head])
     }
 
     /// The two contiguous occupied regions of the ring, oldest first.
@@ -204,7 +193,6 @@ mod tests {
         assert!(q.push(1).is_ok());
         assert!(q.push(2).is_ok());
         assert!(q.is_full());
-        assert_eq!(q.free_slots(), 0);
         assert_eq!(q.push(3), Err(3));
         assert_eq!(q.rejected(), 1);
         q.pop();
@@ -218,8 +206,8 @@ mod tests {
         q.push(10).unwrap();
         q.push(20).unwrap();
         assert_eq!(q.front(), Some(&10));
-        *q.front_mut().unwrap() = 11;
-        assert_eq!(q.pop(), Some(11));
+        assert_eq!(q.pop(), Some(10));
+        assert_eq!(q.front(), Some(&20));
     }
 
     #[test]

@@ -452,9 +452,9 @@ fn shard_status(args: &[String]) -> Result<(), String> {
     loop {
         let report = transport.status(&manifest);
         if json {
-            // The same serializer the daemon's status endpoint uses, so
-            // scripts parse one shape whether they poll a directory or a
-            // URL.
+            // One machine-readable document per poll (the shape
+            // `StatusReport::to_value` documents), for scripts that
+            // watch a fleet's progress instead of grepping the text form.
             outln!("{}", serde::to_string_pretty(&report.to_value(&manifest)));
             let Some(secs) = watch else { break };
             if report.complete() {
