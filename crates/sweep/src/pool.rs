@@ -104,18 +104,32 @@ mod tests {
 
     #[test]
     fn every_job_runs_exactly_once() {
-        let n = 1013; // prime: no claim size divides it
+        let n = 500;
         let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let items: Vec<usize> = (0..n).collect();
+        let out = run_batched(&items, 7, 4, |base, slice| {
+            for k in 0..slice.len() {
+                counters[base + k].fetch_add(1, Ordering::SeqCst);
+            }
+            slice.to_vec()
+        });
+        assert_eq!(out, items);
+        assert!(counters.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+    }
+
+    #[test]
+    fn chunked_claims_cover_every_index() {
+        // Many more items than workers: multi-item claims shrink to single
+        // items near the end, and every claim's base matches its slice.
+        let n = 1013; // prime: no claim size divides it
         let items: Vec<usize> = (0..n).collect();
         let out = run_batched(&items, 5, 3, |base, slice| {
             for (k, &x) in slice.iter().enumerate() {
                 assert_eq!(base + k, x);
-                counters[x].fetch_add(1, Ordering::SeqCst);
             }
             slice.iter().map(|x| x * 2).collect()
         });
         assert_eq!(out, (0..n).map(|x| x * 2).collect::<Vec<_>>());
-        assert!(counters.iter().all(|c| c.load(Ordering::SeqCst) == 1));
     }
 
     #[test]
