@@ -368,41 +368,16 @@ impl Processor {
     }
 
     /// Runs until `max_instructions` have graduated (or every trace has
-    /// drained) and returns the accumulated results.
+    /// drained) and returns the accumulated results. A safety-valve cycle
+    /// cap stops the run early: even a pathologically stalled
+    /// configuration retires at least one instruction every few hundred
+    /// cycles, so the cap only guards against modelling bugs.
     pub fn run(&mut self, max_instructions: u64) -> SimResults {
-        let cycle_cap = self.run_cap(max_instructions);
+        let cycle_cap = self.cycle + max_instructions.saturating_mul(64) + 100_000;
         while self.retired < max_instructions && self.cycle < cycle_cap && !self.all_drained() {
             self.advance(cycle_cap - self.cycle);
         }
         self.results()
-    }
-
-    /// The safety-valve cycle cap a `run(max_instructions)` started now
-    /// would use: even a pathologically stalled configuration retires at
-    /// least one instruction every few hundred cycles, so the cap only
-    /// guards against modelling bugs. Precompute it once when driving a
-    /// sliced run via [`run_quantum`](Self::run_quantum).
-    #[must_use]
-    pub fn run_cap(&self, max_instructions: u64) -> u64 {
-        self.cycle + max_instructions.saturating_mul(64) + 100_000
-    }
-
-    /// One quantum of a sliced run: advances exactly as
-    /// `run(max_instructions)` would, but yields after at most `quantum`
-    /// additional cycles so a driver can interleave several independent
-    /// processors (the sweep layer's batched-cell drive loop). `cycle_cap`
-    /// must be the value [`run_cap`](Self::run_cap) returned before the
-    /// first quantum. Returns `true` once the run condition is met (budget
-    /// retired, all traces drained, or cap hit). Accumulated statistics
-    /// are bit-identical to a single `run` call: a stall skip clipped at a
-    /// quantum boundary replays its per-cycle accounting additively, so
-    /// splitting a window changes nothing.
-    pub fn run_quantum(&mut self, max_instructions: u64, cycle_cap: u64, quantum: u64) -> bool {
-        let slice_end = cycle_cap.min(self.cycle.saturating_add(quantum));
-        while self.retired < max_instructions && self.cycle < slice_end && !self.all_drained() {
-            self.advance(slice_end - self.cycle);
-        }
-        self.retired >= max_instructions || self.cycle >= cycle_cap || self.all_drained()
     }
 
     /// Advances the simulation by at least one and at most `max_cycles`

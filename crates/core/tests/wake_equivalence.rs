@@ -180,26 +180,6 @@ fn load_behind_an_overlapping_store_is_skipped() {
     assert!(skipped > 8 * 200, "only {skipped} cycles skipped");
 }
 
-/// Slicing a run into quanta (the sweep layer's batched-cell drive loop)
-/// splits skip windows at arbitrary boundaries; the accounting replay is
-/// additive, so results stay bit-identical to one `run` call.
-#[test]
-fn run_quantum_slicing_matches_monolithic_run() {
-    let cfg = SimConfig::paper_multithreaded(2).with_l2_latency(256);
-    let budget = 15_000u64;
-    let monolithic = Processor::with_spec_workload(cfg.clone(), 7).run(budget);
-    for quantum in [64u64, 1_000, 8_192] {
-        let mut cpu = Processor::with_spec_workload(cfg.clone(), 7);
-        let cap = cpu.run_cap(budget);
-        let mut quanta = 0usize;
-        while !cpu.run_quantum(budget, cap, quantum) {
-            quanta += 1;
-            assert!(quanta < 1_000_000, "run_quantum failed to make progress");
-        }
-        assert_results_match(&cpu.results(), &monolithic);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

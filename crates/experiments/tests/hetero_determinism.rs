@@ -1,6 +1,6 @@
 //! Determinism of the assembled heterogeneous grid: the
 //! `fetch-policy-hetero` figure must produce bit-identical records at any
-//! worker count and any `DSMT_SWEEP_BATCH` size, and a sharded fleet's
+//! worker count and any pool claim cap, and a sharded fleet's
 //! merged `.dsr` must encode to the same bytes as a monolithic run —
 //! assembled `ProgramWorkload`s get no special dispensation from the
 //! sweep engine's reproducibility contract.
@@ -19,7 +19,7 @@ fn tiny() -> ExperimentParams {
 }
 
 #[test]
-fn hetero_grid_is_bit_identical_across_workers_and_batch_sizes() {
+fn hetero_grid_is_bit_identical_across_workers_and_claim_sizes() {
     let grid = fetch_policy_hetero::grid(&tiny());
     let reference = SweepEngine::new(1).without_cache().with_batch(1).run(&grid);
     for (workers, batch) in [(2, 1), (4, 3), (3, 64)] {

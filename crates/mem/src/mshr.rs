@@ -77,8 +77,6 @@ pub struct MshrFile {
     entries: VecDeque<Entry>,
     /// line address → pending ready cycle, for O(1) lookups and merges.
     index: LineIndex,
-    /// Peak simultaneous occupancy observed (useful for ablation studies).
-    peak_occupancy: usize,
     /// Number of merged (secondary) misses.
     merges: u64,
     /// Number of times an access found the file full.
@@ -98,7 +96,6 @@ impl MshrFile {
             capacity,
             entries: VecDeque::with_capacity(capacity),
             index: LineIndex::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
-            peak_occupancy: 0,
             merges: 0,
             full_events: 0,
         }
@@ -114,12 +111,6 @@ impl MshrFile {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Peak simultaneous occupancy observed since construction/reset.
-    #[must_use]
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak_occupancy
     }
 
     /// Number of secondary misses that merged into an existing entry.
@@ -180,7 +171,6 @@ impl MshrFile {
             ready_cycle: u64::MAX,
         });
         self.index.insert(line_addr, u64::MAX);
-        self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
         MshrOutcome::Allocated
     }
 
@@ -225,7 +215,6 @@ impl MshrFile {
     pub fn reset(&mut self) {
         self.entries.clear();
         self.index.clear();
-        self.peak_occupancy = 0;
         self.merges = 0;
         self.full_events = 0;
     }
@@ -288,18 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_occupancy_tracks_maximum() {
-        let mut m = MshrFile::new(8);
-        for i in 0..5u64 {
-            m.lookup_or_allocate(i * 32);
-            m.set_ready_cycle(i * 32, 100);
-        }
-        m.retire_completed(100);
-        m.lookup_or_allocate(0x1000);
-        assert_eq!(m.peak_occupancy(), 5);
-    }
-
-    #[test]
     #[should_panic(expected = "no MSHR entry")]
     fn set_ready_without_allocation_panics() {
         let mut m = MshrFile::new(2);
@@ -320,7 +297,6 @@ mod tests {
         m.reset();
         assert_eq!(m.occupancy(), 0);
         assert_eq!(m.merges(), 0);
-        assert_eq!(m.peak_occupancy(), 0);
         assert_eq!(m.full_events(), 0);
     }
 }

@@ -249,12 +249,6 @@ impl MemorySystem {
         self.mshrs.occupancy()
     }
 
-    /// Peak number of simultaneously outstanding misses.
-    #[must_use]
-    pub fn peak_outstanding_misses(&self) -> usize {
-        self.mshrs.peak_occupancy()
-    }
-
     /// External bus utilisation over `total_cycles`.
     #[must_use]
     pub fn bus_utilization(&self, total_cycles: u64) -> f64 {
@@ -369,7 +363,6 @@ mod tests {
         }
         assert_eq!(m.stats().mshr_full_rejections, 1);
         assert!(m.stats().mshr_merges >= 1);
-        assert_eq!(m.peak_outstanding_misses(), 2);
     }
 
     #[test]

@@ -1,178 +1,8 @@
-//! The batched-cell drive loop: several independent simulations advanced a
-//! quantum at a time from one worker thread.
-//!
-//! A cell spends most of its time inside `Processor::advance`, walking
-//! per-thread window state that no longer fits in L1/L2 once the machine is
-//! wide. Driving one cell to completion before touching the next streams
-//! each working set through the cache in sequence; driving a *small batch*
-//! round-robin keeps a few working sets resident and overlaps their misses
-//! instead. The hot per-cell state lives in struct-of-arrays form
-//! (`BatchDriver`'s parallel vectors) so the drive loop's own bookkeeping
-//! stays contiguous.
-//!
-//! Determinism: each processor is private to its cell and the quantum
-//! boundary only decides *when* a cell's cycles are stepped, never what they
-//! compute — `Processor::run_quantum` splits stall-skip windows additively
-//! (see `run_quantum_slicing_matches_monolithic_run` in dsmt-core), so
-//! results are bit-identical to `Scenario::execute` for every batch size.
+//! The engine's pool claim cap.
 
-use std::time::Instant;
-
-use dsmt_core::{Processor, SimResults};
-
-use crate::Scenario;
-
-/// Cycles a cell advances per turn. Large enough that the round-robin
-/// switch (one `Vec` index per turn) is noise, small enough that a batch's
-/// members genuinely interleave through the memory hierarchy.
-const QUANTUM_CYCLES: u64 = 8_192;
-
-/// Default cells per batch when `DSMT_SWEEP_BATCH` is unset: big enough to
-/// overlap working sets, small enough that a batch never holds more than a
-/// few processors' allocations live per worker.
+/// The most cells one pool claim takes (see [`crate::pool::run_batched`]):
+/// whole claims of this size while many cells remain, single cells at the
+/// tail. Each claimed cell still runs alone through
+/// [`Scenario::execute`](crate::Scenario::execute); the cap only bounds how
+/// often a worker returns to the shared cursor.
 pub const DEFAULT_BATCH: usize = 4;
-
-/// Reads the batch size from `DSMT_SWEEP_BATCH` (min 1), defaulting to
-/// [`DEFAULT_BATCH`]. `DSMT_SWEEP_BATCH=1` disables interleaving: every
-/// cell runs to completion before the next starts, exactly the pre-batched
-/// engine behaviour.
-#[must_use]
-pub fn batch_from_env() -> usize {
-    parse_batch(std::env::var("DSMT_SWEEP_BATCH").ok().as_deref())
-}
-
-/// The pure half of [`batch_from_env`]: unset, unparsable or zero values
-/// all fall back to [`DEFAULT_BATCH`].
-fn parse_batch(raw: Option<&str>) -> usize {
-    raw.and_then(|v| v.parse::<usize>().ok())
-        .filter(|&b| b >= 1)
-        .unwrap_or(DEFAULT_BATCH)
-}
-
-/// Hot per-cell state for one batch, struct-of-arrays: index `i` in every
-/// vector belongs to scenario `i` of the slice being driven.
-struct BatchDriver {
-    procs: Vec<Processor>,
-    /// Per-cell instruction budget (`Scenario::budget`).
-    budgets: Vec<u64>,
-    /// Per-cell runaway cycle cap (`Processor::run_cap`).
-    caps: Vec<u64>,
-    /// Per-cell accumulated wall seconds (construction + every quantum).
-    wall: Vec<f64>,
-    done: Vec<bool>,
-    live: usize,
-}
-
-impl BatchDriver {
-    fn new(scenarios: &[&Scenario]) -> Self {
-        let n = scenarios.len();
-        let mut driver = BatchDriver {
-            procs: Vec::with_capacity(n),
-            budgets: Vec::with_capacity(n),
-            caps: Vec::with_capacity(n),
-            wall: Vec::with_capacity(n),
-            done: vec![false; n],
-            live: n,
-        };
-        for scenario in scenarios {
-            let started = Instant::now();
-            let cpu = scenario.processor();
-            driver.caps.push(cpu.run_cap(scenario.budget));
-            driver.procs.push(cpu);
-            driver.budgets.push(scenario.budget);
-            driver.wall.push(started.elapsed().as_secs_f64());
-        }
-        driver
-    }
-
-    /// Round-robin passes over the live cells until every cell reports
-    /// completion from [`Processor::run_quantum`].
-    fn drive(&mut self) {
-        while self.live > 0 {
-            for i in 0..self.procs.len() {
-                if self.done[i] {
-                    continue;
-                }
-                let started = Instant::now();
-                let finished =
-                    self.procs[i].run_quantum(self.budgets[i], self.caps[i], QUANTUM_CYCLES);
-                self.wall[i] += started.elapsed().as_secs_f64();
-                if finished {
-                    self.done[i] = true;
-                    self.live -= 1;
-                }
-            }
-        }
-    }
-}
-
-/// Drives every scenario to completion, interleaving their execution, and
-/// returns `(results, wall_secs)` per scenario in input order. Results are
-/// bit-identical to calling [`Scenario::execute`] on each scenario alone,
-/// including the per-run metric recording (`core.*` counters and
-/// histograms); `wall_secs` is that cell's own construction plus stepping
-/// time, excluding time spent driving its batch-mates.
-#[must_use]
-pub fn drive(scenarios: &[&Scenario]) -> Vec<(SimResults, f64)> {
-    let mut driver = BatchDriver::new(scenarios);
-    driver.drive();
-    driver
-        .procs
-        .iter()
-        .zip(&driver.wall)
-        .map(|(cpu, &wall)| {
-            let started = Instant::now();
-            let results = cpu.results();
-            results.record_metrics();
-            cpu.perf().record_metrics();
-            (results, wall + started.elapsed().as_secs_f64())
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::WorkloadSpec;
-    use dsmt_core::SimConfig;
-
-    fn scenario(l2: u64, seed: u64) -> Scenario {
-        Scenario {
-            config: SimConfig::paper_multithreaded(2).with_l2_latency(l2),
-            workload: WorkloadSpec::spec_mix(2_000),
-            seed,
-            budget: 8_000,
-        }
-    }
-
-    #[test]
-    fn batched_drive_matches_solo_execution() {
-        let cells = [scenario(16, 1), scenario(256, 2), scenario(64, 3)];
-        let solo: Vec<_> = cells.iter().map(Scenario::execute).collect();
-        let refs: Vec<&Scenario> = cells.iter().collect();
-        let batched = drive(&refs);
-        assert_eq!(batched.len(), 3);
-        for ((got, wall), want) in batched.iter().zip(&solo) {
-            assert_eq!(got, want);
-            assert!(*wall > 0.0);
-        }
-    }
-
-    #[test]
-    fn empty_and_single_batches() {
-        assert!(drive(&[]).is_empty());
-        let one = scenario(64, 9);
-        let batched = drive(&[&one]);
-        assert_eq!(batched.len(), 1);
-        assert_eq!(batched[0].0, one.execute());
-    }
-
-    #[test]
-    fn batch_parsing_clamps_and_defaults() {
-        assert_eq!(parse_batch(None), DEFAULT_BATCH);
-        assert_eq!(parse_batch(Some("7")), 7);
-        assert_eq!(parse_batch(Some("1")), 1);
-        assert_eq!(parse_batch(Some("0")), DEFAULT_BATCH);
-        assert_eq!(parse_batch(Some("nope")), DEFAULT_BATCH);
-    }
-}

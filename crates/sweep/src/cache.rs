@@ -235,10 +235,9 @@ impl ResultCache {
 
     /// Answers the scenario `id` identifies from the cache with full hit
     /// bookkeeping, or returns `None` without touching any counter. The
-    /// batched-cell drive loop uses this and
-    /// [`publish_miss`](Self::publish_miss) so several simulations can be
-    /// interleaved between the lookup and the store; it derives `id` once
-    /// per cell and reuses it for both halves and for the record's key.
+    /// sweep engine pairs this with [`publish_miss`](Self::publish_miss)
+    /// around its own simulation of a miss; it derives `id` once per cell
+    /// and reuses it for both halves and for the record's key.
     #[must_use]
     pub fn try_hit(&self, id: CacheIdentity, stats: &CacheStats) -> Option<SimResults> {
         let results = self.lookup_identity(id)?;

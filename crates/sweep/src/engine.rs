@@ -1,16 +1,18 @@
-//! The sweep engine: grid → cells → pool (→ batched drive, → cache) → report.
+//! The sweep engine: grid → cells → pool (→ cache, → execute) → report.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::cache::{CacheMode, CacheStats, ResultCache};
-use crate::{batch, pool, CacheIdentity, Cell, CellPerf, RunRecord, SweepGrid, SweepReport};
+use crate::{batch, pool, Cell, CellPerf, RunRecord, SweepGrid, SweepReport};
 
 /// One unit of sweep work: the name and counters of the grid a cell
 /// belongs to, and the cell.
 type Job<'a> = (&'a str, &'a CacheStats, &'a Cell);
 
 /// Executes [`SweepGrid`]s on the worker [`pool`] with optional caching.
+/// Every cell runs alone through [`Scenario::execute`](crate::Scenario::execute)
+/// on the worker that claimed it.
 ///
 /// An engine keeps **one** [`ResultCache`] handle for its whole life: it
 /// opens the cache directory on its first cached run and, on every later
@@ -23,9 +25,8 @@ type Job<'a> = (&'a str, &'a CacheStats, &'a Cell);
 pub struct SweepEngine {
     /// Maximum concurrent cells.
     pub workers: usize,
-    /// Cells driven interleaved per worker pass (the batched-cell drive
-    /// loop, see [`crate::batch`]); 1 runs each cell to completion alone.
-    pub batch: usize,
+    /// The most cells one pool claim takes.
+    batch: usize,
     /// Cache policy.
     pub cache: CacheMode,
     /// Render a live `cells/s + ETA` progress line on stderr while running
@@ -39,20 +40,20 @@ pub struct SweepEngine {
 impl SweepEngine {
     /// An engine with `workers` workers, the environment's cache policy
     /// (`DSMT_SWEEP_CACHE`, see [`CacheMode::from_env`]) and the
-    /// environment's batch size (`DSMT_SWEEP_BATCH`, see
-    /// [`batch::batch_from_env`]).
+    /// [`batch::DEFAULT_BATCH`] claim cap.
     #[must_use]
     pub fn new(workers: usize) -> Self {
         SweepEngine {
             workers: workers.max(1),
-            batch: batch::batch_from_env(),
+            batch: batch::DEFAULT_BATCH,
             cache: CacheMode::from_env(),
             progress: false,
             handle: Mutex::new(None),
         }
     }
 
-    /// Sets the batched-drive size (min 1).
+    /// Sets the pool claim cap: the most cells one claim takes (min 1).
+    /// Records do not depend on it.
     #[must_use]
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = batch.max(1);
@@ -238,7 +239,10 @@ impl SweepEngine {
             .then(|| crate::ProgressLine::start(jobs.len()));
         let done = progress.as_ref().map(crate::ProgressLine::counter);
         let records = pool::run_batched(jobs, self.workers, self.batch, |_, slice| {
-            let records = execute_batch(cache.as_deref(), slice);
+            let records: Vec<RunRecord> = slice
+                .iter()
+                .map(|job| build_record(cache.as_deref(), job))
+                .collect();
             if let Some(done) = &done {
                 done.fetch_add(slice.len(), std::sync::atomic::Ordering::Relaxed);
             }
@@ -284,67 +288,45 @@ impl Default for SweepEngine {
     }
 }
 
-/// Produces one [`RunRecord`] per [`Job`], in input order, through the
-/// (optional) cache — the **single** record-construction path shared by
-/// [`SweepEngine::run_many`] and [`SweepEngine::run_subset`],
-/// so sharded and monolithic runs cannot drift apart and break their
-/// bit-identity guarantee.
+/// Produces the [`RunRecord`] of one [`Job`] through the (optional) cache
+/// — the **single** record-construction path shared by
+/// [`SweepEngine::run_many`] and [`SweepEngine::run_subset`], so sharded
+/// and monolithic runs cannot drift apart and break their bit-identity
+/// guarantee.
 ///
-/// Cache hits are answered up front; the remaining misses are then driven
-/// as one interleaved batch ([`batch::drive`]) and published. Results do
-/// not depend on the batch composition, only each cell's `wall_secs`
-/// (excluded from record identity) does.
-fn execute_batch(cache: Option<&ResultCache>, items: &[Job<'_>]) -> Vec<RunRecord> {
-    // Answer what the cache already knows; collect the rest as one batch.
-    // One serialization per cell: its cache identity serves the lookup,
-    // the miss's publish and the record's key.
-    let (ids, mut resolved): (
-        Vec<CacheIdentity>,
-        Vec<Option<(dsmt_core::SimResults, f64)>>,
-    ) = items
-        .iter()
-        .map(|(_, stats, cell)| {
+/// One serialization per cell: its cache identity serves the lookup, the
+/// miss's publish and the record's key. A hit's `wall_secs` covers the
+/// identity and the lookup; a miss's covers [`Scenario::execute`].
+///
+/// [`Scenario::execute`]: crate::Scenario::execute
+fn build_record(cache: Option<&ResultCache>, (grid_name, stats, cell): &Job<'_>) -> RunRecord {
+    let started = Instant::now();
+    let id = cell.scenario.cache_identity();
+    let (results, wall_secs) = match cache.and_then(|c| c.try_hit(id, stats)) {
+        Some(results) => (results, started.elapsed().as_secs_f64()),
+        None => {
             let started = Instant::now();
-            let id = cell.scenario.cache_identity();
-            let hit = cache.and_then(|c| c.try_hit(id, stats));
-            (id, hit.map(|r| (r, started.elapsed().as_secs_f64())))
-        })
-        .unzip();
-    let misses: Vec<usize> = (0..items.len())
-        .filter(|&i| resolved[i].is_none())
-        .collect();
-    if !misses.is_empty() {
-        let scenarios: Vec<&crate::Scenario> =
-            misses.iter().map(|&i| &items[i].2.scenario).collect();
-        for (&i, (results, wall_secs)) in misses.iter().zip(batch::drive(&scenarios)) {
-            let (_, stats, _) = items[i];
+            let results = cell.scenario.execute();
+            let wall_secs = started.elapsed().as_secs_f64();
             match cache {
-                Some(cache) => cache.publish_miss(ids[i], &results, stats),
+                Some(cache) => cache.publish_miss(id, &results, stats),
                 None => stats.count_uncached_miss(),
             }
-            resolved[i] = Some((results, wall_secs));
+            (results, wall_secs)
         }
+    };
+    dsmt_obs::histogram!("sweep.cell_wall_us").record((wall_secs * 1e6) as u64);
+    let perf = CellPerf::new(&results, wall_secs);
+    RunRecord {
+        cell: cell.index,
+        grid: grid_name.to_string(),
+        workload: cell.workload_label.clone(),
+        labels: cell.labels.clone(),
+        key: id.key_hex(),
+        scenario: cell.scenario.clone(),
+        results,
+        perf,
     }
-    items
-        .iter()
-        .zip(resolved)
-        .zip(ids)
-        .map(|(((grid_name, _, cell), slot), id)| {
-            let (results, wall_secs) = slot.expect("every batched cell resolves");
-            dsmt_obs::histogram!("sweep.cell_wall_us").record((wall_secs * 1e6) as u64);
-            let perf = CellPerf::new(&results, wall_secs);
-            RunRecord {
-                cell: cell.index,
-                grid: grid_name.to_string(),
-                workload: cell.workload_label.clone(),
-                labels: cell.labels.clone(),
-                key: id.key_hex(),
-                scenario: cell.scenario.clone(),
-                results,
-                perf,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -374,7 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn identical_records_across_batch_sizes() {
+    fn identical_records_across_claim_sizes() {
         let grid = tiny_grid("det-batch");
         let reference = SweepEngine::new(1).without_cache().with_batch(1).run(&grid);
         for (workers, batch) in [(1, 3), (1, 8), (2, 2), (4, 3), (8, 8)] {
@@ -390,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_subset_matches_unbatched_subset() {
+    fn subset_records_match_across_claim_sizes() {
         let grid = tiny_grid("det-batch-subset");
         let reference = SweepEngine::new(1)
             .without_cache()
@@ -481,6 +463,25 @@ mod tests {
         let replay = engine.run_subset(&grid, &[2, 0]);
         assert_eq!((replay.cache_hits, replay.cache_misses), (2, 0));
         assert_eq!(replay.records[0], full.records[2]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_claim_mixing_hits_and_misses_builds_records_in_grid_order() {
+        let dir =
+            std::env::temp_dir().join(format!("dsmt-engine-mixed-claim-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let grid = tiny_grid("mixed-claim");
+        let uncached = SweepEngine::new(1).without_cache().run(&grid);
+        // A lone worker's first claim is half the grid, cells 0..3 (the
+        // cap of 8 does not bind), and cells 0, 2 and 4 are already cached:
+        // that claim holds a hit, a miss and a hit.
+        let engine = SweepEngine::new(1).with_batch(8).with_cache_dir(&dir);
+        let warm = engine.run_subset(&grid, &[0, 2, 4]);
+        assert_eq!((warm.cache_hits, warm.cache_misses), (0, 3));
+        let mixed = engine.run(&grid);
+        assert_eq!((mixed.cache_hits, mixed.cache_misses), (3, 3));
+        assert_eq!(mixed.records, uncached.records);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -23,9 +23,8 @@ use std::time::{Duration, Instant};
 ///
 /// `f(base, slice)` receives `items[base..base + slice.len()]`, at most
 /// `max_batch` items, and must return one output per slice item, in
-/// order. The sweep engine's batched-cell drive loop uses this to
-/// interleave several simulations per call; `max_batch = 1` degenerates to
-/// per-item dispatch. The calling thread is one of the workers.
+/// order; `max_batch = 1` degenerates to per-item dispatch. The calling
+/// thread is one of the workers.
 ///
 /// # Panics
 ///

@@ -223,10 +223,9 @@ impl Scenario {
         results
     }
 
-    /// Builds (but does not run) the processor this scenario describes.
+    /// Builds (but does not run) the processor this scenario describes;
     /// [`execute`](Self::execute) is `processor().run(budget)` plus metric
-    /// recording; the batched-cell drive loop constructs several at once
-    /// and interleaves their run quanta instead.
+    /// recording.
     ///
     /// # Panics
     ///
