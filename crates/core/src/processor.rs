@@ -8,6 +8,12 @@
 //! clock. Only conditional branches act when they finish; each thread
 //! keeps its issued ones in a FIFO of resolve cycles.
 //!
+//! A stepped cycle walks the threads once per stage: retire (which also
+//! resolves the branches that finish), issue once per side in round-robin
+//! order, dispatch (which also notes which threads may fetch), then fetch.
+//! The stages test the class bits fetch decoded into each slot instead of
+//! re-deriving them from the operation class.
+//!
 //! Head scheduling is event-driven: when a window head is proven blocked
 //! until a known cycle (the blocking operand's recorded ready cycle), the
 //! issue stage keeps one verdict `{seq, until, cause}` for that (thread,
@@ -20,12 +26,12 @@
 //! `golden_stats.rs` and the differential proptests against
 //! [`Processor::set_reference_model`].
 
-use dsmt_isa::{steer, ArchReg, Instruction, OpClass, RegClass, Unit};
+use dsmt_isa::{ArchReg, Instruction, OpClass, RegClass, Unit};
 use dsmt_mem::{AccessKind, AccessResponse, MemorySystem};
 use dsmt_trace::{ThreadWorkload, TraceSource};
 use dsmt_uarch::{icount_pick_into, round_robin_pick_into, FuPool, RoundRobin};
 
-use crate::thread::{SaqEntry, Slot, ThreadContext, NO_REG};
+use crate::thread::{Operand, SaqEntry, Slot, ThreadContext, NO_REG};
 use crate::{PerceivedLatency, SimConfig, SimResults, SlotUse, UnitSlots};
 
 /// Why a window head is blocked: the issue-slot classification and the
@@ -100,7 +106,7 @@ pub const COMMIT_DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// instructions the same way must give the same value.
 #[must_use]
 pub fn fold_commit(hash: u64, inst: &Instruction) -> u64 {
-    let reg = |r: Option<ArchReg>| r.map_or(0xff, |r| u8::from(r.is_fp()) << 5 | r.index());
+    let reg = |r: Option<ArchReg>| Operand::pack(r).0;
     let mem = inst.mem.filter(|_| inst.op.is_mem());
     let (addr, size) = mem.map_or((0, 0), |m| (m.addr, m.size));
     let mut bytes = [0u8; 14];
@@ -175,8 +181,7 @@ pub struct Processor {
     perceived: PerceivedLatency,
     loads: u64,
     stores: u64,
-    branches: u64,
-    mispredictions: u64,
+    fetched: FetchCounters,
     /// Scratch buffers reused across cycles so the pipeline stages never
     /// allocate in steady state.
     scratch: Scratch,
@@ -185,16 +190,16 @@ pub struct Processor {
 /// Per-cycle scratch storage (see the stage methods for what each holds).
 #[derive(Debug, Default)]
 struct Scratch {
-    /// This cycle's round-robin thread ordering (issue stage).
-    order: Vec<usize>,
     /// Stall causes of the oldest non-issuable instructions (issue stage;
     /// the fast-forward's replay reuses it).
     blocked: Vec<SlotUse>,
-    /// Per-thread pending-dispatch counts (fetch stage, I-COUNT metric).
-    pending: Vec<usize>,
-    /// Per-thread fetch eligibility (fetch stage).
+    /// Per-thread fetch eligibility, one entry per thread, written by the
+    /// dispatch stage for the fetch stage after it.
     eligible: Vec<bool>,
-    /// Threads selected to fetch this cycle (fetch stage).
+    /// Per-thread pending-dispatch counts (fetch stage, I-COUNT metric;
+    /// only when more threads may fetch than the policy picks).
+    pending: Vec<usize>,
+    /// Threads the fetch policy picked this cycle.
     picks: Vec<usize>,
     /// Window heads the fast-forward found blocked for its whole window
     /// without a bound of their own: `(thread, side, seq, cause)`.
@@ -221,14 +226,16 @@ fn record_wasted(
     wasted: usize,
     times: u64,
 ) {
-    let n = kinds.len();
-    let (per, extra) = (wasted / n, wasted % n);
-    for (i, &kind) in kinds.iter().enumerate() {
-        let offset = if i >= first { i - first } else { i + n - first };
-        let count = (per + usize::from(offset < extra)) as u64 * times;
-        if count > 0 {
-            slots.record_n(kind, count);
-        }
+    if let [kind] = kinds {
+        slots.record_n(*kind, wasted as u64 * times);
+        return;
+    }
+    // `wasted` is at most the unit's slot count, so one step per slot is
+    // short and needs no division.
+    let mut k = first;
+    for _ in 0..wasted {
+        slots.record_n(kinds[k], times);
+        k = if k + 1 == kinds.len() { 0 } else { k + 1 };
     }
 }
 
@@ -271,9 +278,11 @@ impl Processor {
             perceived: PerceivedLatency::default(),
             loads: 0,
             stores: 0,
-            branches: 0,
-            mispredictions: 0,
-            scratch: Scratch::default(),
+            fetched: FetchCounters::default(),
+            scratch: Scratch {
+                eligible: vec![false; config.num_threads],
+                ..Scratch::default()
+            },
             config,
         }
     }
@@ -354,15 +363,13 @@ impl Processor {
     pub fn step(&mut self) {
         let cycle = self.cycle;
         self.mem.begin_cycle(cycle);
-        self.resolve_branches(cycle);
         let mut progress = self.retire(cycle);
-        let mut order = std::mem::take(&mut self.scratch.order);
-        self.arbiter.ordering_into(&mut order);
-        progress |= self.issue(Unit::Ap, &order, cycle);
-        progress |= self.issue(Unit::Ep, &order, cycle);
-        self.scratch.order = order;
-        progress |= self.dispatch();
-        progress |= self.fetch(cycle);
+        let start = self.arbiter.take_start();
+        progress |= self.issue(Unit::Ap, start, cycle);
+        progress |= self.issue(Unit::Ep, start, cycle);
+        let (dispatched, fetchers) = self.dispatch();
+        progress |= dispatched;
+        progress |= fetchers > 0 && self.fetch(fetchers, cycle);
         self.idle = !progress;
         self.cycle += 1;
     }
@@ -475,7 +482,7 @@ impl Processor {
                     }
                     HeadProbe::Ready => {
                         // Only an access the MSHRs refuse stays blocked.
-                        if !head.op.is_mem() {
+                        if !head.is(Slot::MEM) {
                             return None;
                         }
                         let release = self.mem.mshr_wait(head.mem_addr)?;
@@ -593,8 +600,8 @@ impl Processor {
             branch_accuracy,
             loads: self.loads,
             stores: self.stores,
-            branches: self.branches,
-            mispredictions: self.mispredictions,
+            branches: self.fetched.branches,
+            mispredictions: self.fetched.mispredictions,
         }
     }
 
@@ -602,10 +609,14 @@ impl Processor {
     // Pipeline stages
     // ------------------------------------------------------------------
 
-    /// Resolves the conditional branches that finish by `cycle`: each one
-    /// frees an unresolved-branch slot, and a mispredicted one lets its
-    /// thread fetch again.
-    fn resolve_branches(&mut self, cycle: u64) {
+    /// Per thread: resolves the conditional branches that finish by
+    /// `cycle` (each one frees an unresolved-branch slot, and a mispredicted
+    /// one lets its thread fetch again), then graduates up to
+    /// `retire_width` completed instructions. Returns whether any
+    /// graduated.
+    fn retire(&mut self, cycle: u64) -> bool {
+        let width = self.config.retire_width;
+        let before = self.retired;
         for thread in &mut self.threads {
             while let Some(&(seq, resolve)) = thread.resolving.front() {
                 if resolve > cycle {
@@ -617,28 +628,17 @@ impl Processor {
                     thread.blocked_on_mispredict = None;
                 }
             }
-        }
-    }
-
-    /// Graduates up to `retire_width` completed instructions per thread.
-    /// Returns whether any graduated.
-    fn retire(&mut self, cycle: u64) -> bool {
-        let width = self.config.retire_width;
-        let before = self.retired;
-        for thread in &mut self.threads {
             let mut n = 0;
             while n < width && thread.ring.head_done_at() <= cycle {
-                let head = thread.ring.rob_head().expect("a completed head exists");
-                let (dest, prev_dest, is_store) =
-                    (head.real_dest(), head.prev_dest, head.op.is_store());
+                let head = *thread.ring.rob_head().expect("a completed head exists");
                 #[cfg(debug_assertions)]
                 {
                     thread.commit_digest = fold_commit(thread.commit_digest, &head.committed());
                 }
-                if let Some(d) = dest {
-                    thread.regs_mut(d.class()).release(prev_dest);
+                if head.is(Slot::REAL_DEST) {
+                    thread.regs_mut(head.dest_class()).release(head.prev_dest);
                 }
-                if is_store {
+                if head.is(Slot::STORE) {
                     // Stores graduate in SAQ order; drop the oldest entry.
                     let popped = thread.saq.pop();
                     debug_assert!(popped.is_some(), "store graduated without a SAQ entry");
@@ -652,9 +652,9 @@ impl Processor {
         self.retired != before
     }
 
-    /// Issues from the windows for `unit` in thread-priority `order`.
-    /// Returns whether anything issued.
-    fn issue(&mut self, unit: Unit, order: &[usize], cycle: u64) -> bool {
+    /// Issues from the windows for `unit`, visiting the threads in
+    /// round-robin order from `start`. Returns whether anything issued.
+    fn issue(&mut self, unit: Unit, start: usize, cycle: u64) -> bool {
         let (side, slots_total) = match unit {
             Unit::Ap => (0usize, self.config.ap_units),
             Unit::Ep => (1usize, self.config.ep_units),
@@ -663,7 +663,13 @@ impl Processor {
         let mut blocked = std::mem::take(&mut self.scratch.blocked);
         blocked.clear();
 
-        'threads: for &t in order {
+        let n_threads = self.threads.len();
+        'threads: for i in 0..n_threads {
+            let t = if start + i < n_threads {
+                start + i
+            } else {
+                start + i - n_threads
+            };
             loop {
                 if used >= slots_total {
                     break 'threads;
@@ -754,8 +760,8 @@ impl Processor {
         // Memory access first: it may be rejected for structural reasons, in
         // which case the instruction stays at the head and retries.
         let mut mem_outcome: Option<(bool, u64)> = None;
-        if head.op.is_mem() {
-            let kind = if head.op.is_load() {
+        if head.is(Slot::MEM) {
+            let kind = if head.is(Slot::LOAD) {
                 AccessKind::Load
             } else {
                 AccessKind::Store
@@ -784,19 +790,19 @@ impl Processor {
         };
 
         let thread = &mut self.threads[t];
-        if let Some(d) = head.real_dest() {
-            let class = d.class();
+        if head.is(Slot::REAL_DEST) {
+            let class = head.dest_class();
             thread
                 .regs_mut(class)
                 .set_ready_cycle(head.phys_dest, completion);
-            if head.op.is_load() {
+            if head.is(Slot::LOAD) {
                 let missed = !mem_outcome.expect("load issued without memory outcome").0;
                 thread.flags_mut(class).set_load(head.phys_dest, missed);
             }
         }
         thread.window_mut(unit).pop();
         thread.ring.complete_at(pos, completion);
-        if head.op.is_cond_branch() {
+        if head.is(Slot::COND_BRANCH) {
             debug_assert!(
                 thread.resolving.iter().all(|&(_, r)| r <= completion),
                 "branches resolve out of order"
@@ -807,16 +813,16 @@ impl Processor {
                 .expect("at most max_unresolved_branches are in flight");
         }
 
-        if head.op.is_load() {
+        if head.is(Slot::LOAD) {
             self.loads += 1;
             if !mem_outcome.expect("load issued without memory outcome").0 {
                 match head.op {
                     OpClass::LoadFp => self.perceived.fp_load_misses += 1,
                     OpClass::LoadInt => self.perceived.int_load_misses += 1,
-                    _ => unreachable!("is_load covers exactly the two load classes"),
+                    _ => unreachable!("the load bit covers exactly the two load classes"),
                 }
             }
-        } else if head.op.is_store() {
+        } else if head.is(Slot::STORE) {
             self.stores += 1;
         }
 
@@ -824,11 +830,16 @@ impl Processor {
     }
 
     /// Renames and dispatches up to `dispatch_width` fetched instructions
-    /// per thread into their windows. Returns whether any dispatched.
-    fn dispatch(&mut self) -> bool {
+    /// per thread into their windows, then records whether each thread may
+    /// fetch this cycle (nothing between here and fetch changes that).
+    /// Returns whether any instruction dispatched and how many threads may
+    /// fetch.
+    fn dispatch(&mut self) -> (bool, usize) {
         let width = self.config.dispatch_width;
+        let max_unresolved = self.config.max_unresolved_branches;
         let mut progress = false;
-        for thread in &mut self.threads {
+        let mut fetchers = 0;
+        for (thread, eligible) in self.threads.iter_mut().zip(&mut self.scratch.eligible) {
             let mut dispatched = 0usize;
             while dispatched < width {
                 let Some(pos) = thread.ring.dispatch_front() else {
@@ -842,18 +853,19 @@ impl Processor {
 
                 // Rename sources (current mappings), then the destination.
                 let mut phys_src = [NO_REG; 2];
-                for (phys, src) in phys_src.iter_mut().zip([slot.src1, slot.src2]) {
-                    if let Some(r) = src.filter(|r| !r.is_zero()) {
-                        *phys = thread.regs(r.class()).lookup(r.index() as usize);
+                for (phys, &src) in phys_src.iter_mut().zip(&slot.src) {
+                    if src.is_renamed() {
+                        *phys = thread.regs(src.class()).lookup(src.index());
                     }
                 }
                 let (mut phys_dest, mut prev_dest) = (NO_REG, NO_REG);
-                if let Some(d) = slot.real_dest() {
+                if slot.is(Slot::REAL_DEST) {
+                    let class = slot.dest_class();
                     let outcome = thread
-                        .regs_mut(d.class())
-                        .rename_dest(d.index() as usize)
+                        .regs_mut(class)
+                        .rename_dest(slot.dest.index())
                         .expect("rename availability was checked");
-                    thread.flags_mut(d.class()).clear(outcome.new);
+                    thread.flags_mut(class).clear(outcome.new);
                     phys_dest = outcome.new;
                     prev_dest = outcome.previous;
                 }
@@ -862,7 +874,7 @@ impl Processor {
                 renamed.phys_dest = phys_dest;
                 renamed.prev_dest = prev_dest;
 
-                if slot.op.is_store() {
+                if slot.is(Slot::STORE) {
                     thread
                         .saq
                         .push(SaqEntry {
@@ -873,92 +885,126 @@ impl Processor {
                         .expect("SAQ fullness was checked");
                 }
                 thread
-                    .window_mut(steer(slot.op))
+                    .window_mut(slot.unit())
                     .push(pos)
                     .expect("window fullness was checked");
                 thread.ring.dispatch_one();
                 dispatched += 1;
             }
             progress |= dispatched > 0;
+            *eligible = thread.fetch_eligible(max_unresolved);
+            fetchers += usize::from(*eligible);
         }
-        progress
+        (progress, fetchers)
     }
 
-    /// Fetches for the threads the fetch policy picks. Returns whether
-    /// anything was fetched.
-    fn fetch(&mut self, cycle: u64) -> bool {
-        let max_unresolved = self.config.max_unresolved_branches;
-        let mut pending = std::mem::take(&mut self.scratch.pending);
-        let mut eligible = std::mem::take(&mut self.scratch.eligible);
-        let mut picks = std::mem::take(&mut self.scratch.picks);
-        pending.clear();
-        eligible.clear();
-        pending.extend(self.threads.iter().map(|t| t.ring.fetch_len()));
-        eligible.extend(
-            self.threads
-                .iter()
-                .map(|t| t.fetch_eligible(max_unresolved)),
-        );
-        match self.config.fetch_policy {
-            crate::FetchPolicy::ICount => icount_pick_into(
-                &pending,
-                &eligible,
-                self.config.fetch_threads_per_cycle,
-                cycle as usize,
-                &mut picks,
-            ),
-            crate::FetchPolicy::RoundRobin => round_robin_pick_into(
-                &eligible,
-                self.config.fetch_threads_per_cycle,
-                cycle as usize,
-                &mut picks,
-            ),
-        }
+    /// Fetches for the threads the fetch policy picks among the `fetchers`
+    /// the dispatch stage found eligible. Returns whether anything was
+    /// fetched.
+    ///
+    /// The policy only decides anything when more threads are eligible than
+    /// it picks: otherwise every eligible thread fetches, and their order
+    /// cannot matter, since fetch state is per thread and the branch
+    /// counters are sums.
+    fn fetch(&mut self, fetchers: usize, cycle: u64) -> bool {
+        let per_cycle = self.config.fetch_threads_per_cycle;
+        let (width, max_unresolved) =
+            (self.config.fetch_width, self.config.max_unresolved_branches);
         let mut progress = false;
-        for &t in &picks {
-            let thread = &mut self.threads[t];
-            for _ in 0..self.config.fetch_width {
-                if thread.ring.fetch_full() || thread.unresolved_branches >= max_unresolved {
-                    break;
-                }
-                let Some(inst) = thread.trace.next_instruction() else {
-                    thread.trace_done = true;
-                    break;
-                };
-                let seq = thread.ring.next_seq();
-                thread.ring.push_fetched(&inst);
-                progress = true;
-                let mut stop_group = false;
-                if inst.op.is_cond_branch() {
-                    let actual = inst.branch.map(|b| b.taken).unwrap_or(false);
-                    let correct = thread.predictor.predict_and_train(inst.pc, actual);
-                    thread.unresolved_branches += 1;
-                    self.branches += 1;
-                    if !correct {
-                        self.mispredictions += 1;
-                        // Fetch continues down the wrong path (useless work)
-                        // until the branch resolves: model it by blocking
-                        // fetch for this thread until resolution.
-                        thread.blocked_on_mispredict = Some(seq);
-                        stop_group = true;
-                    }
-                    if actual {
-                        // Fetch groups end at the first taken branch.
-                        stop_group = true;
-                    }
-                } else if inst.op.is_control() {
-                    stop_group = true;
-                }
-                if stop_group {
-                    break;
+        if fetchers <= per_cycle {
+            for (thread, &eligible) in self.threads.iter_mut().zip(&self.scratch.eligible) {
+                if eligible {
+                    progress |= fetch_group(thread, width, max_unresolved, &mut self.fetched);
                 }
             }
+            return progress;
         }
-        self.scratch.pending = pending;
-        self.scratch.eligible = eligible;
-        self.scratch.picks = picks;
+        let scratch = &mut self.scratch;
+        scratch.pending.clear();
+        scratch
+            .pending
+            .extend(self.threads.iter().map(|t| t.ring.fetch_len()));
+        match self.config.fetch_policy {
+            crate::FetchPolicy::ICount => icount_pick_into(
+                &scratch.pending,
+                &scratch.eligible,
+                per_cycle,
+                cycle as usize,
+                &mut scratch.picks,
+            ),
+            crate::FetchPolicy::RoundRobin => round_robin_pick_into(
+                &scratch.eligible,
+                per_cycle,
+                cycle as usize,
+                &mut scratch.picks,
+            ),
+        }
+        for &t in &scratch.picks {
+            progress |= fetch_group(
+                &mut self.threads[t],
+                width,
+                max_unresolved,
+                &mut self.fetched,
+            );
+        }
         progress
     }
+}
+
+/// Branch counters the fetch stage accumulates over all threads.
+#[derive(Debug, Clone, Copy, Default)]
+struct FetchCounters {
+    branches: u64,
+    mispredictions: u64,
+}
+
+/// Fetches one group of up to `width` instructions for `thread`, ending
+/// it at the first taken or mispredicted branch or other control
+/// transfer. Returns whether anything was fetched.
+fn fetch_group(
+    thread: &mut ThreadContext,
+    width: usize,
+    max_unresolved: usize,
+    counters: &mut FetchCounters,
+) -> bool {
+    let mut progress = false;
+    for _ in 0..width {
+        if thread.ring.fetch_full() || thread.unresolved_branches >= max_unresolved {
+            break;
+        }
+        let Some(inst) = thread.trace.next_instruction() else {
+            thread.trace_done = true;
+            break;
+        };
+        let seq = thread.ring.next_seq();
+        thread.ring.push_fetched(&inst);
+        progress = true;
+        let mut stop_group = false;
+        if inst.op.is_cond_branch() {
+            let actual = inst.branch.map(|b| b.taken).unwrap_or(false);
+            let correct = thread.predictor.predict_and_train(inst.pc, actual);
+            thread.unresolved_branches += 1;
+            counters.branches += 1;
+            if !correct {
+                counters.mispredictions += 1;
+                // Fetch continues down the wrong path (useless work)
+                // until the branch resolves: model it by blocking
+                // fetch for this thread until resolution.
+                thread.blocked_on_mispredict = Some(seq);
+                stop_group = true;
+            }
+            if actual {
+                // Fetch groups end at the first taken branch.
+                stop_group = true;
+            }
+        } else if inst.op.is_control() {
+            stop_group = true;
+        }
+        if stop_group {
+            break;
+        }
+    }
+    progress
 }
 
 /// Decides whether the head of an in-order window can issue this cycle, and
@@ -966,29 +1012,23 @@ impl Processor {
 fn probe_head(thread: &ThreadContext, head: &Slot, cycle: u64) -> HeadProbe {
     // Store data (src1 of a store) is consumed at graduation, not at
     // issue: it never gates the AP.
-    let first_gating = usize::from(head.op.is_store());
-    for (src, &phys) in [head.src1, head.src2]
-        .iter()
-        .zip(&head.phys_src)
-        .skip(first_gating)
-    {
+    let first_gating = usize::from(head.is(Slot::STORE));
+    for (src, &phys) in head.src.iter().zip(&head.phys_src).skip(first_gating) {
         if phys == NO_REG {
             continue;
         }
-        let class = src
-            .expect("renamed source has an architectural register")
-            .class();
+        let class = src.class();
         let ready_cycle = thread.regs(class).ready_cycle(phys);
         if ready_cycle > cycle {
-            let flags = thread.flags(class);
+            let (from_load, load_missed) = thread.flags(class).load(phys);
             return HeadProbe::Blocked {
                 cause: BlockedCause {
-                    kind: if flags.is_from_load(phys) {
+                    kind: if from_load {
                         SlotUse::WaitMemory
                     } else {
                         SlotUse::WaitFu
                     },
-                    miss_class: flags.is_load_miss(phys).then_some(class),
+                    miss_class: load_missed.then_some(class),
                 },
                 // A finite ready cycle never moves once recorded (the
                 // producer has issued, and the physical register cannot be
@@ -999,7 +1039,7 @@ fn probe_head(thread: &ThreadContext, head: &Slot, cycle: u64) -> HeadProbe {
             };
         }
     }
-    if head.op.is_load() && thread.load_blocked_by_store(head.seq, &head.mem()) {
+    if head.is(Slot::LOAD) && thread.load_blocked_by_store(head.seq, &head.mem()) {
         return HeadProbe::Blocked {
             cause: BlockedCause {
                 kind: SlotUse::Other,

@@ -11,6 +11,16 @@
 //! dispatch. The fetch buffer and the reorder buffer are two adjacent
 //! ranges of that ring, and the AP window and EP instruction queue hold
 //! ring positions, so no stage copies an instruction record.
+//!
+//! Fetch also decodes each instruction once for the stages after it. A
+//! slot's class mask holds one bit per question they ask: load, store,
+//! memory access, conditional branch, steered to the EP, real destination
+//! (present and not hard-wired zero) and FP destination. Each
+//! architectural operand is packed into one byte ([`Operand`]): bit 5 is
+//! the FP class and the low five bits the index, with `0xff` for none.
+//! Both hard-wired zero registers and an absent operand then have all five
+//! index bits set, so one mask test tells dispatch whether to rename a
+//! source. The packing keeps the slot at 32 bytes.
 
 use dsmt_isa::{ArchReg, Instruction, MemRef, OpClass, RegClass, Unit};
 use dsmt_trace::TraceSource;
@@ -21,8 +31,53 @@ use crate::SimConfig;
 /// Marks an absent renamed operand (no register, or a hard-wired zero).
 pub(crate) const NO_REG: PhysReg = PhysReg(u16::MAX);
 
+/// An architectural operand packed into one byte: bit 5 is the FP class
+/// and the low five bits the index; [`Operand::NONE`] has every bit set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Operand(pub u8);
+
+impl Operand {
+    /// No operand.
+    pub const NONE: Operand = Operand(0xff);
+    const FP: u8 = 1 << 5;
+    const INDEX: u8 = 0x1f;
+
+    pub fn pack(reg: Option<ArchReg>) -> Self {
+        reg.map_or(Operand::NONE, |r| {
+            Operand(if r.is_fp() { Operand::FP } else { 0 } | r.index())
+        })
+    }
+
+    #[cfg(any(debug_assertions, test))]
+    pub fn unpack(self) -> Option<ArchReg> {
+        (self != Operand::NONE).then(|| ArchReg::new(self.class(), self.0 & Operand::INDEX))
+    }
+
+    /// Whether the operand names a renamed register: present and not a
+    /// hard-wired zero (index 31, which [`Operand::NONE`] shares).
+    #[inline]
+    pub fn is_renamed(self) -> bool {
+        self.0 & Operand::INDEX != Operand::INDEX
+    }
+
+    #[inline]
+    pub fn class(self) -> RegClass {
+        if self.0 & Operand::FP == 0 {
+            RegClass::Int
+        } else {
+            RegClass::Fp
+        }
+    }
+
+    #[inline]
+    pub fn index(self) -> usize {
+        usize::from(self.0 & Operand::INDEX)
+    }
+}
+
 /// One in-flight instruction: the fields of its trace record that the
-/// pipeline still needs after fetch, plus its renamed registers.
+/// pipeline still needs after fetch, decoded once, plus its renamed
+/// registers.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Slot {
     /// Per-thread program-order sequence number (assigned at fetch).
@@ -30,12 +85,13 @@ pub(crate) struct Slot {
     /// Effective address of a load or store.
     pub mem_addr: u64,
     pub op: OpClass,
+    /// The class bits ([`Slot::LOAD`] ... [`Slot::FP_DEST`]).
+    class: u8,
     /// Access size of a load or store, in bytes.
     pub mem_size: u8,
-    /// Architectural operands as fetched.
-    pub src1: Option<ArchReg>,
-    pub src2: Option<ArchReg>,
-    pub dest: Option<ArchReg>,
+    /// Architectural sources and destination as fetched.
+    pub src: [Operand; 2],
+    pub dest: Operand,
     /// Renamed sources ([`NO_REG`] when absent or hard-wired zero); each
     /// lives in the register file of the matching architectural source.
     pub phys_src: [PhysReg; 2],
@@ -51,6 +107,41 @@ pub(crate) struct Slot {
 const _: () = assert!(std::mem::size_of::<Slot>() <= 32);
 
 impl Slot {
+    pub const LOAD: u8 = 1 << 0;
+    pub const STORE: u8 = 1 << 1;
+    pub const MEM: u8 = 1 << 2;
+    pub const COND_BRANCH: u8 = 1 << 3;
+    /// Steered to the EP ([`dsmt_isa::steer`]).
+    pub const EP: u8 = 1 << 4;
+    /// A destination that is present and not hard-wired zero.
+    pub const REAL_DEST: u8 = 1 << 5;
+    /// A real destination in the FP register file.
+    pub const FP_DEST: u8 = 1 << 6;
+
+    /// The class bits of an instruction of class `op` writing the packed
+    /// destination `dest`. The operation's bits come from one exhaustive
+    /// match, which the decode test checks against the `OpClass` predicates
+    /// and `steer`.
+    fn decode(op: OpClass, dest: Operand) -> u8 {
+        let op_bits = match op {
+            OpClass::LoadInt | OpClass::LoadFp => Slot::LOAD | Slot::MEM,
+            OpClass::StoreInt | OpClass::StoreFp => Slot::STORE | Slot::MEM,
+            OpClass::CondBranch => Slot::COND_BRANCH,
+            OpClass::FpAdd | OpClass::FpMul | OpClass::FpDiv => Slot::EP,
+            OpClass::IntAlu
+            | OpClass::IntMul
+            | OpClass::UncondBranch
+            | OpClass::Jump
+            | OpClass::Nop => 0,
+        };
+        let dest_bits = match (dest.is_renamed(), dest.class()) {
+            (false, _) => 0,
+            (true, RegClass::Int) => Slot::REAL_DEST,
+            (true, RegClass::Fp) => Slot::REAL_DEST | Slot::FP_DEST,
+        };
+        op_bits | dest_bits
+    }
+
     fn fetched(seq: u64, inst: &Instruction) -> Self {
         let (mem_addr, mem_size) = if inst.op.is_mem() {
             let mem = inst.mem.expect("memory instruction without address");
@@ -58,17 +149,45 @@ impl Slot {
         } else {
             (0, 0)
         };
+        let dest = Operand::pack(inst.dest);
         Slot {
             seq,
             mem_addr,
             op: inst.op,
+            class: Slot::decode(inst.op, dest),
             mem_size,
-            src1: inst.src1,
-            src2: inst.src2,
-            dest: inst.dest,
+            src: [Operand::pack(inst.src1), Operand::pack(inst.src2)],
+            dest,
             phys_src: [NO_REG; 2],
             phys_dest: NO_REG,
             prev_dest: NO_REG,
+        }
+    }
+
+    /// Whether any of the class bits in `bits` is set.
+    #[inline]
+    pub fn is(&self, bits: u8) -> bool {
+        self.class & bits != 0
+    }
+
+    /// The window the instruction is steered to.
+    #[inline]
+    pub fn unit(&self) -> Unit {
+        if self.is(Slot::EP) {
+            Unit::Ep
+        } else {
+            Unit::Ap
+        }
+    }
+
+    /// The register file of the destination; meaningful only with
+    /// [`Slot::REAL_DEST`] set.
+    #[inline]
+    pub fn dest_class(&self) -> RegClass {
+        if self.is(Slot::FP_DEST) {
+            RegClass::Fp
+        } else {
+            RegClass::Int
         }
     }
 
@@ -77,21 +196,16 @@ impl Slot {
         MemRef::new(self.mem_addr, self.mem_size)
     }
 
-    /// The destination if it creates a real (non-zero-register) definition.
-    pub fn real_dest(&self) -> Option<ArchReg> {
-        self.dest.filter(|r| !r.is_zero())
-    }
-
     /// The architectural fields the commit-stream digest folds.
     #[cfg(debug_assertions)]
     pub fn committed(&self) -> Instruction {
         Instruction {
             pc: 0,
             op: self.op,
-            dest: self.dest,
-            src1: self.src1,
-            src2: self.src2,
-            mem: self.op.is_mem().then(|| self.mem()),
+            dest: self.dest.unpack(),
+            src1: self.src[0].unpack(),
+            src2: self.src[1].unpack(),
+            mem: self.is(Slot::MEM).then(|| self.mem()),
             branch: None,
         }
     }
@@ -250,37 +364,39 @@ pub(crate) struct SaqEntry {
 }
 
 /// Per-physical-register producer metadata used for stall classification
-/// and the perceived-latency metric.
+/// and the perceived-latency metric: one byte per register.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ProducerFlags {
-    from_load: Vec<bool>,
-    load_missed: Vec<bool>,
-}
+pub(crate) struct ProducerFlags(Vec<u8>);
 
 impl ProducerFlags {
+    const FROM_LOAD: u8 = 1;
+    const LOAD_MISSED: u8 = 2;
+
     fn new(n: usize) -> Self {
-        ProducerFlags {
-            from_load: vec![false; n],
-            load_missed: vec![false; n],
-        }
+        ProducerFlags(vec![0; n])
     }
 
     pub fn clear(&mut self, reg: PhysReg) {
-        self.from_load[reg.0 as usize] = false;
-        self.load_missed[reg.0 as usize] = false;
+        self.0[reg.0 as usize] = 0;
     }
 
     pub fn set_load(&mut self, reg: PhysReg, missed: bool) {
-        self.from_load[reg.0 as usize] = true;
-        self.load_missed[reg.0 as usize] = missed;
+        let missed = if missed {
+            ProducerFlags::LOAD_MISSED
+        } else {
+            0
+        };
+        self.0[reg.0 as usize] = ProducerFlags::FROM_LOAD | missed;
     }
 
-    pub fn is_from_load(&self, reg: PhysReg) -> bool {
-        self.from_load[reg.0 as usize]
-    }
-
-    pub fn is_load_miss(&self, reg: PhysReg) -> bool {
-        self.load_missed[reg.0 as usize]
+    /// Whether `reg`'s producer is a load, and whether that load missed.
+    #[inline]
+    pub fn load(&self, reg: PhysReg) -> (bool, bool) {
+        let flags = self.0[reg.0 as usize];
+        (
+            flags & ProducerFlags::FROM_LOAD != 0,
+            flags & ProducerFlags::LOAD_MISSED != 0,
+        )
     }
 }
 
@@ -289,17 +405,16 @@ pub(crate) struct ThreadContext {
     pub trace: Box<dyn TraceSource>,
     /// Fetch buffer and reorder buffer.
     pub ring: InstRing,
-    /// Integer (AP) rename map + physical register file.
-    pub ap_regs: RegisterFile,
-    /// Floating-point (EP) rename map + physical register file.
-    pub ep_regs: RegisterFile,
-    pub ap_flags: ProducerFlags,
-    pub ep_flags: ProducerFlags,
-    /// The AP's in-order issue window (ring positions).
-    pub ap_window: BoundedQueue<u32>,
-    /// The EP's instruction queue (ring positions) — the structure that
+    /// Rename map + physical register file per register class: integer
+    /// (AP) first, then floating point (EP). Indexed, not matched, so the
+    /// stages pick one without a branch.
+    regs: [RegisterFile; 2],
+    /// Producer flags per register class, in the same order.
+    flags: [ProducerFlags; 2],
+    /// The in-order windows (ring positions) per unit: the AP's issue
+    /// window, then the EP's instruction queue — the structure that
     /// provides decoupling.
-    pub iq: BoundedQueue<u32>,
+    windows: [BoundedQueue<u32>; 2],
     /// The store address queue.
     pub saq: BoundedQueue<SaqEntry>,
     pub predictor: BranchPredictor,
@@ -327,8 +442,8 @@ impl std::fmt::Debug for ThreadContext {
         f.debug_struct("ThreadContext")
             .field("retired", &self.retired)
             .field("fetch_buffer", &self.ring.fetch_len())
-            .field("ap_window", &self.ap_window.len())
-            .field("iq", &self.iq.len())
+            .field("ap_window", &self.window(Unit::Ap).len())
+            .field("iq", &self.window(Unit::Ep).len())
             .field("saq", &self.saq.len())
             .field("rob", &self.ring.rob_len())
             .finish_non_exhaustive()
@@ -346,12 +461,15 @@ impl ThreadContext {
                 config.effective_rob_capacity(),
                 config.fetch_buffer_capacity,
             ),
-            ap_regs: RegisterFile::new(32, ap_phys),
-            ep_regs: RegisterFile::new(32, ep_phys),
-            ap_flags: ProducerFlags::new(ap_phys),
-            ep_flags: ProducerFlags::new(ep_phys),
-            ap_window: BoundedQueue::new(config.effective_ap_window_capacity()),
-            iq: BoundedQueue::new(config.effective_iq_capacity()),
+            regs: [
+                RegisterFile::new(32, ap_phys),
+                RegisterFile::new(32, ep_phys),
+            ],
+            flags: [ProducerFlags::new(ap_phys), ProducerFlags::new(ep_phys)],
+            windows: [
+                BoundedQueue::new(config.effective_ap_window_capacity()),
+                BoundedQueue::new(config.effective_iq_capacity()),
+            ],
             saq: BoundedQueue::new(config.effective_saq_capacity()),
             predictor: BranchPredictor::new(config.bht_entries),
             unresolved_branches: 0,
@@ -365,51 +483,39 @@ impl ThreadContext {
     }
 
     /// The in-order window for the given unit.
+    #[inline]
     pub fn window(&self, unit: Unit) -> &BoundedQueue<u32> {
-        match unit {
-            Unit::Ap => &self.ap_window,
-            Unit::Ep => &self.iq,
-        }
+        &self.windows[unit.index()]
     }
 
     /// The in-order window for the given unit (mutable).
+    #[inline]
     pub fn window_mut(&mut self, unit: Unit) -> &mut BoundedQueue<u32> {
-        match unit {
-            Unit::Ap => &mut self.ap_window,
-            Unit::Ep => &mut self.iq,
-        }
+        &mut self.windows[unit.index()]
     }
 
     /// Register file for a register class.
+    #[inline]
     pub fn regs(&self, class: RegClass) -> &RegisterFile {
-        match class {
-            RegClass::Int => &self.ap_regs,
-            RegClass::Fp => &self.ep_regs,
-        }
+        &self.regs[class as usize]
     }
 
     /// Register file for a register class (mutable).
+    #[inline]
     pub fn regs_mut(&mut self, class: RegClass) -> &mut RegisterFile {
-        match class {
-            RegClass::Int => &mut self.ap_regs,
-            RegClass::Fp => &mut self.ep_regs,
-        }
+        &mut self.regs[class as usize]
     }
 
     /// Producer flags for a register class.
+    #[inline]
     pub fn flags(&self, class: RegClass) -> &ProducerFlags {
-        match class {
-            RegClass::Int => &self.ap_flags,
-            RegClass::Fp => &self.ep_flags,
-        }
+        &self.flags[class as usize]
     }
 
     /// Producer flags for a register class (mutable).
+    #[inline]
     pub fn flags_mut(&mut self, class: RegClass) -> &mut ProducerFlags {
-        match class {
-            RegClass::Int => &mut self.ap_flags,
-            RegClass::Fp => &mut self.ep_flags,
-        }
+        &mut self.flags[class as usize]
     }
 
     /// Whether the thread may fetch this cycle.
@@ -424,11 +530,9 @@ impl ThreadContext {
     /// structural reason (ROB, window, SAQ or rename registers full).
     pub fn dispatch_blocked(&self, slot: &Slot) -> bool {
         self.ring.rob_full()
-            || self.window(dsmt_isa::steer(slot.op)).is_full()
-            || (slot.op.is_store() && self.saq.is_full())
-            || slot
-                .real_dest()
-                .is_some_and(|d| !self.regs(d.class()).can_rename())
+            || self.window(slot.unit()).is_full()
+            || (slot.is(Slot::STORE) && self.saq.is_full())
+            || (slot.is(Slot::REAL_DEST) && !self.regs(slot.dest_class()).can_rename())
     }
 
     /// Whether the thread has completely drained (no work anywhere).
@@ -442,10 +546,13 @@ impl ThreadContext {
     ///
     /// The store blocks the load until it leaves the SAQ at graduation (no
     /// forwarding network is modelled), whether or not it has executed.
+    /// The SAQ holds stores in program order, so the walk stops at the
+    /// first younger one.
     pub fn load_blocked_by_store(&self, load_seq: u64, mem: &MemRef) -> bool {
         self.saq
             .iter()
-            .any(|e| e.seq < load_seq && MemRef::new(e.addr, e.size).overlaps(mem))
+            .take_while(|e| e.seq < load_seq)
+            .any(|e| MemRef::new(e.addr, e.size).overlaps(mem))
     }
 }
 
@@ -495,6 +602,109 @@ mod tests {
         assert_eq!(ring.get(front).seq, 3);
         assert_eq!(ring.rob_head().map(|s| s.seq), Some(0));
         assert_eq!(ring.head_done_at(), u64::MAX);
+    }
+
+    #[test]
+    fn every_operand_packs_into_one_byte_and_back() {
+        assert_eq!(Operand::pack(None), Operand::NONE);
+        assert_eq!(Operand::NONE.unpack(), None);
+        assert!(!Operand::NONE.is_renamed());
+        for class in [RegClass::Int, RegClass::Fp] {
+            for index in 0..32u8 {
+                let reg = ArchReg::new(class, index);
+                let packed = Operand::pack(Some(reg));
+                assert_ne!(packed, Operand::NONE);
+                assert_eq!(packed.unpack(), Some(reg));
+                assert_eq!((packed.class(), packed.index()), (class, index as usize));
+                assert_eq!(packed.is_renamed(), !reg.is_zero(), "{reg}");
+            }
+        }
+    }
+
+    /// Fetch's decode answers every question the later stages used to ask
+    /// the operation class, `steer` and the operands, for every class,
+    /// destination shape and store or non-store source shape.
+    #[test]
+    fn decode_agrees_with_the_isa_for_every_instruction_shape() {
+        let dests = [
+            None,
+            Some(ArchReg::int(31)),
+            Some(ArchReg::int(3)),
+            Some(ArchReg::fp(7)),
+            Some(ArchReg::fp(31)),
+        ];
+        let sources = [
+            (None, None),
+            (Some(ArchReg::int(1)), None),
+            (None, Some(ArchReg::fp(2))),
+            (Some(ArchReg::int(31)), Some(ArchReg::fp(31))),
+            // Store shapes: the data register (either class), then the
+            // integer base register.
+            (Some(ArchReg::fp(4)), Some(ArchReg::int(2))),
+            (Some(ArchReg::int(30)), Some(ArchReg::int(0))),
+            (Some(ArchReg::fp(31)), Some(ArchReg::int(31))),
+        ];
+        for op in OpClass::ALL {
+            for dest in dests {
+                for (src1, src2) in sources {
+                    let mut inst = Instruction::new(0x40, op);
+                    inst.dest = dest;
+                    inst.src1 = src1;
+                    inst.src2 = src2;
+                    if op.is_mem() {
+                        inst = inst.with_mem(0x1000, 8);
+                    }
+                    let slot = Slot::fetched(9, &inst);
+                    let shape = format!("{op:?} dest {dest:?} sources {src1:?} {src2:?}");
+                    assert_eq!(slot.is(Slot::LOAD), op.is_load(), "{shape}");
+                    assert_eq!(slot.is(Slot::STORE), op.is_store(), "{shape}");
+                    assert_eq!(slot.is(Slot::MEM), op.is_mem(), "{shape}");
+                    assert_eq!(slot.is(Slot::COND_BRANCH), op.is_cond_branch(), "{shape}");
+                    assert_eq!(
+                        slot.is(Slot::EP),
+                        dsmt_isa::steer(op) == Unit::Ep,
+                        "{shape}"
+                    );
+                    assert_eq!(slot.unit(), dsmt_isa::steer(op), "{shape}");
+                    let real_dest = dest.filter(|d| !d.is_zero());
+                    assert_eq!(slot.is(Slot::REAL_DEST), real_dest.is_some(), "{shape}");
+                    assert_eq!(
+                        slot.is(Slot::FP_DEST),
+                        real_dest.is_some_and(|d| d.is_fp()),
+                        "{shape}"
+                    );
+                    if let Some(d) = real_dest {
+                        assert_eq!(slot.dest_class(), d.class(), "{shape}");
+                        assert_eq!(slot.dest.index(), d.index() as usize, "{shape}");
+                    }
+                    assert_eq!(slot.dest.unpack(), dest, "{shape}");
+                    for (operand, reg) in slot.src.into_iter().zip([src1, src2]) {
+                        assert_eq!(operand.unpack(), reg, "{shape}");
+                        assert_eq!(
+                            operand.is_renamed(),
+                            reg.is_some_and(|r| !r.is_zero()),
+                            "{shape}"
+                        );
+                    }
+                    #[cfg(debug_assertions)]
+                    {
+                        let committed = slot.committed();
+                        assert_eq!(
+                            (committed.op, committed.dest, committed.src1, committed.src2),
+                            (op, dest, src1, src2),
+                            "{shape}"
+                        );
+                        assert_eq!(committed.mem, inst.mem, "{shape}");
+                        let basis = crate::COMMIT_DIGEST_BASIS;
+                        assert_eq!(
+                            crate::fold_commit(basis, &committed),
+                            crate::fold_commit(basis, &inst),
+                            "{shape}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

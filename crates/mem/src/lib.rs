@@ -49,6 +49,6 @@ mod system;
 pub use bus::Bus;
 pub use cache::{Cache, CacheAccess, CacheStats};
 pub use config::{CacheConfig, MemConfig};
-pub use mshr::{MshrFile, MshrOutcome};
+pub use mshr::MshrFile;
 pub use stats::MemStats;
 pub use system::{AccessKind, AccessResponse, MemorySystem};

@@ -45,23 +45,6 @@ impl Hasher for LineAddrHasher {
 
 type LineIndex = HashMap<u64, u64, BuildHasherDefault<LineAddrHasher>>;
 
-/// The outcome of presenting a miss to the MSHR file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MshrOutcome {
-    /// A new entry was allocated; the caller must schedule the L2 access and
-    /// record the fill time with [`MshrFile::set_ready_cycle`].
-    Allocated,
-    /// The line is already outstanding; the miss merges with the existing
-    /// entry and the data will be available at `ready_cycle`.
-    Merged {
-        /// Cycle at which the already-outstanding fill completes.
-        ready_cycle: u64,
-    },
-    /// All MSHRs are busy: the access must be retried later (structural
-    /// hazard — this is what "lockup-free up to N misses" bounds).
-    Full,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct Entry {
     line_addr: u64,
@@ -79,8 +62,6 @@ pub struct MshrFile {
     index: LineIndex,
     /// Number of merged (secondary) misses.
     merges: u64,
-    /// Number of times an access found the file full.
-    full_events: u64,
 }
 
 impl MshrFile {
@@ -97,7 +78,6 @@ impl MshrFile {
             entries: VecDeque::with_capacity(capacity),
             index: LineIndex::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
             merges: 0,
-            full_events: 0,
         }
     }
 
@@ -119,12 +99,6 @@ impl MshrFile {
         self.merges
     }
 
-    /// Number of accesses rejected because the file was full.
-    #[must_use]
-    pub fn full_events(&self) -> u64 {
-        self.full_events
-    }
-
     /// Whether the file has no free entry.
     #[must_use]
     pub fn is_full(&self) -> bool {
@@ -143,6 +117,9 @@ impl MshrFile {
     /// outstanding, without counting a merge.
     #[must_use]
     pub fn lookup(&self, line_addr: u64) -> Option<u64> {
+        if self.entries.is_empty() {
+            return None;
+        }
         self.index.get(&line_addr).copied()
     }
 
@@ -151,49 +128,32 @@ impl MshrFile {
         self.merges += 1;
     }
 
-    /// Presents a miss on `line_addr` to the file.
-    ///
-    /// If the line is already outstanding the miss merges; if there is a free
-    /// entry one is allocated (the caller must then call
-    /// [`MshrFile::set_ready_cycle`] once it has scheduled the fill);
-    /// otherwise the file is full.
-    pub fn lookup_or_allocate(&mut self, line_addr: u64) -> MshrOutcome {
-        if let Some(&ready_cycle) = self.index.get(&line_addr) {
-            self.merges += 1;
-            return MshrOutcome::Merged { ready_cycle };
-        }
-        if self.is_full() {
-            self.full_events += 1;
-            return MshrOutcome::Full;
-        }
-        self.entries.push_back(Entry {
-            line_addr,
-            ready_cycle: u64::MAX,
-        });
-        self.index.insert(line_addr, u64::MAX);
-        MshrOutcome::Allocated
-    }
-
-    /// Records the cycle at which the fill for `line_addr` completes.
+    /// Allocates an entry for a primary miss on `line_addr` whose fill
+    /// completes at `ready_cycle`. The caller has checked that the line is
+    /// not outstanding ([`MshrFile::lookup`]) and the file is not full, and
+    /// allocates in the order the fills were scheduled on the FIFO bus, so
+    /// ready cycles stay monotone in allocation order.
     ///
     /// # Panics
     ///
-    /// Panics if no entry for `line_addr` exists (allocate first).
-    pub fn set_ready_cycle(&mut self, line_addr: u64, ready_cycle: u64) {
-        let slot = self
-            .index
-            .get_mut(&line_addr)
-            .expect("set_ready_cycle called for a line with no MSHR entry");
-        *slot = ready_cycle;
-        // The deque entry is almost always the most recent allocation; walk
-        // from the back for the generic case.
-        let entry = self
-            .entries
-            .iter_mut()
-            .rev()
-            .find(|e| e.line_addr == line_addr)
-            .expect("index and release queue agree on outstanding lines");
-        entry.ready_cycle = ready_cycle;
+    /// Panics if the file is full.
+    pub fn allocate(&mut self, line_addr: u64, ready_cycle: u64) {
+        assert!(!self.is_full(), "MSHR allocation into a full file");
+        debug_assert!(
+            self.lookup(line_addr).is_none(),
+            "line {line_addr:#x} already outstanding"
+        );
+        debug_assert!(
+            self.entries
+                .back()
+                .is_none_or(|e| e.ready_cycle <= ready_cycle),
+            "fills out of allocation order"
+        );
+        self.entries.push_back(Entry {
+            line_addr,
+            ready_cycle,
+        });
+        self.index.insert(line_addr, ready_cycle);
     }
 
     /// Releases every entry whose fill has completed by `cycle`.
@@ -216,7 +176,6 @@ impl MshrFile {
         self.entries.clear();
         self.index.clear();
         self.merges = 0;
-        self.full_events = 0;
     }
 }
 
@@ -227,12 +186,10 @@ mod tests {
     #[test]
     fn allocate_then_merge() {
         let mut m = MshrFile::new(4);
-        assert_eq!(m.lookup_or_allocate(0x100), MshrOutcome::Allocated);
-        m.set_ready_cycle(0x100, 50);
-        assert_eq!(
-            m.lookup_or_allocate(0x100),
-            MshrOutcome::Merged { ready_cycle: 50 }
-        );
+        assert_eq!(m.lookup(0x100), None);
+        m.allocate(0x100, 50);
+        assert_eq!(m.lookup(0x100), Some(50));
+        m.record_merge();
         assert_eq!(m.merges(), 1);
         assert_eq!(m.occupancy(), 1);
     }
@@ -240,47 +197,34 @@ mod tests {
     #[test]
     fn fills_up_and_rejects() {
         let mut m = MshrFile::new(2);
-        assert_eq!(m.lookup_or_allocate(0x0), MshrOutcome::Allocated);
-        assert_eq!(m.lookup_or_allocate(0x20), MshrOutcome::Allocated);
+        m.allocate(0x0, 10);
+        m.allocate(0x20, 12);
         assert!(m.is_full());
-        assert_eq!(m.lookup_or_allocate(0x40), MshrOutcome::Full);
-        assert_eq!(m.full_events(), 1);
-        // But a merge to an outstanding line still works when full.
-        m.set_ready_cycle(0x0, 10);
-        assert_eq!(
-            m.lookup_or_allocate(0x0),
-            MshrOutcome::Merged { ready_cycle: 10 }
-        );
+        assert_eq!(m.lookup(0x40), None);
+        // An outstanding line still merges when the file is full.
+        assert_eq!(m.lookup(0x0), Some(10));
+        assert_eq!(m.next_release(), Some(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "full file")]
+    fn allocating_into_a_full_file_panics() {
+        let mut m = MshrFile::new(1);
+        m.allocate(0x0, 10);
+        m.allocate(0x20, 12);
     }
 
     #[test]
     fn retire_frees_entries() {
         let mut m = MshrFile::new(2);
-        m.lookup_or_allocate(0x0);
-        m.set_ready_cycle(0x0, 10);
-        m.lookup_or_allocate(0x20);
-        m.set_ready_cycle(0x20, 30);
+        m.allocate(0x0, 10);
+        m.allocate(0x20, 30);
         m.retire_completed(10);
         assert_eq!(m.occupancy(), 1);
+        assert_eq!(m.lookup(0x0), None);
         assert!(!m.is_full());
         m.retire_completed(30);
         assert_eq!(m.occupancy(), 0);
-    }
-
-    #[test]
-    fn retire_keeps_unset_entries() {
-        let mut m = MshrFile::new(2);
-        m.lookup_or_allocate(0x0);
-        // ready_cycle not set yet => must not be retired.
-        m.retire_completed(1_000_000);
-        assert_eq!(m.occupancy(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "no MSHR entry")]
-    fn set_ready_without_allocation_panics() {
-        let mut m = MshrFile::new(2);
-        m.set_ready_cycle(0x123, 4);
     }
 
     #[test]
@@ -292,11 +236,11 @@ mod tests {
     #[test]
     fn reset_clears_state() {
         let mut m = MshrFile::new(2);
-        m.lookup_or_allocate(0x0);
-        m.lookup_or_allocate(0x0);
+        m.allocate(0x0, 10);
+        m.record_merge();
         m.reset();
         assert_eq!(m.occupancy(), 0);
         assert_eq!(m.merges(), 0);
-        assert_eq!(m.full_events(), 0);
+        assert_eq!(m.lookup(0x0), None);
     }
 }

@@ -1,6 +1,6 @@
 //! The memory-system facade used by the processor core.
 
-use crate::{Bus, Cache, MemConfig, MemStats, MshrFile, MshrOutcome};
+use crate::{Bus, Cache, MemConfig, MemStats, MshrFile};
 
 /// The kind of data-cache access being performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -152,7 +152,7 @@ impl MemorySystem {
 
         // If this would miss and every MSHR is busy, reject before touching
         // cache state so the retry behaves identically.
-        if !self.l1d.probe(addr) && self.mshrs.is_full() {
+        if self.mshrs.is_full() && !self.l1d.probe(addr) {
             self.stats.mshr_full_rejections += 1;
             return AccessResponse::NoMshr;
         }
@@ -176,23 +176,14 @@ impl MemorySystem {
             self.stats.writebacks += 1;
         }
 
-        let ready_cycle = match self.mshrs.lookup_or_allocate(line_addr) {
-            MshrOutcome::Allocated => {
-                // L2 access starts after the miss is detected; the line then
-                // crosses the bus.
-                let l2_data_ready = cycle + hit_latency + self.config.l2_latency;
-                let fill_done = self
-                    .bus
-                    .schedule_transfer(l2_data_ready, self.config.l1d.line_bytes as u64);
-                self.mshrs.set_ready_cycle(line_addr, fill_done);
-                fill_done
-            }
-            MshrOutcome::Merged { .. } | MshrOutcome::Full => {
-                // Cannot happen: outstanding lines were handled above and the
-                // full check precedes allocation.
-                unreachable!("inconsistent MSHR state in try_access")
-            }
-        };
+        // L2 access starts after the miss is detected; the line then crosses
+        // the bus. The line is not outstanding and a free entry exists (both
+        // checked above), so the entry is allocated with its fill time.
+        let l2_data_ready = cycle + hit_latency + self.config.l2_latency;
+        let ready_cycle = self
+            .bus
+            .schedule_transfer(l2_data_ready, self.config.l1d.line_bytes as u64);
+        self.mshrs.allocate(line_addr, ready_cycle);
 
         AccessResponse::Done {
             hit: false,

@@ -34,40 +34,22 @@ impl RoundRobin {
         self.n == 0
     }
 
-    /// The participant that will have highest priority in the next ordering.
+    /// The participant that [`take_start`](Self::take_start) returns next.
     #[must_use]
     pub fn next_start(&self) -> usize {
         self.next_start
     }
 
-    /// Returns this cycle's priority ordering (highest priority first) and
-    /// rotates the starting point for the next cycle.
-    pub fn ordering(&mut self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.n);
-        self.ordering_into(&mut out);
-        out
-    }
-
-    /// Writes this cycle's priority ordering into `out` (cleared first) and
-    /// rotates the starting point for the next cycle. The allocation-free
-    /// form used by the simulator hot loop with a reused scratch buffer.
-    pub fn ordering_into(&mut self, out: &mut Vec<usize>) {
+    /// Returns the participant with highest priority this cycle (the
+    /// others follow in ascending order, wrapping around) and rotates the
+    /// start for the next cycle.
+    pub fn take_start(&mut self) -> usize {
         let start = self.next_start;
         self.next_start = if start + 1 == self.n { 0 } else { start + 1 };
-        out.clear();
-        out.extend(start..self.n);
-        out.extend(0..start);
+        start
     }
 
-    /// Returns the current priority ordering without rotating.
-    #[must_use]
-    pub fn peek_ordering(&self) -> Vec<usize> {
-        (0..self.n)
-            .map(|i| (self.next_start + i) % self.n)
-            .collect()
-    }
-
-    /// Advances the rotation as if `cycles` orderings had been taken, in
+    /// Advances the rotation as if `cycles` starts had been taken, in
     /// O(1). Used by the simulator's stall fast-forward.
     pub fn advance(&mut self, cycles: u64) {
         self.next_start = (self.next_start + (cycles % self.n as u64) as usize) % self.n;
@@ -86,26 +68,24 @@ mod tests {
     #[test]
     fn rotation_over_cycles() {
         let mut rr = RoundRobin::new(3);
-        assert_eq!(rr.ordering(), vec![0, 1, 2]);
-        assert_eq!(rr.ordering(), vec![1, 2, 0]);
-        assert_eq!(rr.ordering(), vec![2, 0, 1]);
-        assert_eq!(rr.ordering(), vec![0, 1, 2]);
+        let starts: Vec<usize> = (0..4).map(|_| rr.take_start()).collect();
+        assert_eq!(starts, vec![0, 1, 2, 0]);
     }
 
     #[test]
     fn peek_does_not_rotate() {
         let mut rr = RoundRobin::new(2);
-        assert_eq!(rr.peek_ordering(), vec![0, 1]);
-        assert_eq!(rr.peek_ordering(), vec![0, 1]);
-        assert_eq!(rr.ordering(), vec![0, 1]);
-        assert_eq!(rr.peek_ordering(), vec![1, 0]);
+        assert_eq!(rr.next_start(), 0);
+        assert_eq!(rr.next_start(), 0);
+        assert_eq!(rr.take_start(), 0);
+        assert_eq!(rr.next_start(), 1);
     }
 
     #[test]
     fn single_participant() {
         let mut rr = RoundRobin::new(1);
-        assert_eq!(rr.ordering(), vec![0]);
-        assert_eq!(rr.ordering(), vec![0]);
+        assert_eq!(rr.take_start(), 0);
+        assert_eq!(rr.take_start(), 0);
         assert_eq!(rr.len(), 1);
         assert!(!rr.is_empty());
     }
@@ -115,29 +95,39 @@ mod tests {
         let mut rr = RoundRobin::new(4);
         let mut top_counts = [0usize; 4];
         for _ in 0..400 {
-            let order = rr.ordering();
-            top_counts[order[0]] += 1;
+            top_counts[rr.take_start()] += 1;
         }
         assert!(top_counts.iter().all(|&c| c == 100));
     }
 
     #[test]
-    fn orderings_are_permutations() {
-        let mut rr = RoundRobin::new(5);
-        for _ in 0..10 {
-            let mut o = rr.ordering();
-            o.sort_unstable();
-            assert_eq!(o, vec![0, 1, 2, 3, 4]);
+    fn advance_matches_taking_each_start() {
+        for n in 1..6 {
+            for cycles in 0..13u64 {
+                let mut stepped = RoundRobin::new(n);
+                let mut jumped = RoundRobin::new(n);
+                stepped.take_start();
+                jumped.take_start();
+                for _ in 0..cycles {
+                    stepped.take_start();
+                }
+                jumped.advance(cycles);
+                assert_eq!(
+                    stepped.next_start(),
+                    jumped.next_start(),
+                    "n {n}, {cycles} cycles"
+                );
+            }
         }
     }
 
     #[test]
     fn reset_restores_start() {
         let mut rr = RoundRobin::new(3);
-        rr.ordering();
-        rr.ordering();
+        rr.take_start();
+        rr.take_start();
         rr.reset();
-        assert_eq!(rr.ordering(), vec![0, 1, 2]);
+        assert_eq!(rr.take_start(), 0);
     }
 
     #[test]

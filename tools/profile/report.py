@@ -15,6 +15,7 @@ table lists the innermost frames overall. Build the profiled binary with
 `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only` so frames carry lines.
 """
 import collections
+import os
 import subprocess
 import sys
 
@@ -101,4 +102,12 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    try:
+        main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`report.py ... | head`): stop quietly
+        # and exit 0. Point stdout at /dev/null so the interpreter's own
+        # flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(0)
