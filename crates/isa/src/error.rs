@@ -1,9 +1,9 @@
-//! Error types for instruction construction, validation and decoding.
+//! Error types for instruction construction and validation.
 
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced when validating or decoding an [`crate::Instruction`].
+/// Errors produced when validating an [`crate::Instruction`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum InstructionError {
@@ -20,12 +20,6 @@ pub enum InstructionError {
     /// The destination register class does not match the operation class
     /// (e.g. an FP load writing an integer register).
     DestClassMismatch,
-    /// The binary encoding ended prematurely.
-    TruncatedEncoding,
-    /// The binary encoding contains an unknown operation tag.
-    UnknownOpTag(u8),
-    /// The binary encoding contains an invalid register byte.
-    InvalidRegisterByte(u8),
 }
 
 impl fmt::Display for InstructionError {
@@ -49,15 +43,6 @@ impl fmt::Display for InstructionError {
             InstructionError::DestClassMismatch => {
                 write!(f, "destination register class does not match operation")
             }
-            InstructionError::TruncatedEncoding => {
-                write!(f, "unexpected end of encoded instruction stream")
-            }
-            InstructionError::UnknownOpTag(tag) => {
-                write!(f, "unknown operation tag {tag} in encoded instruction")
-            }
-            InstructionError::InvalidRegisterByte(byte) => {
-                write!(f, "invalid register byte {byte:#x} in encoded instruction")
-            }
         }
     }
 }
@@ -77,9 +62,6 @@ mod tests {
             InstructionError::UnexpectedBranchInfo,
             InstructionError::MissingDest,
             InstructionError::DestClassMismatch,
-            InstructionError::TruncatedEncoding,
-            InstructionError::UnknownOpTag(42),
-            InstructionError::InvalidRegisterByte(0xff),
         ];
         for v in variants {
             let msg = v.to_string();

@@ -2,7 +2,8 @@
 //!
 //! It lives at the bottom of the dependency graph so every layer shares it:
 //! the store re-exports it for cache keys, segment names and checksums, and
-//! the assembler's golden tests digest instruction streams with it.
+//! the assembler's golden tests digest the canonical trace text
+//! ([`crate::text::render_trace`]) of instruction streams with it.
 
 /// FNV-1a 64-bit hash of `bytes` (offset basis `0xcbf29ce484222325`,
 /// prime `0x100000001b3`).

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod encode;
 mod error;
 mod hash;
 mod inst;
@@ -48,7 +47,6 @@ mod steer;
 pub mod text;
 pub mod varint;
 
-pub use encode::{decode_instruction, decode_stream, encode_instruction, encode_stream};
 pub use error::InstructionError;
 pub use hash::fnv1a64;
 pub use inst::{BranchInfo, Instruction, MemRef};

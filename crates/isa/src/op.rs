@@ -124,7 +124,8 @@ impl OpClass {
         self.is_int_compute() || matches!(self, OpClass::LoadInt)
     }
 
-    /// A compact numeric tag used by the binary trace encoding.
+    /// A compact numeric tag: the byte the commit-stream digest
+    /// (`dsmt_core::fold_commit`) folds for the operation class.
     #[must_use]
     pub fn tag(&self) -> u8 {
         match self {
@@ -142,12 +143,6 @@ impl OpClass {
             OpClass::Jump => 11,
             OpClass::Nop => 12,
         }
-    }
-
-    /// Inverse of [`OpClass::tag`]. Returns `None` for unknown tags.
-    #[must_use]
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        OpClass::ALL.get(tag as usize).copied()
     }
 
     /// A short lowercase mnemonic, used by `Display` and trace dumps.
@@ -225,14 +220,6 @@ mod tests {
         assert!(OpClass::IntAlu.writes_int());
         assert!(!OpClass::FpMul.writes_int());
         assert!(!OpClass::StoreInt.writes_int());
-    }
-
-    #[test]
-    fn tag_roundtrip() {
-        for op in OpClass::ALL {
-            assert_eq!(OpClass::from_tag(op.tag()), Some(op));
-        }
-        assert_eq!(OpClass::from_tag(200), None);
     }
 
     #[test]

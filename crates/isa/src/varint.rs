@@ -1,10 +1,9 @@
 //! Shared variable-length integer encoding (LEB128) for binary formats.
 //!
-//! The trace encoding (`encode.rs`) keeps its fixed-width layout for
-//! stability, but newer on-disk formats (the sweep crate's `.dsr` record
-//! files) pack counters with these helpers: a `u64` costs one byte per 7
-//! significant bits, so the small counts that dominate simulation results
-//! take one or two bytes instead of eight.
+//! The on-disk formats (the store's value codec, used by its segments and
+//! the `.dsr` shard files) pack counters with these helpers: a `u64` costs
+//! one byte per 7 significant bits, so the small counts that dominate
+//! simulation results take one or two bytes instead of eight.
 //!
 //! * **Unsigned** values use plain LEB128: 7 value bits per byte, the high
 //!   bit flags continuation, little-endian groups.

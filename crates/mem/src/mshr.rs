@@ -60,8 +60,6 @@ pub struct MshrFile {
     entries: VecDeque<Entry>,
     /// line address → pending ready cycle, for O(1) lookups and merges.
     index: LineIndex,
-    /// Number of merged (secondary) misses.
-    merges: u64,
 }
 
 impl MshrFile {
@@ -77,7 +75,6 @@ impl MshrFile {
             capacity,
             entries: VecDeque::with_capacity(capacity),
             index: LineIndex::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
-            merges: 0,
         }
     }
 
@@ -91,12 +88,6 @@ impl MshrFile {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Number of secondary misses that merged into an existing entry.
-    #[must_use]
-    pub fn merges(&self) -> u64 {
-        self.merges
     }
 
     /// Whether the file has no free entry.
@@ -114,18 +105,13 @@ impl MshrFile {
     }
 
     /// Returns the pending fill-completion cycle if `line_addr` is already
-    /// outstanding, without counting a merge.
+    /// outstanding.
     #[must_use]
     pub fn lookup(&self, line_addr: u64) -> Option<u64> {
         if self.entries.is_empty() {
             return None;
         }
         self.index.get(&line_addr).copied()
-    }
-
-    /// Records a secondary (merged) miss on an outstanding line.
-    pub fn record_merge(&mut self) {
-        self.merges += 1;
     }
 
     /// Allocates an entry for a primary miss on `line_addr` whose fill
@@ -171,11 +157,10 @@ impl MshrFile {
         }
     }
 
-    /// Clears all entries and statistics.
+    /// Clears all entries.
     pub fn reset(&mut self) {
         self.entries.clear();
         self.index.clear();
-        self.merges = 0;
     }
 }
 
@@ -188,9 +173,8 @@ mod tests {
         let mut m = MshrFile::new(4);
         assert_eq!(m.lookup(0x100), None);
         m.allocate(0x100, 50);
+        // A secondary miss finds the pending fill and takes no new entry.
         assert_eq!(m.lookup(0x100), Some(50));
-        m.record_merge();
-        assert_eq!(m.merges(), 1);
         assert_eq!(m.occupancy(), 1);
     }
 
@@ -237,10 +221,9 @@ mod tests {
     fn reset_clears_state() {
         let mut m = MshrFile::new(2);
         m.allocate(0x0, 10);
-        m.record_merge();
         m.reset();
         assert_eq!(m.occupancy(), 0);
-        assert_eq!(m.merges(), 0);
         assert_eq!(m.lookup(0x0), None);
+        assert_eq!(m.next_release(), None);
     }
 }

@@ -140,7 +140,6 @@ impl MemorySystem {
         // they count as hits (no new L2 traffic) but see the fill latency.
         if let Some(pending_ready) = self.mshrs.lookup(line_addr) {
             self.ports_used += 1;
-            self.mshrs.record_merge();
             self.stats.mshr_merges += 1;
             self.record_access(kind, true);
             let _ = self.l1d.access(addr, is_store); // keep LRU / dirty state coherent

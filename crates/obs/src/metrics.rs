@@ -238,8 +238,9 @@ impl HistogramSnapshot {
     }
 }
 
-/// A point-in-time copy of every metric in a [`Registry`], suitable for
-/// embedding in a `SweepReport` or dumping via `dsmt obs report`.
+/// A point-in-time copy of every metric in a [`Registry`], written as the
+/// `DSMT_METRICS` dump by [`Snapshot::to_json`] and rendered by
+/// `dsmt obs report`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
     /// `(name, value)` for every counter, sorted by name.

@@ -361,7 +361,6 @@ impl DsrFile {
             cache_hits: 0,
             cache_misses: 0,
             wall_secs: 0.0,
-            metrics: None,
         })
     }
 }

@@ -169,7 +169,6 @@ pub fn merge_shards(
         cache_hits: 0,
         cache_misses: 0,
         wall_secs: 0.0,
-        metrics: None,
     })
 }
 

@@ -134,7 +134,7 @@ impl SweepEngine {
             })
             .collect();
         let span = dsmt_obs::span("sweep.run").field("grids", grids.len());
-        let (records, metrics_snapshot) = self.run_jobs(span, &jobs);
+        let records = self.run_jobs(span, &jobs);
         // Split the flat record list back into per-grid reports; run_jobs
         // keeps job order.
         let mut records = records.into_iter();
@@ -162,7 +162,6 @@ impl SweepEngine {
                     cache_hits: stats.hits(),
                     cache_misses: stats.misses(),
                     wall_secs,
-                    metrics: metrics_snapshot.clone(),
                 }
             })
             .collect()
@@ -201,7 +200,7 @@ impl SweepEngine {
             })
             .collect();
         let span = dsmt_obs::span("sweep.run_subset").field("grid", grid.name.as_str());
-        let (records, metrics) = self.run_jobs(span, &jobs);
+        let records = self.run_jobs(span, &jobs);
         let wall_secs = records.iter().map(|r| r.perf.wall_secs).sum();
         SweepReport {
             grid: grid.name.clone(),
@@ -209,27 +208,20 @@ impl SweepEngine {
             cache_hits: stats.hits(),
             cache_misses: stats.misses(),
             wall_secs,
-            metrics,
         }
     }
 
     /// The body [`SweepEngine::run_many`] and [`SweepEngine::run_subset`]
     /// share: drives `jobs` through the pool and the (optional) cache
     /// under `span`, with the progress line when enabled, and returns one
-    /// record per job in job order, plus the process-wide metrics snapshot
-    /// taken while tracing is on (excluded from identity, so reports stay
-    /// comparable).
+    /// record per job in job order.
     ///
     /// The remaining misses are published before it returns (Drop would
     /// too, but an explicit flush keeps the publish point well-defined).
     /// Runs with at most [`crate::cache::FLUSH_THRESHOLD`] misses publish
     /// exactly one key-sorted segment; larger ones flush incrementally,
     /// with scheduling-dependent batch boundaries.
-    fn run_jobs(
-        &self,
-        span: dsmt_obs::Span,
-        jobs: &[Job<'_>],
-    ) -> (Vec<RunRecord>, Option<dsmt_obs::Snapshot>) {
+    fn run_jobs(&self, span: dsmt_obs::Span, jobs: &[Job<'_>]) -> Vec<RunRecord> {
         let cache = self.cache_handle();
         let span = span
             .field("cells", jobs.len())
@@ -252,12 +244,10 @@ impl SweepEngine {
             progress.finish();
         }
         drop(span);
-        let metrics =
-            dsmt_obs::enabled(dsmt_obs::Level::Info).then(|| dsmt_obs::registry().snapshot());
         if let Some(cache) = cache.as_deref() {
             cache.flush();
         }
-        (records, metrics)
+        records
     }
 
     /// The cache handle for the next run: the engine's handle, refreshed,

@@ -147,17 +147,11 @@ pub struct SweepReport {
     /// double-count when several grids share one pool). Not part of
     /// equality, like [`RunRecord::perf`].
     pub wall_secs: f64,
-    /// A process-wide metrics snapshot taken when the sweep finished,
-    /// attached only while tracing is enabled (`DSMT_LOG` at info level or
-    /// below). Like `wall_secs` it is host telemetry, not simulation
-    /// output: excluded from equality and from canonical record bytes, so
-    /// merged `.dsr` files stay bit-identical whether or not it is set.
-    pub metrics: Option<dsmt_obs::Snapshot>,
 }
 
 impl PartialEq for SweepReport {
     fn eq(&self, other: &Self) -> bool {
-        // `wall_secs` and `metrics` intentionally omitted: see field docs.
+        // `wall_secs` intentionally omitted: see its field docs.
         self.grid == other.grid
             && self.records == other.records
             && self.cache_hits == other.cache_hits
@@ -197,7 +191,6 @@ impl SweepReport {
             cache_hits: 0,
             cache_misses: 0,
             wall_secs: 0.0,
-            metrics: None,
         };
         for report in reports {
             out.cache_hits += report.cache_hits;
@@ -252,7 +245,7 @@ impl SweepReport {
 // alongside the stored fields.
 impl Serialize for SweepReport {
     fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
+        serde::Value::Object(vec![
             ("grid".to_string(), self.grid.to_value()),
             ("records".to_string(), self.records.to_value()),
             ("cache_hits".to_string(), self.cache_hits.to_value()),
@@ -266,14 +259,7 @@ impl Serialize for SweepReport {
                 "sim_cycles_per_sec".to_string(),
                 self.sim_cycles_per_sec().to_value(),
             ),
-        ];
-        if let Some(snap) = &self.metrics {
-            fields.push((
-                "metrics".to_string(),
-                crate::telemetry::snapshot_to_value(snap),
-            ));
-        }
-        serde::Value::Object(fields)
+        ])
     }
 }
 
@@ -290,12 +276,6 @@ impl Deserialize for SweepReport {
                 .field("wall_secs")
                 .ok()
                 .map_or(Ok(0.0), Deserialize::from_value)?,
-            // Attached only by tracing-enabled sweeps; absence is normal.
-            metrics: v
-                .field("metrics")
-                .ok()
-                .map(crate::telemetry::snapshot_from_value)
-                .transpose()?,
         })
     }
 }
@@ -382,28 +362,5 @@ mod tests {
         assert!(text.contains("\"instructions_per_sec\""));
         assert!(text.contains("\"sim_cycles_per_sec\""));
         assert!(text.contains("\"wall_secs\""));
-    }
-
-    #[test]
-    fn metrics_snapshot_is_carried_but_not_identity() {
-        let plain = small_report();
-        let mut with_metrics = plain.clone();
-        with_metrics.metrics = Some(dsmt_obs::Snapshot {
-            counters: vec![("sweep.cells_simulated".to_string(), 2)],
-            gauges: vec![],
-            histograms: vec![],
-        });
-        // A host-telemetry snapshot never separates otherwise-equal reports.
-        assert_eq!(with_metrics, plain);
-        // It round-trips through JSON when present, and its absence stays
-        // absent (old report files keep deserializing).
-        let text = serde::to_string(&with_metrics);
-        assert!(text.contains("\"metrics\""));
-        let back: SweepReport = serde::from_str(&text).expect("metrics round-trips");
-        assert_eq!(back.metrics, with_metrics.metrics);
-        let plain_text = serde::to_string(&plain);
-        assert!(!plain_text.contains("\"metrics\""));
-        let back: SweepReport = serde::from_str(&plain_text).expect("no-metrics round-trips");
-        assert_eq!(back.metrics, None);
     }
 }

@@ -1,12 +1,12 @@
-//! Sweep-side telemetry glue: the live `--progress` line and the
-//! serde adapters that embed a [`dsmt_obs::Snapshot`] in report JSON.
+//! Sweep-side telemetry glue: the live `--progress` line and the reader
+//! of the `DSMT_METRICS` dump that `dsmt obs report` renders.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsmt_obs::{HistogramSnapshot, Snapshot};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Value};
 
 /// A live `N/M cells (pct%) rate cells/s ETA` line, redrawn on stderr a few
 /// times per second by a background ticker thread while sweep workers bump
@@ -101,60 +101,44 @@ fn render(done: usize, total: usize, elapsed: Duration) {
     eprint!("\r  sweep: {done}/{total} cells ({pct:.0}%)  {rate:.1} cells/s  ETA {eta}   ");
 }
 
-/// Encodes a metrics [`Snapshot`] as a store/report [`Value`]. Histograms
-/// become `{name, count, sum, buckets: [[index, count], …]}` objects so the
-/// JSON stays self-describing.
-#[must_use]
-pub fn snapshot_to_value(snap: &Snapshot) -> Value {
-    Value::Object(vec![
-        ("counters".to_string(), snap.counters.to_value()),
-        ("gauges".to_string(), snap.gauges.to_value()),
-        (
-            "histograms".to_string(),
-            Value::Array(
-                snap.histograms
-                    .iter()
-                    .map(|(name, h)| {
-                        Value::Object(vec![
-                            ("name".to_string(), name.to_value()),
-                            ("count".to_string(), h.count.to_value()),
-                            ("sum".to_string(), h.sum.to_value()),
-                            ("buckets".to_string(), h.buckets.to_value()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Decodes a [`Snapshot`] produced by [`snapshot_to_value`].
+/// Reads back a metrics [`Snapshot`] from the JSON that
+/// [`Snapshot::to_json`] writes (the `DSMT_METRICS` dump):
+/// `{"counters":{name:n,…},"gauges":{name:n,…},"histograms":{name:{"count":…,"sum":…,"buckets":[[i,n],…]},…}}`.
 ///
 /// # Errors
 ///
-/// A [`DeError`] when the value shape does not match.
-pub fn snapshot_from_value(v: &Value) -> Result<Snapshot, DeError> {
-    let histograms = match v.field("histograms")? {
-        Value::Array(items) => items
-            .iter()
-            .map(|item| {
-                Ok((
-                    String::from_value(item.field("name")?)?,
-                    HistogramSnapshot {
-                        count: u64::from_value(item.field("count")?)?,
-                        sum: u64::from_value(item.field("sum")?)?,
-                        buckets: Vec::from_value(item.field("buckets")?)?,
-                    },
-                ))
-            })
-            .collect::<Result<_, DeError>>()?,
-        other => return Err(DeError::msg(format!("expected array, got {other:?}"))),
-    };
-    Ok(Snapshot {
-        counters: Vec::from_value(v.field("counters")?)?,
-        gauges: Vec::from_value(v.field("gauges")?)?,
-        histograms,
-    })
+/// A [`DeError`] when `text` is not JSON or not of that shape.
+pub fn snapshot_from_json(text: &str) -> Result<Snapshot, DeError> {
+    let v: Value = serde::from_str(text)?;
+    let mut snap = Snapshot::default();
+    for (name, val) in dump_section(&v, "counters")? {
+        snap.counters.push((name.clone(), u64::from_value(val)?));
+    }
+    for (name, val) in dump_section(&v, "gauges")? {
+        snap.gauges.push((name.clone(), i64::from_value(val)?));
+    }
+    for (name, val) in dump_section(&v, "histograms")? {
+        let hist = HistogramSnapshot {
+            count: u64::from_value(val.field("count")?)?,
+            sum: u64::from_value(val.field("sum")?)?,
+            buckets: Vec::from_value(val.field("buckets")?)?,
+        };
+        snap.histograms.push((name.clone(), hist));
+    }
+    Ok(snap)
+}
+
+/// The `name -> value` entries of one section of a metrics dump.
+fn dump_section<'a>(v: &'a Value, name: &str) -> Result<&'a [(String, Value)], DeError> {
+    match v.field(name) {
+        Ok(Value::Object(entries)) => Ok(entries),
+        Ok(other) => Err(DeError::msg(format!(
+            "`{name}` should be a JSON object, got {other:?}"
+        ))),
+        Err(_) => Err(DeError::msg(format!(
+            "not a metrics dump: no `{name}` object"
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -162,25 +146,43 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_round_trips_through_value() {
+    fn snapshot_round_trips_through_its_json_dump() {
         let snap = Snapshot {
-            counters: vec![("a.b".to_string(), 7)],
+            counters: vec![
+                ("a.b".to_string(), 7),
+                ("quote\"and\\slash".to_string(), u64::MAX),
+            ],
             gauges: vec![("g".to_string(), -2)],
             histograms: vec![(
                 "h".to_string(),
                 HistogramSnapshot {
-                    count: 3,
-                    sum: 1501,
-                    buckets: vec![(0, 1), (11, 2)],
+                    count: 4,
+                    sum: 1503,
+                    buckets: vec![(0, 1), (1, 1), (11, 2)],
                 },
             )],
         };
-        let back = snapshot_from_value(&snapshot_to_value(&snap)).expect("round trip");
+        let back = snapshot_from_json(&snap.to_json()).expect("round trip");
         assert_eq!(back, snap);
 
         let empty = Snapshot::default();
-        let back = snapshot_from_value(&snapshot_to_value(&empty)).expect("empty round trip");
+        let back = snapshot_from_json(&empty.to_json()).expect("empty round trip");
         assert!(back.is_empty());
+    }
+
+    #[test]
+    fn a_snapshot_of_another_shape_is_rejected_by_name() {
+        // Counters as `[name, value]` pairs instead of an object map.
+        let err = snapshot_from_json(r#"{"counters":[["a",1]],"gauges":{},"histograms":{}}"#)
+            .expect_err("pairs are not the dump shape");
+        assert!(
+            err.to_string()
+                .contains("`counters` should be a JSON object"),
+            "{err}"
+        );
+        let err = snapshot_from_json("[]").expect_err("not an object");
+        assert!(err.to_string().contains("not a metrics dump"), "{err}");
+        assert!(snapshot_from_json("{").is_err(), "not JSON");
     }
 
     #[test]

@@ -142,8 +142,9 @@ fn telemetry_enabled_run_keeps_records_identical_and_trace_parses() {
         serde::to_string(&baseline.records)
     );
 
-    // An info-enabled run attaches a registry snapshot to the report.
-    let snap = traced.metrics.as_ref().expect("snapshot attached");
+    // The run counted its cells in the process-wide registry, which the
+    // `DSMT_METRICS` dump reads; the report carries no copy of it.
+    let snap = dsmt_obs::registry().snapshot();
     assert!(snap
         .counters
         .iter()

@@ -20,7 +20,6 @@ pub struct MultiProgramTrace {
     insts_per_program: u64,
     current: usize,
     emitted_in_current: u64,
-    total_emitted: u64,
 }
 
 impl MultiProgramTrace {
@@ -44,7 +43,6 @@ impl MultiProgramTrace {
             insts_per_program,
             current: 0,
             emitted_in_current: 0,
-            total_emitted: 0,
         }
     }
 
@@ -59,12 +57,6 @@ impl MultiProgramTrace {
     pub fn num_programs(&self) -> usize {
         self.sources.len()
     }
-
-    /// Total instructions emitted so far.
-    #[must_use]
-    pub fn total_emitted(&self) -> u64 {
-        self.total_emitted
-    }
 }
 
 impl TraceSource for MultiProgramTrace {
@@ -76,7 +68,6 @@ impl TraceSource for MultiProgramTrace {
         let inst = self.sources[self.current].next_instruction();
         if inst.is_some() {
             self.emitted_in_current += 1;
-            self.total_emitted += 1;
         }
         inst
     }
@@ -198,7 +189,6 @@ mod tests {
             mp.next_instruction().unwrap();
         }
         assert_eq!(mp.current_program(), "tomcatv");
-        assert_eq!(mp.total_emitted(), 301);
     }
 
     #[test]

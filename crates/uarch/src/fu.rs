@@ -36,9 +36,6 @@ pub struct FuPool {
     /// Non-pipelined pools: release cycles of busy units, oldest first.
     /// Monotone non-decreasing, so expiry is a pop from the front.
     busy_until: VecDeque<u64>,
-    /// Totals.
-    total_issued: u64,
-    busy_unit_cycles: u64,
 }
 
 impl FuPool {
@@ -61,8 +58,6 @@ impl FuPool {
             last_issue_cycle: 0,
             issued_this_cycle: 0,
             busy_until: VecDeque::with_capacity(if pipelined { 0 } else { count }),
-            total_issued: 0,
-            busy_unit_cycles: 0,
         }
     }
 
@@ -78,19 +73,6 @@ impl FuPool {
         self.latency
     }
 
-    /// Number of operations issued to this pool in total.
-    #[must_use]
-    pub fn total_issued(&self) -> u64 {
-        self.total_issued
-    }
-
-    /// Sum over units of cycles spent occupied by operation initiation
-    /// (pipelined: one cycle per op; non-pipelined: `latency` per op).
-    #[must_use]
-    pub fn busy_unit_cycles(&self) -> u64 {
-        self.busy_unit_cycles
-    }
-
     /// Number of operations that could still be issued to this pool at
     /// `cycle` (units whose initiation interval has elapsed).
     ///
@@ -98,7 +80,7 @@ impl FuPool {
     #[must_use]
     pub fn available(&self, cycle: u64) -> usize {
         debug_assert!(
-            cycle >= self.last_issue_cycle || self.total_issued == 0,
+            cycle >= self.last_issue_cycle,
             "FuPool cycles must be non-decreasing"
         );
         if self.pipelined {
@@ -120,7 +102,7 @@ impl FuPool {
     /// the result is available.
     pub fn try_issue(&mut self, cycle: u64) -> Option<u64> {
         debug_assert!(
-            cycle >= self.last_issue_cycle || self.total_issued == 0,
+            cycle >= self.last_issue_cycle,
             "FuPool cycles must be non-decreasing"
         );
         if self.pipelined {
@@ -132,7 +114,6 @@ impl FuPool {
                 return None;
             }
             self.issued_this_cycle += 1;
-            self.busy_unit_cycles += 1;
         } else {
             while self.busy_until.front().is_some_and(|&r| r <= cycle) {
                 self.busy_until.pop_front();
@@ -142,30 +123,15 @@ impl FuPool {
             }
             self.busy_until.push_back(cycle + self.latency);
             self.last_issue_cycle = cycle;
-            self.busy_unit_cycles += self.latency;
         }
-        self.total_issued += 1;
         Some(cycle + self.latency)
     }
 
-    /// Utilisation of the pool over `total_cycles`: busy unit-cycles divided
-    /// by available unit-cycles.
-    #[must_use]
-    pub fn utilization(&self, total_cycles: u64) -> f64 {
-        if total_cycles == 0 {
-            return 0.0;
-        }
-        let capacity = total_cycles * self.count as u64;
-        (self.busy_unit_cycles as f64 / capacity as f64).min(1.0)
-    }
-
-    /// Resets scheduling state and statistics.
+    /// Resets scheduling state.
     pub fn reset(&mut self) {
         self.last_issue_cycle = 0;
         self.issued_this_cycle = 0;
         self.busy_until.clear();
-        self.total_issued = 0;
-        self.busy_unit_cycles = 0;
     }
 }
 
@@ -236,24 +202,13 @@ mod tests {
     }
 
     #[test]
-    fn utilization_accumulates() {
-        let mut ap = FuPool::new(2, 1, true);
-        for c in 0..10u64 {
-            ap.try_issue(c);
-        }
-        // 10 busy unit-cycles out of 2 units * 10 cycles.
-        assert!((ap.utilization(10) - 0.5).abs() < 1e-12);
-        assert_eq!(ap.total_issued(), 10);
-        assert_eq!(ap.utilization(0), 0.0);
-    }
-
-    #[test]
     fn reset_restores_initial_state() {
         let mut ap = FuPool::new(1, 1, true);
-        ap.try_issue(0);
+        ap.try_issue(5);
         ap.reset();
-        assert_eq!(ap.total_issued(), 0);
+        // Cycles may start over from zero after a reset.
         assert_eq!(ap.available(0), 1);
+        assert_eq!(ap.try_issue(0), Some(1));
     }
 
     #[test]

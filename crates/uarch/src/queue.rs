@@ -20,8 +20,6 @@ pub struct BoundedQueue<T> {
     head: usize,
     /// Current number of items.
     len: usize,
-    peak_occupancy: usize,
-    rejected: u64,
 }
 
 impl<T: Copy + Default> BoundedQueue<T> {
@@ -37,8 +35,6 @@ impl<T: Copy + Default> BoundedQueue<T> {
             slots: vec![T::default(); capacity].into(),
             head: 0,
             len: 0,
-            peak_occupancy: 0,
-            rejected: 0,
         }
     }
 
@@ -66,18 +62,6 @@ impl<T: Copy + Default> BoundedQueue<T> {
         self.len >= self.capacity()
     }
 
-    /// Highest occupancy seen since construction.
-    #[must_use]
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak_occupancy
-    }
-
-    /// Number of pushes rejected because the queue was full.
-    #[must_use]
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
     /// The physical slot index of the `i`-th item from the head.
     fn slot(&self, i: usize) -> usize {
         let idx = self.head + i;
@@ -96,13 +80,11 @@ impl<T: Copy + Default> BoundedQueue<T> {
     /// Returns `Err(item)` when the queue is full.
     pub fn push(&mut self, item: T) -> Result<(), T> {
         if self.is_full() {
-            self.rejected += 1;
             return Err(item);
         }
         let tail = self.slot(self.len);
         self.slots[tail] = item;
         self.len += 1;
-        self.peak_occupancy = self.peak_occupancy.max(self.len);
         Ok(())
     }
 
@@ -194,7 +176,6 @@ mod tests {
         assert!(q.push(2).is_ok());
         assert!(q.is_full());
         assert_eq!(q.push(3), Err(3));
-        assert_eq!(q.rejected(), 1);
         q.pop();
         assert!(q.push(3).is_ok());
     }
@@ -208,19 +189,6 @@ mod tests {
         assert_eq!(q.front(), Some(&10));
         assert_eq!(q.pop(), Some(10));
         assert_eq!(q.front(), Some(&20));
-    }
-
-    #[test]
-    fn peak_occupancy_tracked() {
-        let mut q = BoundedQueue::new(8);
-        for i in 0..5 {
-            q.push(i).unwrap();
-        }
-        for _ in 0..3 {
-            q.pop();
-        }
-        q.push(9).unwrap();
-        assert_eq!(q.peak_occupancy(), 5);
     }
 
     #[test]

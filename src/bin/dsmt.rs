@@ -15,7 +15,7 @@
 //! dsmt store stat <dir>
 //! dsmt store synth <dir> --records N [--per-segment M] [--schema S]
 //! dsmt report <file.dsr|report.json> [--json out.json] [--csv out.csv] [--canonical]
-//! dsmt obs report [snapshot.json|report.json] [--json out.json] [--csv out.csv]
+//! dsmt obs report [snapshot.json] [--json out.json] [--csv out.csv]
 //! ```
 //!
 //! `dsmt asm inspect` assembles a `.s` source, summarises it and, with
@@ -46,9 +46,8 @@
 //!
 //! Every command honours `DSMT_LOG` (structured tracing: `pretty`,
 //! `jsonl:FILE`, `off`) and `DSMT_METRICS` (dump the metrics registry to a
-//! JSON file on exit); `dsmt obs report` pretty-prints such a dump — or the
-//! live registry, or the `metrics` snapshot embedded in a report JSON — as
-//! JSON or CSV.
+//! JSON file on exit); `dsmt obs report` renders such a dump (or, with no
+//! file, the live registry) as JSON or CSV.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -76,7 +75,7 @@ USAGE:
   dsmt store stat <dir>
   dsmt store synth <dir> --records N [--per-segment M] [--schema S]
   dsmt report <file.dsr|report.json> [--json out.json] [--csv out.csv] [--canonical]
-  dsmt obs report [snapshot.json|report.json] [--json out.json] [--csv out.csv]
+  dsmt obs report [snapshot.json] [--json out.json] [--csv out.csv]
 
 SHARD OUTPUTS:
   --store DIR   publish/read shard outputs in a dsmt-store directory (keyed
@@ -790,13 +789,10 @@ fn obs_report(args: &[String]) -> Result<(), String> {
         [] => dsmt_obs::registry().snapshot(),
         [path] => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            snapshot_from_json(&text).map_err(|e| format!("{path}: {e}"))?
+            dsmt_sweep::telemetry::snapshot_from_json(&text).map_err(|e| format!("{path}: {e}"))?
         }
         _ => {
-            return Err(
-                "usage: dsmt obs report [snapshot.json|report.json] [--json FILE] [--csv FILE]"
-                    .into(),
-            )
+            return Err("usage: dsmt obs report [snapshot.json] [--json FILE] [--csv FILE]".into())
         }
     };
     if let Some(out) = p.flag("json") {
@@ -811,56 +807,6 @@ fn obs_report(args: &[String]) -> Result<(), String> {
         out!("{}", snap.to_csv());
     }
     Ok(())
-}
-
-/// Reads a metrics snapshot out of any of the JSON shapes the toolchain
-/// emits: a `DSMT_METRICS` registry dump, a report JSON carrying an
-/// embedded `metrics` snapshot, or that snapshot value on its own.
-fn snapshot_from_json(text: &str) -> Result<dsmt_obs::Snapshot, String> {
-    let value: serde::Value = serde::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
-    if let Ok(metrics) = value.field("metrics") {
-        return dsmt_sweep::telemetry::snapshot_from_value(metrics)
-            .map_err(|e| format!("bad `metrics` snapshot: {e}"));
-    }
-    // The embedded-snapshot shape keys counters as [name, value] pairs;
-    // the registry dump keys them as a JSON object. Try pairs first.
-    if let Ok(snap) = dsmt_sweep::telemetry::snapshot_from_value(&value) {
-        return Ok(snap);
-    }
-    snapshot_from_dump(&value)
-}
-
-fn snapshot_from_dump(v: &serde::Value) -> Result<dsmt_obs::Snapshot, String> {
-    use serde::Deserialize;
-    let section = |name: &str| -> Result<Vec<(String, serde::Value)>, String> {
-        match v.field(name) {
-            Ok(serde::Value::Object(entries)) => Ok(entries.clone()),
-            Ok(other) => Err(format!("`{name}` should be a JSON object, got {other:?}")),
-            Err(e) => Err(format!("not a metrics dump: {e}")),
-        }
-    };
-    let mut snap = dsmt_obs::Snapshot::default();
-    for (name, val) in section("counters")? {
-        let n = u64::from_value(&val).map_err(|e| format!("counter `{name}`: {e}"))?;
-        snap.counters.push((name, n));
-    }
-    for (name, val) in section("gauges")? {
-        let n = i64::from_value(&val).map_err(|e| format!("gauge `{name}`: {e}"))?;
-        snap.gauges.push((name, n));
-    }
-    for (name, val) in section("histograms")? {
-        let field = |key: &str| {
-            val.field(key)
-                .map_err(|e| format!("histogram `{name}`: {e}"))
-        };
-        let hist = dsmt_obs::HistogramSnapshot {
-            count: u64::from_value(field("count")?).map_err(|e| e.to_string())?,
-            sum: u64::from_value(field("sum")?).map_err(|e| e.to_string())?,
-            buckets: Vec::from_value(field("buckets")?).map_err(|e| e.to_string())?,
-        };
-        snap.histograms.push((name, hist));
-    }
-    Ok(snap)
 }
 
 fn load_report(path: &str) -> Result<(SweepReport, Option<SweepGrid>), String> {

@@ -7,8 +7,8 @@
 //! and downstream users can depend on a single crate:
 //!
 //! * [`isa`] — the Alpha-like instruction model;
-//! * [`trace`] — synthetic SPEC FP95-like workloads and the trace file
-//!   format;
+//! * [`trace`] — synthetic SPEC FP95-like workloads and assembled
+//!   programs, generated in process;
 //! * [`mem`] — the L1/L2/bus memory hierarchy model;
 //! * [`uarch`] — branch prediction, renaming, queues, functional units;
 //! * [`core`] — the cycle-accurate multithreaded decoupled processor;

@@ -7,19 +7,40 @@ Each sample's call stack (interrupted PC first, then return addresses) is
 symbolized with `llvm-symbolizer --inlining`, so functions inlined into
 `Processor::step` by LTO still show as their own frames. A sample is
 charged to the first frame, innermost first, that lies in
-`crates/core/src/processor.rs` and is not a closure (the stage function
-it was in, or a helper of it such as `probe_head`); samples with no such
-frame (set-up, the sweep
-layer, other threads) are charged to "(outside processor.rs)". A second
-table lists the innermost frames overall. Build the profiled binary with
+`crates/core/src/processor.rs`, is a function `processor.rs` defines and
+is not a closure: the stage function it was in, or a helper of it such
+as `probe_head`. An outlined frame names its function in full
+(`dsmt_core::processor::...`); an inlined one carries only its bare name,
+which is looked up among the `fn` names in `processor.rs`. Helpers from
+other modules inlined into a stage (such as `Slot::is`) can carry a
+`processor.rs` location too; the name test charges their samples to the
+stage that called them. Samples with no such frame (set-up, the sweep
+layer, other threads) are charged to "(outside processor.rs)". A second table lists the innermost frames
+overall. Build the profiled binary with
 `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only` so frames carry lines.
 """
 import collections
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
 STAGE_FILE = "crates/core/src/processor.rs"
+STAGE_PREFIX = "dsmt_core::processor::"
+
+
+def stage_names():
+    """The bare names of the functions `processor.rs` defines."""
+    source = pathlib.Path(__file__).resolve().parents[2] / STAGE_FILE
+    return set(re.findall(r"\bfn\s+(\w+)", source.read_text()))
+
+
+def is_stage(function, location, names):
+    """Whether a frame is a `processor.rs` function (not a closure)."""
+    if STAGE_FILE not in location or "{closure" in function:
+        return False
+    return function.startswith(STAGE_PREFIX) or function in names
 
 
 def load(path):
@@ -86,12 +107,11 @@ def main(argv):
     if not resolved:
         sys.exit("no samples")
     symbols = symbolize({f for frames in resolved for f in frames})
+    names = stage_names()
     stages, leaves = collections.Counter(), collections.Counter()
     for frames in resolved:
         chain = [s for f in frames for s in symbols.get(f, [])]
-        stage = next(
-            (fn for fn, loc in chain if STAGE_FILE in loc and "{closure" not in fn), None
-        )
+        stage = next((fn for fn, loc in chain if is_stage(fn, loc, names)), None)
         stages[short(stage) if stage else "(outside processor.rs)"] += 1
         leaves[short(chain[0][0]) if chain else "??"] += 1
     total = len(resolved)
