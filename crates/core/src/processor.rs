@@ -262,8 +262,8 @@ impl Processor {
             .map(|trace| ThreadContext::new(&config, trace))
             .collect();
         Processor {
-            ap_fus: FuPool::new(config.ap_units, config.ap_latency, true),
-            ep_fus: FuPool::new(config.ep_units, config.ep_latency, true),
+            ap_fus: FuPool::new(config.ap_units, config.ap_latency),
+            ep_fus: FuPool::new(config.ep_units, config.ep_latency),
             mem: MemorySystem::new(config.effective_mem()),
             arbiter: RoundRobin::new(config.num_threads),
             verdicts: vec![[Verdict::NONE; 2]; config.num_threads],

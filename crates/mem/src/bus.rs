@@ -64,12 +64,6 @@ impl Bus {
         done
     }
 
-    /// Cycle at which the bus next becomes free.
-    #[must_use]
-    pub fn next_free_cycle(&self) -> u64 {
-        self.next_free
-    }
-
     /// Total cycles spent actively transferring.
     #[must_use]
     pub fn busy_cycles(&self) -> u64 {
@@ -105,15 +99,6 @@ impl Bus {
         } else {
             (self.busy_cycles.min(total_cycles)) as f64 / total_cycles as f64
         }
-    }
-
-    /// Clears all statistics and scheduling state.
-    pub fn reset(&mut self) {
-        self.next_free = 0;
-        self.busy_cycles = 0;
-        self.transfers = 0;
-        self.bytes_moved = 0;
-        self.queueing_cycles = 0;
     }
 }
 
@@ -172,16 +157,6 @@ mod tests {
         assert!(bus.utilization(200) <= 1.0);
         assert!((bus.utilization(200) - 1.0).abs() < 1e-12);
         assert_eq!(bus.utilization(0), 0.0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut bus = Bus::new(16);
-        bus.schedule_transfer(0, 32);
-        bus.reset();
-        assert_eq!(bus.busy_cycles(), 0);
-        assert_eq!(bus.next_free_cycle(), 0);
-        assert_eq!(bus.transfers(), 0);
     }
 
     #[test]

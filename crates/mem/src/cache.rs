@@ -240,15 +240,6 @@ impl Cache {
             evicted_dirty_line,
         }
     }
-
-    /// Invalidates every line and clears the statistics.
-    pub fn reset(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::empty();
-        }
-        self.stats = CacheStats::default();
-        self.access_counter = 0;
-    }
 }
 
 #[cfg(test)]
@@ -346,15 +337,6 @@ mod tests {
         assert_eq!(c.line_addr(0x1234), 0x1220);
         assert_eq!(c.line_addr(0x1220), 0x1220);
         assert_eq!(c.line_addr(0x123f), 0x1220);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut c = small_cache(1);
-        c.access(0x40, true);
-        c.reset();
-        assert!(!c.probe(0x40));
-        assert_eq!(c.stats(), CacheStats::default());
     }
 
     #[test]

@@ -156,12 +156,6 @@ impl MshrFile {
             self.index.remove(&e.line_addr);
         }
     }
-
-    /// Clears all entries.
-    pub fn reset(&mut self) {
-        self.entries.clear();
-        self.index.clear();
-    }
 }
 
 #[cfg(test)]
@@ -215,15 +209,5 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn zero_capacity_panics() {
         let _ = MshrFile::new(0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut m = MshrFile::new(2);
-        m.allocate(0x0, 10);
-        m.reset();
-        assert_eq!(m.occupancy(), 0);
-        assert_eq!(m.lookup(0x0), None);
-        assert_eq!(m.next_release(), None);
     }
 }

@@ -75,22 +75,6 @@ impl MemStats {
             (self.bus_busy_cycles.min(total_cycles)) as f64 / total_cycles as f64
         }
     }
-
-    /// Element-wise accumulation of another stats block (used when merging
-    /// per-thread or per-phase statistics).
-    pub fn accumulate(&mut self, other: &MemStats) {
-        self.load_hits += other.load_hits;
-        self.load_misses += other.load_misses;
-        self.store_hits += other.store_hits;
-        self.store_misses += other.store_misses;
-        self.mshr_merges += other.mshr_merges;
-        self.mshr_full_rejections += other.mshr_full_rejections;
-        self.port_rejections += other.port_rejections;
-        self.writebacks += other.writebacks;
-        self.bus_busy_cycles += other.bus_busy_cycles;
-        self.bus_transfers += other.bus_transfers;
-        self.bus_bytes += other.bus_bytes;
-    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -138,27 +122,5 @@ mod tests {
         };
         assert!((s.bus_utilization(1000) - 0.5).abs() < 1e-12);
         assert!((s.bus_utilization(100) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accumulate_sums_fields() {
-        let mut a = MemStats {
-            load_hits: 1,
-            load_misses: 2,
-            store_hits: 3,
-            store_misses: 4,
-            mshr_merges: 5,
-            mshr_full_rejections: 6,
-            port_rejections: 7,
-            writebacks: 8,
-            bus_busy_cycles: 9,
-            bus_transfers: 10,
-            bus_bytes: 11,
-        };
-        let b = a;
-        a.accumulate(&b);
-        assert_eq!(a.load_hits, 2);
-        assert_eq!(a.bus_bytes, 22);
-        assert_eq!(a.port_rejections, 14);
     }
 }

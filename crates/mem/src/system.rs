@@ -244,16 +244,6 @@ impl MemorySystem {
     pub fn bus_utilization(&self, total_cycles: u64) -> f64 {
         self.bus.utilization(total_cycles)
     }
-
-    /// Resets caches, MSHRs, bus and statistics (configuration unchanged).
-    pub fn reset(&mut self) {
-        self.l1d.reset();
-        self.mshrs.reset();
-        self.bus.reset();
-        self.stats = MemStats::default();
-        self.ports_used = 0;
-        self.current_cycle = 0;
-    }
 }
 
 #[cfg(test)]
@@ -470,21 +460,6 @@ mod tests {
                 }
                 other => panic!("unexpected {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn reset_restores_cold_state() {
-        let mut m = small_system(16);
-        m.begin_cycle(0);
-        m.try_access(0, 0x0, AccessKind::Load);
-        m.reset();
-        assert_eq!(m.stats(), MemStats::default());
-        assert_eq!(m.outstanding_misses(), 0);
-        m.begin_cycle(0);
-        match m.try_access(0, 0x0, AccessKind::Load) {
-            AccessResponse::Done { hit, .. } => assert!(!hit),
-            other => panic!("unexpected {other:?}"),
         }
     }
 

@@ -13,22 +13,22 @@
 //!   relaxed atomic load, and field values are never even constructed for
 //!   suppressed events (the macros guard with [`enabled`] first).
 //!
-//! * **A metrics registry** ([`registry`], the [`counter!`]/[`gauge!`]/
-//!   [`histogram!`] macros): named counters, gauges and log2-bucket
-//!   histograms backed by plain atomics. Registration takes a mutex once
-//!   per call *site* (the macros cache the `Arc` handle in a local
-//!   `OnceLock`); the hot path is a relaxed `fetch_add`. A [`Snapshot`]
-//!   of every metric renders as JSON or CSV (`dsmt obs report`), and
-//!   `DSMT_METRICS=<path>` makes the CLI dump one on exit.
+//! * **A counter registry** ([`registry`], the [`counter!`] macro): named
+//!   counters backed by plain atomics. Registration takes a mutex once per
+//!   call *site* (the macro caches the `Arc` handle in a local
+//!   `OnceLock`); the hot path is a relaxed `fetch_add`.
+//!   `DSMT_METRICS=<path>` makes the CLI write a [`Snapshot`] of every
+//!   counter there on exit, as sorted `name,value` lines under a
+//!   `name,value` header.
 //!
-//! `DSMT_LOG` values:
+//! `DSMT_LOG` values (any other value warns `obs.bad_log_spec` and falls
+//! back to the default):
 //!
 //! | value | effect |
 //! | --- | --- |
 //! | *(unset)* | warnings only, pretty, to stderr |
-//! | `off` / `0` / `none` | nothing at all |
-//! | `pretty` / `stderr` | every event, pretty, to stderr |
-//! | `jsonl` / `jsonl:-` | every event, JSONL, to stderr |
+//! | `off` | nothing at all |
+//! | `pretty` | every event, pretty, to stderr |
 //! | `jsonl:<path>` | every event, JSONL, appended to `<path>` |
 //!
 //! The crate is deliberately dependency-free (JSON lines are emitted by
@@ -40,10 +40,9 @@
 //! ```
 //! use dsmt_obs as obs;
 //! obs::counter!("demo.cells").add(3);
-//! obs::histogram!("demo.wall_us").record(1500);
 //! obs::warn!("demo.skipped", reason = "cache disabled", shard = 2usize);
 //! let snap = obs::registry().snapshot();
-//! assert!(snap.to_json().contains("demo.cells"));
+//! assert!(snap.to_csv().contains("\ndemo.cells,3\n"));
 //! ```
 
 #![deny(missing_docs)]
@@ -52,10 +51,7 @@
 pub mod metrics;
 pub mod sink;
 
-pub use metrics::{
-    bucket_bounds, bucket_index, dump_to_env_path, registry, Counter, Gauge, Histogram,
-    HistogramSnapshot, Registry, Snapshot, HISTOGRAM_BUCKETS,
-};
+pub use metrics::{dump_to_env_path, registry, Counter, Registry, Snapshot};
 pub use sink::{emit, enabled, init_from_spec, span, FieldValue, Level, Span};
 
 /// Emits a structured event at an explicit [`Level`].
@@ -119,25 +115,5 @@ macro_rules! counter {
         static __OBS_COUNTER: ::std::sync::OnceLock<::std::sync::Arc<$crate::Counter>> =
             ::std::sync::OnceLock::new();
         &**__OBS_COUNTER.get_or_init(|| $crate::registry().counter($name))
-    }};
-}
-
-/// A named [`Gauge`] handle, cached per call site like [`counter!`].
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr) => {{
-        static __OBS_GAUGE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Gauge>> =
-            ::std::sync::OnceLock::new();
-        &**__OBS_GAUGE.get_or_init(|| $crate::registry().gauge($name))
-    }};
-}
-
-/// A named [`Histogram`] handle, cached per call site like [`counter!`].
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr) => {{
-        static __OBS_HISTOGRAM: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
-            ::std::sync::OnceLock::new();
-        &**__OBS_HISTOGRAM.get_or_init(|| $crate::registry().histogram($name))
     }};
 }

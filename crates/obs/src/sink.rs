@@ -83,22 +83,11 @@ impl From<&String> for FieldValue {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
+/// Where emitted lines go: pretty to stderr, or JSONL appended to a file.
+#[derive(Debug)]
+enum Sink {
     Pretty,
-    Jsonl,
-}
-
-#[derive(Debug)]
-enum Output {
-    Stderr,
-    File(std::fs::File),
-}
-
-#[derive(Debug)]
-struct Sink {
-    format: Format,
-    output: Output,
+    Jsonl(std::fs::File),
 }
 
 /// `MIN_LEVEL` values beyond the three levels: everything suppressed, and
@@ -143,62 +132,26 @@ pub fn init_from_spec(spec: &str) {
 fn apply_spec(spec: &str) {
     let spec = spec.trim();
     let mut bad_spec = None;
+    // The default, and the fallback for a spec that cannot be honoured:
+    // warnings stay visible, tracing stays silent.
+    let default = (Some(Sink::Pretty), Level::Warn as u8);
     let (sink, min) = if spec.is_empty() {
-        // Default: warnings stay visible, tracing stays silent.
-        (
-            Some(Sink {
-                format: Format::Pretty,
-                output: Output::Stderr,
-            }),
-            Level::Warn as u8,
-        )
-    } else if spec.eq_ignore_ascii_case("off") || spec == "0" || spec.eq_ignore_ascii_case("none") {
+        default
+    } else if spec.eq_ignore_ascii_case("off") {
         (None, LEVEL_OFF)
-    } else if spec.eq_ignore_ascii_case("pretty") || spec.eq_ignore_ascii_case("stderr") {
-        (
-            Some(Sink {
-                format: Format::Pretty,
-                output: Output::Stderr,
-            }),
-            Level::Debug as u8,
-        )
-    } else if spec.eq_ignore_ascii_case("jsonl") || spec == "jsonl:-" {
-        (
-            Some(Sink {
-                format: Format::Jsonl,
-                output: Output::Stderr,
-            }),
-            Level::Debug as u8,
-        )
+    } else if spec.eq_ignore_ascii_case("pretty") {
+        (Some(Sink::Pretty), Level::Debug as u8)
     } else if let Some(path) = spec.strip_prefix("jsonl:") {
         match open_append(path) {
-            Ok(file) => (
-                Some(Sink {
-                    format: Format::Jsonl,
-                    output: Output::File(file),
-                }),
-                Level::Debug as u8,
-            ),
+            Ok(file) => (Some(Sink::Jsonl(file)), Level::Debug as u8),
             Err(e) => {
                 bad_spec = Some(format!("cannot open {path}: {e}"));
-                (
-                    Some(Sink {
-                        format: Format::Pretty,
-                        output: Output::Stderr,
-                    }),
-                    Level::Warn as u8,
-                )
+                default
             }
         }
     } else {
         bad_spec = Some(format!("unknown DSMT_LOG value `{spec}`"));
-        (
-            Some(Sink {
-                format: Format::Pretty,
-                output: Output::Stderr,
-            }),
-            Level::Warn as u8,
-        )
+        default
     };
     *state().lock().expect("obs sink lock") = sink;
     MIN_LEVEL.store(min, Ordering::SeqCst);
@@ -235,15 +188,11 @@ pub fn emit(level: Level, event: &str, fields: &[(&str, FieldValue)]) {
     let Some(sink) = guard.as_mut() else {
         return;
     };
-    let line = match sink.format {
-        Format::Jsonl => jsonl_line(ts_ms, seq, level, event, fields),
-        Format::Pretty => pretty_line(level, event, fields),
-    };
     // One write per line: appends of a line-sized buffer interleave
     // whole-line across processes sharing a JSONL file.
-    let _ = match &mut sink.output {
-        Output::Stderr => std::io::stderr().write_all(line.as_bytes()),
-        Output::File(f) => f.write_all(line.as_bytes()),
+    let _ = match sink {
+        Sink::Jsonl(f) => f.write_all(jsonl_line(ts_ms, seq, level, event, fields).as_bytes()),
+        Sink::Pretty => std::io::stderr().write_all(pretty_line(level, event, fields).as_bytes()),
     };
 }
 
@@ -446,9 +395,12 @@ mod tests {
         init_from_spec("");
         assert!(enabled(Level::Warn) && !enabled(Level::Info));
 
-        // An unknown spec falls back to the default and says so.
-        init_from_spec("verbose");
-        assert!(enabled(Level::Warn) && !enabled(Level::Info));
+        // An unknown spec falls back to the default and says so; `off`,
+        // `pretty` and `jsonl:<path>` have no other spelling.
+        for spec in ["verbose", "0", "none", "stderr", "jsonl"] {
+            init_from_spec(spec);
+            assert!(enabled(Level::Warn) && !enabled(Level::Info), "{spec}");
+        }
 
         let _ = std::fs::remove_file(&path);
     }

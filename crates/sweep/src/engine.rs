@@ -305,7 +305,6 @@ fn build_record(cache: Option<&ResultCache>, (grid_name, stats, cell): &Job<'_>)
             (results, wall_secs)
         }
     };
-    dsmt_obs::histogram!("sweep.cell_wall_us").record((wall_secs * 1e6) as u64);
     let perf = CellPerf::new(&results, wall_secs);
     RunRecord {
         cell: cell.index,

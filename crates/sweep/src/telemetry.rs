@@ -1,12 +1,8 @@
-//! Sweep-side telemetry glue: the live `--progress` line and the reader
-//! of the `DSMT_METRICS` dump that `dsmt obs report` renders.
+//! Sweep-side telemetry glue: the live `--progress` line.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use dsmt_obs::{HistogramSnapshot, Snapshot};
-use serde::{DeError, Deserialize, Value};
 
 /// A live `N/M cells (pct%) rate cells/s ETA` line, redrawn on stderr a few
 /// times per second by a background ticker thread while sweep workers bump
@@ -101,89 +97,9 @@ fn render(done: usize, total: usize, elapsed: Duration) {
     eprint!("\r  sweep: {done}/{total} cells ({pct:.0}%)  {rate:.1} cells/s  ETA {eta}   ");
 }
 
-/// Reads back a metrics [`Snapshot`] from the JSON that
-/// [`Snapshot::to_json`] writes (the `DSMT_METRICS` dump):
-/// `{"counters":{name:n,…},"gauges":{name:n,…},"histograms":{name:{"count":…,"sum":…,"buckets":[[i,n],…]},…}}`.
-///
-/// # Errors
-///
-/// A [`DeError`] when `text` is not JSON or not of that shape.
-pub fn snapshot_from_json(text: &str) -> Result<Snapshot, DeError> {
-    let v: Value = serde::from_str(text)?;
-    let mut snap = Snapshot::default();
-    for (name, val) in dump_section(&v, "counters")? {
-        snap.counters.push((name.clone(), u64::from_value(val)?));
-    }
-    for (name, val) in dump_section(&v, "gauges")? {
-        snap.gauges.push((name.clone(), i64::from_value(val)?));
-    }
-    for (name, val) in dump_section(&v, "histograms")? {
-        let hist = HistogramSnapshot {
-            count: u64::from_value(val.field("count")?)?,
-            sum: u64::from_value(val.field("sum")?)?,
-            buckets: Vec::from_value(val.field("buckets")?)?,
-        };
-        snap.histograms.push((name.clone(), hist));
-    }
-    Ok(snap)
-}
-
-/// The `name -> value` entries of one section of a metrics dump.
-fn dump_section<'a>(v: &'a Value, name: &str) -> Result<&'a [(String, Value)], DeError> {
-    match v.field(name) {
-        Ok(Value::Object(entries)) => Ok(entries),
-        Ok(other) => Err(DeError::msg(format!(
-            "`{name}` should be a JSON object, got {other:?}"
-        ))),
-        Err(_) => Err(DeError::msg(format!(
-            "not a metrics dump: no `{name}` object"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_round_trips_through_its_json_dump() {
-        let snap = Snapshot {
-            counters: vec![
-                ("a.b".to_string(), 7),
-                ("quote\"and\\slash".to_string(), u64::MAX),
-            ],
-            gauges: vec![("g".to_string(), -2)],
-            histograms: vec![(
-                "h".to_string(),
-                HistogramSnapshot {
-                    count: 4,
-                    sum: 1503,
-                    buckets: vec![(0, 1), (1, 1), (11, 2)],
-                },
-            )],
-        };
-        let back = snapshot_from_json(&snap.to_json()).expect("round trip");
-        assert_eq!(back, snap);
-
-        let empty = Snapshot::default();
-        let back = snapshot_from_json(&empty.to_json()).expect("empty round trip");
-        assert!(back.is_empty());
-    }
-
-    #[test]
-    fn a_snapshot_of_another_shape_is_rejected_by_name() {
-        // Counters as `[name, value]` pairs instead of an object map.
-        let err = snapshot_from_json(r#"{"counters":[["a",1]],"gauges":{},"histograms":{}}"#)
-            .expect_err("pairs are not the dump shape");
-        assert!(
-            err.to_string()
-                .contains("`counters` should be a JSON object"),
-            "{err}"
-        );
-        let err = snapshot_from_json("[]").expect_err("not an object");
-        assert!(err.to_string().contains("not a metrics dump"), "{err}");
-        assert!(snapshot_from_json("{").is_err(), "not JSON");
-    }
 
     #[test]
     fn progress_line_counts_to_completion() {

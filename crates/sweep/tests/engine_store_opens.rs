@@ -1,5 +1,5 @@
 //! How often one engine opens its store. The count is read from the
-//! process-wide `store.open_us` histogram, so this file holds exactly one
+//! process-wide `store.opens` counter, so this file holds exactly one
 //! test: no other test's opens run in its process.
 
 use dsmt_core::SimConfig;
@@ -14,11 +14,11 @@ fn five_runs_of_one_engine_open_its_store_once() {
         .with_axis(Axis::l2_latencies(&[16, 64]))
         .with_budget(2_000);
     let engine = SweepEngine::new(2).with_cache_dir(&dir);
-    let opens = dsmt_obs::registry().histogram("store.open_us");
-    let before = opens.count();
+    let opens = dsmt_obs::registry().counter("store.opens");
+    let before = opens.get();
     for _ in 0..5 {
         let _ = engine.run_many(std::slice::from_ref(&grid));
     }
-    assert_eq!(opens.count() - before, 1);
+    assert_eq!(opens.get() - before, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

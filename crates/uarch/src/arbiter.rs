@@ -54,11 +54,6 @@ impl RoundRobin {
     pub fn advance(&mut self, cycles: u64) {
         self.next_start = (self.next_start + (cycles % self.n as u64) as usize) % self.n;
     }
-
-    /// Resets the rotation.
-    pub fn reset(&mut self) {
-        self.next_start = 0;
-    }
 }
 
 #[cfg(test)]
@@ -119,15 +114,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn reset_restores_start() {
-        let mut rr = RoundRobin::new(3);
-        rr.take_start();
-        rr.take_start();
-        rr.reset();
-        assert_eq!(rr.take_start(), 0);
     }
 
     #[test]

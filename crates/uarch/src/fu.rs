@@ -4,38 +4,23 @@
 //! 4 EP functional units (4-cycle latency), all general purpose within
 //! their unit and shared by every thread.
 //!
-//! Occupancy is tracked with O(1) counters instead of scanning a
-//! per-unit `next_accept` array on every issue attempt (the simulator
-//! probes the pools several times per cycle):
-//!
-//! * **pipelined** units accept one operation per cycle each, so a single
-//!   `(cycle, issued_this_cycle)` pair fully describes availability;
-//! * **non-pipelined** units are busy for the whole latency, so a FIFO of
-//!   release cycles (monotone, because issue cycles are monotone and the
-//!   latency is constant) gives O(1) amortised issue and O(log n) probes.
-//!
-//! Both representations require the issue stream to be non-decreasing in
-//! cycle, which the cycle-by-cycle simulator guarantees; this is asserted
-//! in debug builds.
+//! Every unit is pipelined: it accepts one new operation per cycle
+//! regardless of latency. Occupancy is therefore a single
+//! `(cycle, issued_this_cycle)` pair instead of a per-unit `next_accept`
+//! array scanned on every issue attempt (the simulator probes the pools
+//! several times per cycle). That pair requires the issue stream to be
+//! non-decreasing in cycle, which the cycle-by-cycle simulator guarantees;
+//! this is asserted in debug builds.
 
-use std::collections::VecDeque;
-
-/// A pool of identical functional units.
-///
-/// Pipelined units accept one new operation per cycle regardless of latency;
-/// non-pipelined units are busy for the whole latency of the operation.
+/// A pool of identical pipelined functional units.
 #[derive(Debug, Clone)]
 pub struct FuPool {
     count: usize,
     latency: u64,
-    pipelined: bool,
-    /// Pipelined pools: the cycle of the most recent issue...
+    /// The cycle of the most recent issue...
     last_issue_cycle: u64,
     /// ...and how many operations were issued in that cycle.
     issued_this_cycle: usize,
-    /// Non-pipelined pools: release cycles of busy units, oldest first.
-    /// Monotone non-decreasing, so expiry is a pop from the front.
-    busy_until: VecDeque<u64>,
 }
 
 impl FuPool {
@@ -45,7 +30,7 @@ impl FuPool {
     ///
     /// Panics if `count` or `latency` is zero.
     #[must_use]
-    pub fn new(count: usize, latency: u64, pipelined: bool) -> Self {
+    pub fn new(count: usize, latency: u64) -> Self {
         assert!(
             count > 0,
             "functional unit pool must have at least one unit"
@@ -54,10 +39,8 @@ impl FuPool {
         FuPool {
             count,
             latency,
-            pipelined,
             last_issue_cycle: 0,
             issued_this_cycle: 0,
-            busy_until: VecDeque::with_capacity(if pipelined { 0 } else { count }),
         }
     }
 
@@ -83,17 +66,10 @@ impl FuPool {
             cycle >= self.last_issue_cycle,
             "FuPool cycles must be non-decreasing"
         );
-        if self.pipelined {
-            if cycle > self.last_issue_cycle {
-                self.count
-            } else {
-                self.count - self.issued_this_cycle
-            }
+        if cycle > self.last_issue_cycle {
+            self.count
         } else {
-            // Busy units are those whose release cycle lies in the future;
-            // the deque is sorted, so count them with a binary search.
-            let expired = self.busy_until.partition_point(|&r| r <= cycle);
-            self.count - (self.busy_until.len() - expired)
+            self.count - self.issued_this_cycle
         }
     }
 
@@ -105,33 +81,15 @@ impl FuPool {
             cycle >= self.last_issue_cycle,
             "FuPool cycles must be non-decreasing"
         );
-        if self.pipelined {
-            if cycle > self.last_issue_cycle {
-                self.last_issue_cycle = cycle;
-                self.issued_this_cycle = 0;
-            }
-            if self.issued_this_cycle >= self.count {
-                return None;
-            }
-            self.issued_this_cycle += 1;
-        } else {
-            while self.busy_until.front().is_some_and(|&r| r <= cycle) {
-                self.busy_until.pop_front();
-            }
-            if self.busy_until.len() >= self.count {
-                return None;
-            }
-            self.busy_until.push_back(cycle + self.latency);
+        if cycle > self.last_issue_cycle {
             self.last_issue_cycle = cycle;
+            self.issued_this_cycle = 0;
         }
+        if self.issued_this_cycle >= self.count {
+            return None;
+        }
+        self.issued_this_cycle += 1;
         Some(cycle + self.latency)
-    }
-
-    /// Resets scheduling state.
-    pub fn reset(&mut self) {
-        self.last_issue_cycle = 0;
-        self.issued_this_cycle = 0;
-        self.busy_until.clear();
     }
 }
 
@@ -141,8 +99,8 @@ mod tests {
 
     #[test]
     fn paper_pools_construct() {
-        let ap = FuPool::new(4, 1, true);
-        let ep = FuPool::new(4, 4, true);
+        let ap = FuPool::new(4, 1);
+        let ep = FuPool::new(4, 4);
         assert_eq!(ap.count(), 4);
         assert_eq!(ap.latency(), 1);
         assert_eq!(ep.latency(), 4);
@@ -150,13 +108,13 @@ mod tests {
 
     #[test]
     fn issue_returns_completion_cycle() {
-        let mut ep = FuPool::new(4, 4, true);
+        let mut ep = FuPool::new(4, 4);
         assert_eq!(ep.try_issue(10), Some(14));
     }
 
     #[test]
     fn per_cycle_issue_limit() {
-        let mut ap = FuPool::new(2, 1, true);
+        let mut ap = FuPool::new(2, 1);
         assert!(ap.try_issue(0).is_some());
         assert!(ap.try_issue(0).is_some());
         assert!(ap.try_issue(0).is_none(), "only 2 units");
@@ -165,24 +123,15 @@ mod tests {
 
     #[test]
     fn pipelined_units_accept_every_cycle() {
-        let mut ep = FuPool::new(1, 4, true);
+        let mut ep = FuPool::new(1, 4);
         assert_eq!(ep.try_issue(0), Some(4));
         assert_eq!(ep.try_issue(1), Some(5));
         assert_eq!(ep.try_issue(2), Some(6));
     }
 
     #[test]
-    fn non_pipelined_units_block_for_latency() {
-        let mut div = FuPool::new(1, 4, false);
-        assert_eq!(div.try_issue(0), Some(4));
-        assert!(div.try_issue(1).is_none());
-        assert!(div.try_issue(3).is_none());
-        assert_eq!(div.try_issue(4), Some(8));
-    }
-
-    #[test]
     fn available_counts_free_units() {
-        let mut ap = FuPool::new(4, 1, true);
+        let mut ap = FuPool::new(4, 1);
         assert_eq!(ap.available(0), 4);
         ap.try_issue(0);
         ap.try_issue(0);
@@ -191,36 +140,15 @@ mod tests {
     }
 
     #[test]
-    fn available_counts_non_pipelined_busy_units() {
-        let mut div = FuPool::new(3, 4, false);
-        assert_eq!(div.available(0), 3);
-        div.try_issue(0);
-        div.try_issue(0);
-        assert_eq!(div.available(0), 1);
-        assert_eq!(div.available(3), 1);
-        assert_eq!(div.available(4), 3, "both ops release at cycle 4");
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut ap = FuPool::new(1, 1, true);
-        ap.try_issue(5);
-        ap.reset();
-        // Cycles may start over from zero after a reset.
-        assert_eq!(ap.available(0), 1);
-        assert_eq!(ap.try_issue(0), Some(1));
-    }
-
-    #[test]
     #[should_panic(expected = "at least one unit")]
     fn zero_units_panics() {
-        let _ = FuPool::new(0, 1, true);
+        let _ = FuPool::new(0, 1);
     }
 
     #[test]
     #[should_panic(expected = "latency must be non-zero")]
     fn zero_latency_panics() {
-        let _ = FuPool::new(1, 0, true);
+        let _ = FuPool::new(1, 0);
     }
 }
 
@@ -234,17 +162,12 @@ mod proptests {
     struct NaivePool {
         next_accept: Vec<u64>,
         latency: u64,
-        pipelined: bool,
     }
 
     impl NaivePool {
         fn try_issue(&mut self, cycle: u64) -> Option<u64> {
             let unit = self.next_accept.iter().position(|&next| next <= cycle)?;
-            self.next_accept[unit] = if self.pipelined {
-                cycle + 1
-            } else {
-                cycle + self.latency
-            };
+            self.next_accept[unit] = cycle + 1;
             Some(cycle + self.latency)
         }
 
@@ -262,7 +185,7 @@ mod proptests {
             latency in 1u64..8,
             attempts in prop::collection::vec(0u64..50, 1..200),
         ) {
-            let mut pool = FuPool::new(count, latency, true);
+            let mut pool = FuPool::new(count, latency);
             let mut sorted = attempts.clone();
             sorted.sort_unstable();
             let mut per_cycle = std::collections::HashMap::new();
@@ -278,19 +201,17 @@ mod proptests {
         }
 
         /// The O(1) counters agree with the naive scan-based pool on every
-        /// monotone issue stream, pipelined or not.
+        /// monotone issue stream.
         #[test]
         fn counters_match_naive_scan(
             count in 1usize..6,
             latency in 1u64..8,
-            pipelined in prop::bool::ANY,
             deltas in prop::collection::vec(0u64..4, 1..200),
         ) {
-            let mut pool = FuPool::new(count, latency, pipelined);
+            let mut pool = FuPool::new(count, latency);
             let mut naive = NaivePool {
                 next_accept: vec![0; count],
                 latency,
-                pipelined,
             };
             let mut cycle = 0u64;
             for d in deltas {

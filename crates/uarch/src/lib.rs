@@ -9,7 +9,7 @@
 //!   register ready times (one instance per thread per unit);
 //! * [`BoundedQueue`] — the per-thread Instruction Queue and Store Address
 //!   Queue;
-//! * [`FuPool`] — a pool of (optionally pipelined) functional units;
+//! * [`FuPool`] — a pool of pipelined functional units;
 //! * [`RoundRobin`] — the rotating thread priority used by the shared issue
 //!   stage;
 //! * [`icount_pick_into`] — the RR-2.8 / I-COUNT fetch thread selection

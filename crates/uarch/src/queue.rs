@@ -38,12 +38,6 @@ impl<T: Copy + Default> BoundedQueue<T> {
         }
     }
 
-    /// Maximum number of items the queue can hold.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Current number of items.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -59,13 +53,13 @@ impl<T: Copy + Default> BoundedQueue<T> {
     /// Whether the queue is full.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.len >= self.capacity()
+        self.len >= self.slots.len()
     }
 
     /// The physical slot index of the `i`-th item from the head.
     fn slot(&self, i: usize) -> usize {
         let idx = self.head + i;
-        let cap = self.capacity();
+        let cap = self.slots.len();
         if idx >= cap {
             idx - cap
         } else {
@@ -107,7 +101,7 @@ impl<T: Copy + Default> BoundedQueue<T> {
 
     /// The two contiguous occupied regions of the ring, oldest first.
     fn halves(&self) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        let cap = self.capacity();
+        let cap = self.slots.len();
         let end = self.head + self.len;
         if end <= cap {
             (self.head..end, 0..0)
@@ -129,21 +123,6 @@ impl<T: Copy + Default> BoundedQueue<T> {
         let first = &mut hi[..a.end - a.start];
         let second = &mut lo[b];
         first.iter_mut().chain(second.iter_mut())
-    }
-
-    /// Removes every item that matches the predicate, preserving order of
-    /// the rest.
-    pub fn retain<F: FnMut(&T) -> bool>(&mut self, mut f: F) {
-        let mut kept = 0usize;
-        for i in 0..self.len {
-            let item = self.slots[self.slot(i)];
-            if f(&item) {
-                let dst = self.slot(kept);
-                self.slots[dst] = item;
-                kept += 1;
-            }
-        }
-        self.len = kept;
     }
 
     /// Removes all items.
@@ -192,29 +171,17 @@ mod tests {
     }
 
     #[test]
-    fn iteration_and_retain() {
-        let mut q = BoundedQueue::new(8);
-        for i in 0..6 {
-            q.push(i).unwrap();
-        }
-        let collected: Vec<_> = q.iter().copied().collect();
-        assert_eq!(collected, vec![0, 1, 2, 3, 4, 5]);
-        q.retain(|x| x % 2 == 0);
-        let collected: Vec<_> = q.iter().copied().collect();
-        assert_eq!(collected, vec![0, 2, 4]);
-        for x in q.iter_mut() {
-            *x += 1;
-        }
-        assert_eq!(q.pop(), Some(1));
-    }
-
-    #[test]
     fn iteration_across_the_wrap_point() {
         // Force head near the end of the ring so the occupied region wraps.
         let mut q = BoundedQueue::new(4);
         for i in 0..4 {
             q.push(i).unwrap();
         }
+        // Unwrapped: one contiguous region.
+        for x in q.iter_mut() {
+            *x += 1;
+        }
+        assert_eq!(q.iter().copied().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
         for _ in 0..3 {
             q.pop();
         }
@@ -222,14 +189,13 @@ mod tests {
             q.push(i).unwrap();
         }
         let collected: Vec<_> = q.iter().copied().collect();
-        assert_eq!(collected, vec![3, 10, 11, 12]);
+        assert_eq!(collected, vec![4, 10, 11, 12]);
         for x in q.iter_mut() {
             *x *= 2;
         }
-        assert_eq!(q.pop(), Some(6));
+        assert_eq!(q.pop(), Some(8));
         assert_eq!(q.pop(), Some(20));
-        q.retain(|&x| x > 22);
-        assert_eq!(q.iter().copied().collect::<Vec<_>>(), vec![24]);
+        assert_eq!(q.iter().copied().collect::<Vec<_>>(), vec![22, 24]);
     }
 
     #[test]
@@ -250,10 +216,14 @@ mod tests {
     #[test]
     fn paper_queue_sizes_construct() {
         // Figure 2: Instruction Queue 48 entries, Store Address Queue 32.
-        let iq: BoundedQueue<u64> = BoundedQueue::new(48);
-        let saq: BoundedQueue<u64> = BoundedQueue::new(32);
-        assert_eq!(iq.capacity(), 48);
-        assert_eq!(saq.capacity(), 32);
+        for capacity in [48, 32] {
+            let mut q: BoundedQueue<u64> = BoundedQueue::new(capacity);
+            for i in 0..capacity as u64 {
+                assert!(!q.is_full());
+                q.push(i).unwrap();
+            }
+            assert!(q.is_full());
+        }
     }
 }
 
@@ -292,40 +262,6 @@ mod proptests {
                 let theirs: Vec<u32> = model.iter().copied().collect();
                 prop_assert_eq!(mine, theirs);
             }
-        }
-
-        /// `retain` agrees with the reference implementation at any head
-        /// position (the compaction walks across the wrap point).
-        #[test]
-        fn retain_matches_reference(
-            pre_pops in 0usize..5,
-            values in prop::collection::vec(0u32..50, 0..10),
-            keep_even in prop::bool::ANY,
-        ) {
-            let mut q = BoundedQueue::new(6);
-            let mut model: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
-            // Rotate the head first so the ring wraps in interesting ways.
-            for i in 0..6u32 {
-                q.push(i).unwrap();
-            }
-            for _ in 0..6 {
-                q.pop();
-            }
-            for _ in 0..pre_pops.min(values.len()) {
-                // no-op: pops beyond empty are None for both.
-                prop_assert_eq!(q.pop(), model.pop_front());
-            }
-            for v in values {
-                if q.push(v).is_ok() {
-                    model.push_back(v);
-                }
-            }
-            let pred = |x: &u32| x.is_multiple_of(2) == keep_even;
-            q.retain(pred);
-            model.retain(pred);
-            let mine: Vec<u32> = q.iter().copied().collect();
-            let theirs: Vec<u32> = model.iter().copied().collect();
-            prop_assert_eq!(mine, theirs);
         }
     }
 }

@@ -33,7 +33,6 @@ pub struct RegisterFile {
     map: Vec<PhysReg>,
     free: Vec<PhysReg>,
     ready_cycle: Vec<u64>,
-    total_phys: usize,
 }
 
 impl RegisterFile {
@@ -62,20 +61,7 @@ impl RegisterFile {
             map,
             free,
             ready_cycle: vec![0; num_phys],
-            total_phys: num_phys,
         }
-    }
-
-    /// Total number of physical registers.
-    #[must_use]
-    pub fn total_phys(&self) -> usize {
-        self.total_phys
-    }
-
-    /// Number of physical registers currently on the free list.
-    #[must_use]
-    pub fn free_count(&self) -> usize {
-        self.free.len()
     }
 
     /// Whether a destination can currently be renamed.
@@ -120,9 +106,10 @@ impl RegisterFile {
     /// Panics if the register index is out of range or if the free list
     /// would overflow (double free).
     pub fn release(&mut self, reg: PhysReg) {
-        assert!((reg.0 as usize) < self.total_phys, "register out of range");
+        let total_phys = self.ready_cycle.len();
+        assert!((reg.0 as usize) < total_phys, "register out of range");
         assert!(
-            self.free.len() < self.total_phys - self.num_arch,
+            self.free.len() < total_phys - self.num_arch,
             "free list overflow: double release of {reg:?}"
         );
         debug_assert!(!self.free.contains(&reg), "double release of {reg:?}");
@@ -136,12 +123,6 @@ impl RegisterFile {
     /// Panics if the register index is out of range.
     pub fn set_ready_cycle(&mut self, reg: PhysReg, cycle: u64) {
         self.ready_cycle[reg.0 as usize] = cycle;
-    }
-
-    /// Whether `reg` is ready at `cycle`.
-    #[must_use]
-    pub fn is_ready(&self, reg: PhysReg, cycle: u64) -> bool {
-        self.ready_cycle[reg.0 as usize] <= cycle
     }
 
     /// The recorded ready cycle for `reg` (`u64::MAX` when unknown).
@@ -158,11 +139,11 @@ mod tests {
     #[test]
     fn initial_state_maps_arch_registers_ready() {
         let rf = RegisterFile::new(32, 64);
-        assert_eq!(rf.total_phys(), 64);
-        assert_eq!(rf.free_count(), 32);
+        assert_eq!(rf.ready_cycle.len(), 64);
+        assert_eq!(rf.free.len(), 32);
         for i in 0..32 {
             assert_eq!(rf.lookup(i), PhysReg(i as u16));
-            assert!(rf.is_ready(rf.lookup(i), 0));
+            assert_eq!(rf.ready_cycle(rf.lookup(i)), 0);
         }
     }
 
@@ -172,8 +153,8 @@ mod tests {
         let out = rf.rename_dest(5).unwrap();
         assert_eq!(out.previous, PhysReg(5));
         assert_eq!(rf.lookup(5), out.new);
-        assert!(!rf.is_ready(out.new, 1_000_000));
-        assert_eq!(rf.free_count(), 31);
+        assert_eq!(rf.ready_cycle(out.new), u64::MAX);
+        assert_eq!(rf.free.len(), 31);
     }
 
     #[test]
@@ -203,9 +184,6 @@ mod tests {
         let mut rf = RegisterFile::new(32, 64);
         let out = rf.rename_dest(3).unwrap();
         rf.set_ready_cycle(out.new, 42);
-        assert!(!rf.is_ready(out.new, 41));
-        assert!(rf.is_ready(out.new, 42));
-        assert!(rf.is_ready(out.new, 100));
         assert_eq!(rf.ready_cycle(out.new), 42);
     }
 
@@ -220,8 +198,8 @@ mod tests {
         let second = rf.rename_dest(1).unwrap();
         assert_ne!(second.new, first.new);
         assert_eq!(second.previous, first.new);
-        assert!(rf.is_ready(src_for_second, 10));
-        assert!(!rf.is_ready(second.new, 10));
+        assert!(rf.ready_cycle(src_for_second) <= 10);
+        assert!(rf.ready_cycle(second.new) > 10);
     }
 
     #[test]
@@ -251,8 +229,8 @@ mod tests {
         // Per-thread sizes from Figure 2: 64 AP (int) regs, 96 EP (fp) regs.
         let ap = RegisterFile::new(32, 64);
         let ep = RegisterFile::new(32, 96);
-        assert_eq!(ap.free_count(), 32);
-        assert_eq!(ep.free_count(), 64);
+        assert_eq!(ap.free.len(), 32);
+        assert_eq!(ep.free.len(), 64);
     }
 }
 
@@ -277,7 +255,7 @@ mod proptests {
                     pending_release.push(out.previous);
                 }
                 // 8 committed mappings + free + pending-release == 24 always.
-                prop_assert_eq!(8 + rf.free_count() + pending_release.len(), 24);
+                prop_assert_eq!(8 + rf.free.len() + pending_release.len(), 24);
             }
         }
     }

@@ -15,7 +15,6 @@
 //! dsmt store stat <dir>
 //! dsmt store synth <dir> --records N [--per-segment M] [--schema S]
 //! dsmt report <file.dsr|report.json> [--json out.json] [--csv out.csv] [--canonical]
-//! dsmt obs report [snapshot.json] [--json out.json] [--csv out.csv]
 //! ```
 //!
 //! `dsmt asm inspect` assembles a `.s` source, summarises it and, with
@@ -45,9 +44,8 @@
 //! from SIGKILLed hosts without an operator removing lockfiles by hand.
 //!
 //! Every command honours `DSMT_LOG` (structured tracing: `pretty`,
-//! `jsonl:FILE`, `off`) and `DSMT_METRICS` (dump the metrics registry to a
-//! JSON file on exit); `dsmt obs report` renders such a dump (or, with no
-//! file, the live registry) as JSON or CSV.
+//! `jsonl:FILE`, `off`) and `DSMT_METRICS` (write every counter to a file
+//! on exit, as sorted `name,value` lines under a `name,value` header).
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -75,7 +73,6 @@ USAGE:
   dsmt store stat <dir>
   dsmt store synth <dir> --records N [--per-segment M] [--schema S]
   dsmt report <file.dsr|report.json> [--json out.json] [--csv out.csv] [--canonical]
-  dsmt obs report [snapshot.json] [--json out.json] [--csv out.csv]
 
 SHARD OUTPUTS:
   --store DIR   publish/read shard outputs in a dsmt-store directory (keyed
@@ -91,9 +88,10 @@ GRIDS:
 ENVIRONMENT:
   DSMT_INSTS                  instructions per cell for built-in figure grids
   DSMT_SWEEP_CACHE            result store dir, or `off`
-  DSMT_LOG                    structured tracing: off | pretty | jsonl[:FILE]
+  DSMT_LOG                    structured tracing: off | pretty | jsonl:FILE
                               (unset = warnings only, pretty, on stderr)
-  DSMT_METRICS                write the metrics registry to this JSON file on exit
+  DSMT_METRICS                write every counter to this file on exit, as
+                              `name,value` lines
 ";
 
 /// `print!` to stdout, except that a reader which has gone away (as in
@@ -138,7 +136,6 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("sweep") => sweep_cmd(&args[1..]),
         Some("store") => store_cmd(&args[1..]),
         Some("report") => report_cmd(&args[1..]),
-        Some("obs") => obs_cmd(&args[1..]),
         None | Some("help" | "--help" | "-h") => {
             out!("{USAGE}");
             Ok(())
@@ -770,42 +767,6 @@ fn report_cmd(args: &[String]) -> Result<(), String> {
         print_report_summary(&report);
     }
     write_outputs(&report, grid.as_ref(), &p)?;
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// dsmt obs ...
-
-fn obs_cmd(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("report") => obs_report(&args[1..]),
-        _ => Err(format!("usage: dsmt obs report ...\n\n{USAGE}")),
-    }
-}
-
-fn obs_report(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["json", "csv"])?;
-    let snap = match p.positional.as_slice() {
-        [] => dsmt_obs::registry().snapshot(),
-        [path] => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            dsmt_sweep::telemetry::snapshot_from_json(&text).map_err(|e| format!("{path}: {e}"))?
-        }
-        _ => {
-            return Err("usage: dsmt obs report [snapshot.json] [--json FILE] [--csv FILE]".into())
-        }
-    };
-    if let Some(out) = p.flag("json") {
-        std::fs::write(out, snap.to_json()).map_err(|e| format!("{out}: {e}"))?;
-        outln!("json: {out}");
-    }
-    if let Some(out) = p.flag("csv") {
-        std::fs::write(out, snap.to_csv()).map_err(|e| format!("{out}: {e}"))?;
-        outln!("csv: {out}");
-    }
-    if p.flag("json").is_none() && p.flag("csv").is_none() {
-        out!("{}", snap.to_csv());
-    }
     Ok(())
 }
 

@@ -93,10 +93,30 @@ def stacks(samples, maps):
         yield [f for f in frames if f]
 
 
+# Escapes that Rust's legacy symbol mangling leaves in trait-impl frames.
+LEGACY_ESCAPES = (("$LT$", "<"), ("$GT$", ">"), ("$RF$", "&"), ("$C$", ","), ("..", "::"))
+
+
 def short(function):
-    """The function's name without its path, hash or signature."""
-    name = function.split("(")[0].replace("dsmt_core::processor::", "")
-    return name.rsplit("::h", 1)[0] if "::h" in name else name
+    """The function's name without its path, hash or signature, with the
+    escapes of legacy-mangled frames turned back into `<`, `>`, ` `, `&`,
+    `,` and `::`.
+
+    >>> short("_$LT$dsmt_trace..synth..SyntheticTrace$u20$as$u20$"
+    ...       "dsmt_trace..source..TraceSource$GT$::next_instruction::h0123456789abcdef")
+    '<dsmt_trace::synth::SyntheticTrace as dsmt_trace::source::TraceSource>::next_instruction'
+    >>> short("dsmt_core::processor::Processor::step::h0123456789abcdef")
+    'Processor::step'
+    >>> short("probe_head")
+    'probe_head'
+    """
+    name = re.sub(r"::h[0-9a-f]{16}$", "", function.split("(")[0])
+    # A path segment that starts with an escape carries a leading `_`.
+    name = re.sub(r"(^|::|\.\.)_\$", r"\1$", name)
+    name = re.sub(r"\$u([0-9a-f]{2})\$", lambda m: chr(int(m.group(1), 16)), name)
+    for escape, char in LEGACY_ESCAPES:
+        name = name.replace(escape, char)
+    return name.replace("dsmt_core::processor::", "")
 
 
 def main(argv):
