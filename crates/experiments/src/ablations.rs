@@ -12,13 +12,12 @@
 
 use dsmt_core::SimConfig;
 use dsmt_sweep::{Axis, Setting, SweepGrid, SweepReport};
-use serde::{Deserialize, Serialize};
 
 use crate::report::{fmt_f, fmt_pct};
 use crate::{ExperimentParams, Table};
 
 /// One ablation data point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationPoint {
     /// Which study this point belongs to.
     pub study: String,
@@ -33,7 +32,7 @@ pub struct AblationPoint {
 }
 
 /// All ablation results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationResults {
     /// Every evaluated point.
     pub points: Vec<AblationPoint>,

@@ -13,7 +13,6 @@
 
 use dsmt_core::{FetchPolicy, SimConfig};
 use dsmt_sweep::{Axis, SweepGrid, SweepReport};
-use serde::{Deserialize, Serialize};
 
 use crate::report::fmt_f;
 use crate::{ExperimentParams, Table};
@@ -42,7 +41,7 @@ pub fn grid(params: &ExperimentParams) -> SweepGrid {
 }
 
 /// One row of the figure: both policies' IPC at a thread count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FetchPolicyRow {
     /// Number of hardware contexts.
     pub threads: usize,
@@ -62,7 +61,7 @@ impl FetchPolicyRow {
 }
 
 /// The complete fetch-policy data set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FetchPolicyResults {
     /// One row per thread count.
     pub rows: Vec<FetchPolicyRow>,

@@ -34,7 +34,6 @@
 use dsmt_asm::corpus;
 use dsmt_core::{FetchPolicy, SimConfig};
 use dsmt_sweep::{Axis, SeedMode, SweepGrid, SweepReport, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::report::{fmt_f, fmt_pct};
 use crate::seed_variance::{VarianceRow, REPLICAS};
@@ -107,7 +106,7 @@ pub fn grid(params: &ExperimentParams) -> SweepGrid {
 }
 
 /// One mix's IPC statistics under both policies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeteroRow {
     /// Workload label (`asm:<names>`); heterogeneous mixes contain `+`.
     pub mix: String,
@@ -156,7 +155,7 @@ impl HeteroRow {
 }
 
 /// The complete hetero fetch-policy data set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeteroResults {
     /// One row per mix, in [`mixes`] order.
     pub rows: Vec<HeteroRow>,

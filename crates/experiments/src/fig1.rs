@@ -14,13 +14,12 @@
 use dsmt_core::SimConfig;
 use dsmt_sweep::{Axis, SweepGrid, SweepReport, WorkloadSpec};
 use dsmt_trace::spec_fp95_profiles;
-use serde::{Deserialize, Serialize};
 
 use crate::report::{fmt_f, fmt_pct};
 use crate::{ExperimentParams, Table, L2_LATENCIES};
 
 /// One (benchmark, L2 latency) data point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig1Point {
     /// Benchmark name.
     pub benchmark: String,
@@ -39,7 +38,7 @@ pub struct Fig1Point {
 }
 
 /// All Figure 1 data points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig1Results {
     /// One point per (benchmark, latency) pair.
     pub points: Vec<Fig1Point>,

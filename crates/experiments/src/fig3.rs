@@ -9,7 +9,6 @@
 
 use dsmt_core::{SimConfig, SlotUse, UnitSlots};
 use dsmt_sweep::{Axis, SweepGrid, SweepReport};
-use serde::{Deserialize, Serialize};
 
 use crate::report::{fmt_f, fmt_pct};
 use crate::{ExperimentParams, Table};
@@ -18,7 +17,7 @@ use crate::{ExperimentParams, Table};
 pub const THREAD_COUNTS: [usize; 6] = [1, 2, 3, 4, 5, 6];
 
 /// One row of Figure 3: the breakdown for a given number of threads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Row {
     /// Number of hardware contexts.
     pub threads: usize,
@@ -31,7 +30,7 @@ pub struct Fig3Row {
 }
 
 /// The complete Figure 3 data set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Results {
     /// One row per thread count.
     pub rows: Vec<Fig3Row>,

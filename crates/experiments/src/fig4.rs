@@ -14,7 +14,6 @@
 
 use dsmt_core::SimConfig;
 use dsmt_sweep::{Axis, SweepGrid, SweepReport};
-use serde::{Deserialize, Serialize};
 
 use crate::report::fmt_f;
 use crate::{ExperimentParams, Table, L2_LATENCIES};
@@ -23,7 +22,7 @@ use crate::{ExperimentParams, Table, L2_LATENCIES};
 pub const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 4];
 
 /// One configuration's result at one L2 latency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Point {
     /// Number of hardware contexts.
     pub threads: usize,
@@ -38,7 +37,7 @@ pub struct Fig4Point {
 }
 
 /// The complete Figure 4 data set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Results {
     /// One point per (threads, decoupled, latency) combination.
     pub points: Vec<Fig4Point>,

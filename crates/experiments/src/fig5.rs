@@ -14,13 +14,12 @@
 
 use dsmt_core::SimConfig;
 use dsmt_sweep::{Axis, SweepGrid, SweepReport};
-use serde::{Deserialize, Serialize};
 
 use crate::report::{fmt_f, fmt_pct};
 use crate::{ExperimentParams, Table};
 
 /// One configuration's result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Point {
     /// L2 hit latency in cycles (16 or 64 in the paper).
     pub l2_latency: u64,
@@ -38,7 +37,7 @@ pub struct Fig5Point {
 }
 
 /// The complete Figure 5 data set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Results {
     /// All evaluated points.
     pub points: Vec<Fig5Point>,

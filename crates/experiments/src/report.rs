@@ -1,8 +1,8 @@
-//! Plain-text table formatting (markdown and CSV) for experiment reports.
+//! Plain-text (markdown) table formatting for experiment reports.
 
 use dsmt_sweep::SweepReport;
 
-/// A simple column-oriented table that renders to markdown or CSV.
+/// A simple column-oriented table that renders to markdown.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Table {
     title: String,
@@ -45,11 +45,6 @@ impl Table {
             "row length must match header count"
         );
         self.rows.push(cells);
-    }
-
-    /// Convenience for rows of displayable values.
-    pub fn add_display_row<T: std::fmt::Display>(&mut self, cells: &[T]) {
-        self.add_row(cells.iter().map(|c| c.to_string()).collect());
     }
 
     /// Renders the table as GitHub-flavoured markdown.
@@ -111,19 +106,6 @@ impl Table {
         }
         table
     }
-
-    /// Renders the table as CSV (title omitted).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a float with the given number of decimals (helper for tables).
@@ -146,20 +128,13 @@ mod tests {
     fn markdown_rendering() {
         let mut t = Table::new("Demo", &["bench", "ipc"]);
         t.add_row(vec!["tomcatv".to_string(), "2.52".to_string()]);
-        t.add_display_row(&["swim", "2.60"]);
+        t.add_row(vec!["swim".to_string(), "2.60".to_string()]);
         let md = t.to_markdown();
         assert!(md.contains("### Demo"));
         assert!(md.contains("| bench   | ipc  |"));
         assert!(md.contains("| tomcatv | 2.52 |"));
         assert_eq!(t.num_rows(), 2);
         assert_eq!(t.title(), "Demo");
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let mut t = Table::new("Demo", &["a", "b"]);
-        t.add_row(vec!["1".to_string(), "2".to_string()]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]

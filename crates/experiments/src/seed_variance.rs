@@ -12,7 +12,6 @@
 
 use dsmt_core::SimConfig;
 use dsmt_sweep::{Axis, RunRecord, SeedMode, SweepGrid, SweepReport};
-use serde::{Deserialize, Serialize};
 
 use crate::report::{fmt_f, fmt_pct};
 use crate::{ExperimentParams, Table};
@@ -35,7 +34,7 @@ pub fn grid(params: &ExperimentParams) -> SweepGrid {
 }
 
 /// Mean/deviation of one grid point across seeds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarianceRow {
     /// (axis name, value label) pairs identifying the configuration.
     pub labels: Vec<(String, String)>,
@@ -87,7 +86,7 @@ impl VarianceRow {
 }
 
 /// The complete variance data set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarianceResults {
     /// One row per grid configuration.
     pub rows: Vec<VarianceRow>,

@@ -15,8 +15,6 @@
 //! representation — a requirement for checksummed formats that compare
 //! files byte-for-byte.
 
-use bytes::{Buf, BufMut};
-
 /// Maximum encoded length of a `u64` (⌈64 / 7⌉ bytes).
 pub const MAX_UVARINT_LEN: usize = 10;
 
@@ -42,15 +40,15 @@ impl std::fmt::Display for VarintError {
 impl std::error::Error for VarintError {}
 
 /// Appends the LEB128 encoding of `value` to `buf`.
-pub fn put_uvarint<B: BufMut>(buf: &mut B, mut value: u64) {
+pub fn put_uvarint(buf: &mut Vec<u8>, mut value: u64) {
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
         if value == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
@@ -61,13 +59,11 @@ pub fn put_uvarint<B: BufMut>(buf: &mut B, mut value: u64) {
 /// [`VarintError::Truncated`] if the buffer ends mid-value;
 /// [`VarintError::Malformed`] on 64-bit overflow or a non-canonical
 /// encoding (a continuation into a redundant all-zero group).
-pub fn get_uvarint<B: Buf>(buf: &mut B) -> Result<u64, VarintError> {
+pub fn get_uvarint(buf: &mut &[u8]) -> Result<u64, VarintError> {
     let mut value: u64 = 0;
     for i in 0..MAX_UVARINT_LEN {
-        if !buf.has_remaining() {
-            return Err(VarintError::Truncated);
-        }
-        let byte = buf.get_u8();
+        let (&byte, rest) = buf.split_first().ok_or(VarintError::Truncated)?;
+        *buf = rest;
         let group = u64::from(byte & 0x7f);
         // The 10th byte may only carry the single remaining bit of a u64.
         if i == MAX_UVARINT_LEN - 1 && group > 1 {
@@ -86,7 +82,7 @@ pub fn get_uvarint<B: Buf>(buf: &mut B) -> Result<u64, VarintError> {
 }
 
 /// Appends the zigzag LEB128 encoding of a signed value.
-pub fn put_ivarint<B: BufMut>(buf: &mut B, value: i64) {
+pub fn put_ivarint(buf: &mut Vec<u8>, value: i64) {
     put_uvarint(buf, zigzag(value));
 }
 
@@ -95,7 +91,7 @@ pub fn put_ivarint<B: BufMut>(buf: &mut B, value: i64) {
 /// # Errors
 ///
 /// As for [`get_uvarint`].
-pub fn get_ivarint<B: Buf>(buf: &mut B) -> Result<i64, VarintError> {
+pub fn get_ivarint(buf: &mut &[u8]) -> Result<i64, VarintError> {
     get_uvarint(buf).map(unzigzag)
 }
 

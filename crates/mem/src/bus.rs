@@ -20,8 +20,6 @@ pub struct Bus {
     transfers: u64,
     /// Total bytes moved.
     bytes_moved: u64,
-    /// Total cycles transfers spent waiting for the bus to become free.
-    queueing_cycles: u64,
 }
 
 impl Bus {
@@ -39,14 +37,7 @@ impl Bus {
             busy_cycles: 0,
             transfers: 0,
             bytes_moved: 0,
-            queueing_cycles: 0,
         }
-    }
-
-    /// The configured bandwidth in bytes per cycle.
-    #[must_use]
-    pub fn bytes_per_cycle(&self) -> u64 {
-        self.bytes_per_cycle
     }
 
     /// Schedules a transfer of `bytes` that becomes *eligible* at
@@ -55,7 +46,6 @@ impl Bus {
     pub fn schedule_transfer(&mut self, earliest_start: u64, bytes: u64) -> u64 {
         let duration = bytes.div_ceil(self.bytes_per_cycle).max(1);
         let start = earliest_start.max(self.next_free);
-        self.queueing_cycles += start - earliest_start;
         let done = start + duration;
         self.next_free = done;
         self.busy_cycles += duration;
@@ -80,12 +70,6 @@ impl Bus {
     #[must_use]
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_moved
-    }
-
-    /// Total cycles transfers spent queueing behind earlier transfers.
-    #[must_use]
-    pub fn queueing_cycles(&self) -> u64 {
-        self.queueing_cycles
     }
 
     /// Bus utilisation over a run of `total_cycles` cycles, in `[0, 1]`.
@@ -115,7 +99,6 @@ mod tests {
         assert_eq!(bus.busy_cycles(), 2);
         assert_eq!(bus.transfers(), 1);
         assert_eq!(bus.bytes_moved(), 32);
-        assert_eq!(bus.queueing_cycles(), 0);
     }
 
     #[test]
@@ -128,7 +111,13 @@ mod tests {
         assert_eq!(b, 4);
         assert_eq!(c, 6);
         assert_eq!(bus.busy_cycles(), 6);
-        assert_eq!(bus.queueing_cycles(), 2 + 3);
+        // Each transfer takes 2 cycles, so the cycles it waited for the
+        // bus are its completion minus 2 minus its eligible cycle.
+        let queued: u64 = [(a, 0), (b, 0), (c, 1)]
+            .iter()
+            .map(|&(done, eligible)| done - 2 - eligible)
+            .sum();
+        assert_eq!(queued, 2 + 3);
     }
 
     #[test]

@@ -50,13 +50,13 @@
 //! segments use, so a record's bytes are identical wherever it is
 //! persisted.
 
-use bytes::{Buf, BufMut};
 use dsmt_core::SimResults;
 use dsmt_isa::varint::{get_uvarint, put_uvarint, VarintError};
 use dsmt_sweep::{fnv1a64, RunRecord, SweepGrid, SweepReport};
 use serde::{Deserialize, Serialize, Value};
 
 pub use dsmt_store::codec::{get_raw_str, get_value, put_value, CodecError, StrTable};
+use dsmt_store::codec::{get_u64_le, put_raw_str};
 
 /// Bumped on any change to the `.dsr` byte layout.
 pub const DSR_FORMAT_VERSION: u32 = 1;
@@ -183,24 +183,23 @@ impl DsrFile {
         }
 
         let mut buf = Vec::with_capacity(grid_json.len() + 64 * self.records.len() + 64);
-        buf.put_slice(&MAGIC);
-        buf.put_slice(&DSR_FORMAT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&DSR_FORMAT_VERSION.to_le_bytes());
         put_uvarint(&mut buf, grid_json.len() as u64);
-        buf.put_slice(grid_json.as_bytes());
-        buf.put_u64_le(fnv1a64(grid_json.as_bytes()));
+        buf.extend_from_slice(grid_json.as_bytes());
+        buf.extend_from_slice(&fnv1a64(grid_json.as_bytes()).to_le_bytes());
         put_uvarint(&mut buf, self.shard_index as u64);
         put_uvarint(&mut buf, self.shard_count as u64);
         put_uvarint(&mut buf, table.strings().len() as u64);
         for s in table.strings() {
-            put_uvarint(&mut buf, s.len() as u64);
-            buf.put_slice(s.as_bytes());
+            put_raw_str(&mut buf, s);
         }
         put_uvarint(&mut buf, self.records.len() as u64);
         for (record, value) in self.records.iter().zip(&values) {
             put_uvarint(&mut buf, record.cell as u64);
             put_value(&mut buf, value, &table);
         }
-        buf.put_u64_le(fnv1a64(&buf));
+        buf.extend_from_slice(&fnv1a64(&buf).to_le_bytes());
         buf
     }
 
@@ -220,35 +219,25 @@ impl DsrFile {
             return Err(DsrError::ChecksumMismatch);
         }
 
-        let mut buf = content;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
+        let (magic, rest) = content.split_at(MAGIC.len());
         if magic != MAGIC {
             return Err(DsrError::BadMagic);
         }
-        let mut version = [0u8; 4];
-        buf.copy_to_slice(&mut version);
-        let version = u32::from_le_bytes(version);
+        let (version, mut buf) = rest.split_first_chunk().expect("length checked above");
+        let version = u32::from_le_bytes(*version);
         if version != DSR_FORMAT_VERSION {
             return Err(DsrError::UnsupportedVersion(version));
         }
 
         let grid_len = usize::try_from(get_uvarint(&mut buf)?)
             .map_err(|_| DsrError::Malformed("grid length overflow".to_string()))?;
-        if buf.remaining() < grid_len {
-            return Err(DsrError::Truncated);
-        }
-        let grid_json = std::str::from_utf8(&buf[..grid_len])
-            .map_err(|_| DsrError::Malformed("grid JSON is not UTF-8".to_string()))?
-            .to_string();
-        buf.advance(grid_len);
-        if buf.remaining() < 8 {
-            return Err(DsrError::Truncated);
-        }
-        if buf.get_u64_le() != fnv1a64(grid_json.as_bytes()) {
+        let grid_json = buf.split_off(..grid_len).ok_or(DsrError::Truncated)?;
+        let grid_json = std::str::from_utf8(grid_json)
+            .map_err(|_| DsrError::Malformed("grid JSON is not UTF-8".to_string()))?;
+        if get_u64_le(&mut buf)? != fnv1a64(grid_json.as_bytes()) {
             return Err(DsrError::GridHashMismatch);
         }
-        let grid: SweepGrid = serde::from_str(&grid_json)
+        let grid: SweepGrid = serde::from_str(grid_json)
             .map_err(|e| DsrError::Malformed(format!("grid JSON: {e}")))?;
 
         let shard_index = usize::try_from(get_uvarint(&mut buf)?)
@@ -275,10 +264,10 @@ impl DsrFile {
                 .map_err(|e| DsrError::Malformed(format!("results: {e}")))?;
             records.push(DsrRecord { cell, results });
         }
-        if buf.has_remaining() {
+        if !buf.is_empty() {
             return Err(DsrError::Malformed(format!(
                 "{} trailing bytes after the last record",
-                buf.remaining()
+                buf.len()
             )));
         }
         Ok(DsrFile {

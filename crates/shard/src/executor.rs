@@ -438,7 +438,7 @@ mod tests {
             .with_workload(WorkloadSpec::spec_mix(1_500))
             .with_axis(Axis::l2_latencies(&[16]))
             .with_budget(3_000);
-        let m = plan(&grid, 1, ShardStrategy::Contiguous).unwrap();
+        let m = plan(&grid, 1, ShardStrategy::Strided).unwrap();
         let dir = temp_dir("steal-race");
         let setup = Transport::store(&dir).expect("store transport");
         let dead = LockFile::acquire(setup.locks_dir(), &m.claim_name(0))

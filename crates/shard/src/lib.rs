@@ -5,12 +5,12 @@
 //! independently — sharing nothing but a filesystem — and the shard outputs
 //! reassemble into a report that is bit-identical to a monolithic run.
 //!
-//! The subsystem has four layers (the `dsmt` CLI at the workspace root
+//! The subsystem has five layers (the `dsmt` CLI at the workspace root
 //! drives all of them):
 //!
 //! * [`partition`] — a deterministic partitioner. [`plan`] splits any
-//!   [`SweepGrid`](dsmt_sweep::SweepGrid) into `N` shards (contiguous,
-//!   strided or stable-hash [`ShardStrategy`]) and emits a JSON
+//!   [`SweepGrid`](dsmt_sweep::SweepGrid) into `N` strided shards (cell
+//!   `c` goes to shard `c % N`, [`ShardStrategy::Strided`]) and emits a JSON
 //!   [`ShardManifest`] carrying the grid *and* its content hash, so a
 //!   manifest that no longer matches its grid is rejected instead of
 //!   silently mis-partitioning (deterministic work distribution in the
@@ -60,7 +60,7 @@
 //!     .with_workload(WorkloadSpec::spec_mix(2_000))
 //!     .with_axis(Axis::l2_latencies(&[1, 16]))
 //!     .with_budget(5_000);
-//! let manifest = plan(&grid, 2, ShardStrategy::Contiguous).unwrap();
+//! let manifest = plan(&grid, 2, ShardStrategy::Strided).unwrap();
 //!
 //! let engine = SweepEngine::new(1).without_cache();
 //! let shard0 = run_shard(&manifest, 0, &engine).unwrap();

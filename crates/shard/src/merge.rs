@@ -230,7 +230,7 @@ mod tests {
             .with_axis(Axis::l2_latencies(&[1, 16, 64]))
             .with_axis(Axis::threads(&[1, 2]))
             .with_budget(4_000);
-        plan(&grid, 3, ShardStrategy::Contiguous).unwrap()
+        plan(&grid, 3, ShardStrategy::Strided).unwrap()
     }
 
     fn shard_files(m: &ShardManifest) -> Vec<DsrFile> {

@@ -14,46 +14,17 @@ use serde::{Deserialize, Serialize};
 /// manifests are then rejected instead of being misread.
 pub const MANIFEST_SCHEMA_VERSION: u32 = 1;
 
-/// How cells are assigned to shards.
+/// How cells are assigned to shards: cell `c` goes to shard `c % N`,
+/// which spreads the cost gradient of a swept axis (e.g. rising L2
+/// latency) evenly across shards. Planning the same grid twice yields
+/// byte-identical manifests.
 ///
-/// All three strategies are pure functions of the grid and the shard count —
-/// planning the same grid twice yields byte-identical manifests.
+/// A manifest records its strategy by name, so a manifest naming any other
+/// strategy fails to load instead of being misread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShardStrategy {
-    /// Shard `i` owns the contiguous index range `[i*n/N, (i+1)*n/N)`.
-    /// Best cache locality for grids whose expensive cells cluster.
-    Contiguous,
-    /// Cell `c` goes to shard `c % N`. Spreads the cost gradient of a
-    /// swept axis (e.g. rising L2 latency) evenly across shards.
+    /// Cell `c` goes to shard `c % N`.
     Strided,
-    /// Cell `c` goes to shard `hash(scenario) % N` using the scenario's
-    /// stable cache key. A cell keeps its shard when the grid grows or
-    /// reorders, so an incrementally extended sweep only re-runs new cells
-    /// on each host.
-    Hashed,
-}
-
-impl ShardStrategy {
-    /// Parses a CLI name (`contiguous`, `strided`, `hashed`).
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "contiguous" => Some(ShardStrategy::Contiguous),
-            "strided" => Some(ShardStrategy::Strided),
-            "hashed" => Some(ShardStrategy::Hashed),
-            _ => None,
-        }
-    }
-
-    /// The CLI name of the strategy.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            ShardStrategy::Contiguous => "contiguous",
-            ShardStrategy::Strided => "strided",
-            ShardStrategy::Hashed => "hashed",
-        }
-    }
 }
 
 /// Why a plan could not be produced, or a manifest failed validation.
@@ -129,7 +100,8 @@ pub struct ShardManifest {
     pub shards: Vec<Vec<usize>>,
 }
 
-/// Splits `grid` into `num_shards` shards under `strategy`.
+/// Splits `grid` into `num_shards` shards under `strategy`: cell `c` goes
+/// to shard `c % num_shards`.
 ///
 /// # Example
 ///
@@ -167,23 +139,9 @@ pub fn plan(
         return Err(ShardPlanError::ZeroShards);
     }
     let mut shards: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-    match strategy {
-        ShardStrategy::Contiguous => {
-            for (s, shard) in shards.iter_mut().enumerate() {
-                shard.extend(s * n / num_shards..(s + 1) * n / num_shards);
-            }
-        }
-        ShardStrategy::Strided => {
-            for c in 0..n {
-                shards[c % num_shards].push(c);
-            }
-        }
-        ShardStrategy::Hashed => {
-            for cell in grid.cells() {
-                let h = cell.scenario.cache_key();
-                shards[(h % num_shards as u64) as usize].push(cell.index);
-            }
-        }
+    let ShardStrategy::Strided = strategy;
+    for c in 0..n {
+        shards[c % num_shards].push(c);
     }
     Ok(ShardManifest {
         schema: MANIFEST_SCHEMA_VERSION,
@@ -339,16 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_partitions_in_ranges() {
-        let m = plan(&grid(10), 3, ShardStrategy::Contiguous).unwrap();
-        assert_eq!(
-            m.shards,
-            vec![vec![0, 1, 2], vec![3, 4, 5], (6..10).collect::<Vec<_>>()]
-        );
-        m.validate().unwrap();
-    }
-
-    #[test]
     fn strided_interleaves() {
         let m = plan(&grid(7), 3, ShardStrategy::Strided).unwrap();
         assert_eq!(m.shards, vec![vec![0, 3, 6], vec![1, 4], vec![2, 5]]);
@@ -356,50 +304,18 @@ mod tests {
     }
 
     #[test]
-    fn hashed_is_deterministic_and_partitions() {
-        let a = plan(&grid(12), 4, ShardStrategy::Hashed).unwrap();
-        let b = plan(&grid(12), 4, ShardStrategy::Hashed).unwrap();
-        assert_eq!(a, b);
-        a.validate().unwrap();
-        let total: usize = a.shards.iter().map(Vec::len).sum();
-        assert_eq!(total, 12);
-    }
-
-    #[test]
-    fn hashed_assignment_is_stable_under_grid_growth() {
-        // Growing the latency axis must not move existing cells between
-        // shards: each scenario's hash, not its index, decides the shard.
-        let small = plan(&grid(6), 3, ShardStrategy::Hashed).unwrap();
-        let large = plan(&grid(9), 3, ShardStrategy::Hashed).unwrap();
-        let shard_of = |m: &ShardManifest, key: &str| -> Option<usize> {
-            let cells = m.grid.cells();
-            m.shards
-                .iter()
-                .position(|s| s.iter().any(|&c| cells[c].scenario.cache_key_hex() == key))
-        };
-        for cell in small.grid.cells() {
-            let key = cell.scenario.cache_key_hex();
-            assert_eq!(
-                shard_of(&small, &key),
-                shard_of(&large, &key),
-                "cell {key} moved shards when the grid grew"
-            );
-        }
-    }
-
-    #[test]
     fn degenerate_plans_are_rejected() {
         let empty = SweepGrid::new("e", SimConfig::paper_multithreaded(1));
         assert_eq!(
-            plan(&empty, 2, ShardStrategy::Contiguous),
+            plan(&empty, 2, ShardStrategy::Strided),
             Err(ShardPlanError::EmptyGrid)
         );
         assert_eq!(
-            plan(&grid(3), 0, ShardStrategy::Contiguous),
+            plan(&grid(3), 0, ShardStrategy::Strided),
             Err(ShardPlanError::ZeroShards)
         );
         // More shards than cells: trailing shards are empty but valid.
-        let m = plan(&grid(2), 5, ShardStrategy::Contiguous).unwrap();
+        let m = plan(&grid(2), 5, ShardStrategy::Strided).unwrap();
         m.validate().unwrap();
         assert_eq!(m.shards.iter().filter(|s| s.is_empty()).count(), 3);
     }
@@ -453,7 +369,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_through_json_and_disk() {
-        let m = plan(&grid(5), 2, ShardStrategy::Contiguous).unwrap();
+        let m = plan(&grid(5), 2, ShardStrategy::Strided).unwrap();
         let back = ShardManifest::from_json(&m.to_json()).unwrap();
         assert_eq!(back, m);
 
@@ -477,18 +393,15 @@ mod tests {
     }
 
     #[test]
-    fn strategy_names_round_trip() {
-        for s in [
-            ShardStrategy::Contiguous,
-            ShardStrategy::Strided,
-            ShardStrategy::Hashed,
-        ] {
-            assert_eq!(ShardStrategy::from_name(s.name()), Some(s));
+    fn a_manifest_naming_another_strategy_fails_to_load() {
+        let json = plan(&grid(5), 2, ShardStrategy::Strided).unwrap().to_json();
+        assert!(json.contains(r#""strategy": "Strided""#), "{json}");
+        for other in ["Contiguous", "Hashed"] {
+            let renamed = json.replace(r#""Strided""#, &format!("\"{other}\""));
+            assert!(matches!(
+                ShardManifest::from_json(&renamed),
+                Err(ShardPlanError::Unparseable(_))
+            ));
         }
-        assert_eq!(
-            ShardStrategy::from_name("HASHED"),
-            Some(ShardStrategy::Hashed)
-        );
-        assert_eq!(ShardStrategy::from_name("bogus"), None);
     }
 }

@@ -170,8 +170,8 @@ impl Transport {
     }
 
     /// One status probe over every shard of the plan: done / claimed (by
-    /// whom, how long ago) / missing. Refreshes first, so a polling
-    /// watcher sees the store fill up live.
+    /// whom, how long ago) / missing. Refreshes first, so publishes by
+    /// other workers since open are seen.
     #[must_use]
     pub fn status(&mut self, manifest: &ShardManifest) -> StatusReport {
         let shards = (0..manifest.num_shards())
@@ -325,82 +325,6 @@ impl StatusReport {
     fn count(&self, want: impl Fn(&ShardState) -> bool) -> usize {
         self.shards.iter().filter(|s| want(&s.state)).count()
     }
-
-    /// The one machine-readable rendering of a status probe, shared by
-    /// `dsmt shard status --json`, so scripts never scrape the human
-    /// table. Layout:
-    ///
-    /// ```text
-    /// { "grid":      "<grid name>",
-    ///   "grid_hash": "<16-hex>",
-    ///   "strategy":  "contiguous" | "strided",
-    ///   "cells":     <total cells>,
-    ///   "shards":    <shard count>,
-    ///   "done":      d, "claimed": c, "missing": m,
-    ///   "complete":  true|false,
-    ///   "shard_states": [
-    ///     { "index": 0, "cells": 4, "state": "done",    "records": 4 },
-    ///     { "index": 1, "cells": 4, "state": "claimed",
-    ///       "holder": "pid 123", "heartbeat_age_secs": 12 },
-    ///     { "index": 2, "cells": 4, "state": "missing" } ] }
-    /// ```
-    ///
-    /// `heartbeat_age_secs` is omitted when the claim's mtime could not be
-    /// read; `records` appears only on done shards.
-    #[must_use]
-    pub fn to_value(&self, manifest: &ShardManifest) -> Value {
-        let shard_states = self
-            .shards
-            .iter()
-            .map(|s| {
-                let mut fields = vec![
-                    ("index".to_string(), Value::U64(s.index as u64)),
-                    (
-                        "cells".to_string(),
-                        Value::U64(manifest.shards.get(s.index).map_or(0, Vec::len) as u64),
-                    ),
-                ];
-                match &s.state {
-                    ShardState::Done { records } => {
-                        fields.push(("state".to_string(), Value::Str("done".to_string())));
-                        fields.push(("records".to_string(), Value::U64(*records as u64)));
-                    }
-                    ShardState::Claimed(info) => {
-                        fields.push(("state".to_string(), Value::Str("claimed".to_string())));
-                        fields.push(("holder".to_string(), Value::Str(info.holder.clone())));
-                        if let Some(age) = info.age {
-                            fields.push((
-                                "heartbeat_age_secs".to_string(),
-                                Value::U64(age.as_secs()),
-                            ));
-                        }
-                    }
-                    ShardState::Missing => {
-                        fields.push(("state".to_string(), Value::Str("missing".to_string())));
-                    }
-                }
-                Value::Object(fields)
-            })
-            .collect();
-        Value::Object(vec![
-            ("grid".to_string(), Value::Str(manifest.grid.name.clone())),
-            (
-                "grid_hash".to_string(),
-                Value::Str(manifest.grid_hash.clone()),
-            ),
-            (
-                "strategy".to_string(),
-                Value::Str(manifest.strategy.name().to_string()),
-            ),
-            ("cells".to_string(), Value::U64(manifest.grid.len() as u64)),
-            ("shards".to_string(), Value::U64(self.shards.len() as u64)),
-            ("done".to_string(), Value::U64(self.done() as u64)),
-            ("claimed".to_string(), Value::U64(self.claimed() as u64)),
-            ("missing".to_string(), Value::U64(self.missing() as u64)),
-            ("complete".to_string(), Value::Bool(self.complete())),
-            ("shard_states".to_string(), Value::Array(shard_states)),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -415,7 +339,7 @@ mod tests {
             .with_workload(WorkloadSpec::spec_mix(1_500))
             .with_axis(Axis::l2_latencies(&[1, 16, 64]))
             .with_budget(4_000);
-        plan(&grid, 2, ShardStrategy::Contiguous).unwrap()
+        plan(&grid, 2, ShardStrategy::Strided).unwrap()
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -587,54 +511,6 @@ mod tests {
         // Claim released without an output: back to missing.
         let after = transport.status(&m);
         assert_eq!((after.done(), after.claimed(), after.missing()), (1, 0, 1));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn status_json_serializer_covers_every_state() {
-        let dir = temp_dir("status-json");
-        let m = manifest();
-        let engine = SweepEngine::new(1).without_cache();
-        let mut transport = Transport::store(&dir).expect("store transport");
-        let run = run_shard(&m, 0, &engine).unwrap();
-        transport.publish(&m, &run.dsr).expect("publish");
-        let held = transport.claim(&m, 1, None).expect("claim io");
-        assert!(held.lock().is_some());
-
-        let value = transport.status(&m).to_value(&m);
-        assert_eq!(value.field("grid").unwrap().as_str().unwrap(), m.grid.name);
-        assert_eq!(
-            value.field("grid_hash").unwrap().as_str().unwrap(),
-            m.grid_hash
-        );
-        assert_eq!(value.field("cells").unwrap().as_u64().unwrap() as usize, 3);
-        assert_eq!(value.field("done").unwrap().as_u64().unwrap(), 1);
-        assert_eq!(value.field("claimed").unwrap().as_u64().unwrap(), 1);
-        assert_eq!(value.field("missing").unwrap().as_u64().unwrap(), 0);
-        let Value::Array(states) = value.field("shard_states").unwrap() else {
-            panic!("shard_states should be an array");
-        };
-        assert_eq!(states.len(), 2);
-        assert_eq!(states[0].field("state").unwrap().as_str().unwrap(), "done");
-        assert_eq!(
-            states[0].field("records").unwrap().as_u64().unwrap() as usize,
-            m.shards[0].len()
-        );
-        assert_eq!(
-            states[1].field("state").unwrap().as_str().unwrap(),
-            "claimed"
-        );
-        assert!(states[1]
-            .field("holder")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains(&std::process::id().to_string()));
-        // The rendering is valid JSON end to end.
-        let text = serde::to_string(&value);
-        let back: Value = serde::from_str(&text).expect("round-trip");
-        assert_eq!(back.field("complete").unwrap(), &Value::Bool(false));
-        drop(held);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -25,47 +25,41 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The core determinism claim, for every strategy: plan 4 shards, run them
-/// in arbitrary order, merge, and compare against a monolithic run —
-/// logical records, canonical JSON, and packaged `.dsr` bytes.
+/// The core determinism claim: plan 4 shards, run them in arbitrary
+/// order, merge, and compare against a monolithic run — logical records,
+/// canonical JSON, and packaged `.dsr` bytes.
 #[test]
 fn four_shards_any_order_merge_bit_identical_to_monolithic() {
     let grid = grid();
     let mono = SweepEngine::new(2).without_cache().run(&grid);
     let mono_dsr = DsrFile::from_report(&grid, &mono, 0, 1);
 
-    for strategy in [
-        ShardStrategy::Contiguous,
-        ShardStrategy::Strided,
-        ShardStrategy::Hashed,
-    ] {
-        let manifest = plan(&grid, 4, strategy).expect("plan");
-        // Arbitrary execution order, mixed worker counts per shard.
-        let order = [2usize, 0, 3, 1];
-        let mut shard_files = Vec::new();
-        for (slot, &index) in order.iter().enumerate() {
-            let engine = SweepEngine::new(1 + slot % 3).without_cache();
-            let run = run_shard(&manifest, index, &engine).expect("shard run");
-            shard_files.push(run.dsr);
-        }
-        let merged = merge_shards(&manifest, &shard_files).expect("merge");
-
-        assert_eq!(
-            merged.records, mono.records,
-            "strategy {strategy:?}: merged records differ from monolithic"
-        );
-        assert_eq!(
-            serde::to_string(&merged.records),
-            serde::to_string(&mono.records),
-            "strategy {strategy:?}: canonical JSON differs"
-        );
-        let merged_dsr = DsrFile::from_report(&grid, &merged, 0, 1);
-        assert_eq!(
-            merged_dsr.encode(),
-            mono_dsr.encode(),
-            "strategy {strategy:?}: packaged .dsr bytes differ"
-        );
+    let manifest = plan(&grid, 4, ShardStrategy::Strided).expect("plan");
+    // Arbitrary execution order, mixed worker counts per shard.
+    let order = [2usize, 0, 3, 1];
+    let mut shard_files = Vec::new();
+    for (slot, &index) in order.iter().enumerate() {
+        let engine = SweepEngine::new(1 + slot % 3).without_cache();
+        let run = run_shard(&manifest, index, &engine).expect("shard run");
+        shard_files.push(run.dsr);
     }
+    let merged = merge_shards(&manifest, &shard_files).expect("merge");
+
+    assert_eq!(
+        merged.records, mono.records,
+        "merged records differ from monolithic"
+    );
+    assert_eq!(
+        serde::to_string(&merged.records),
+        serde::to_string(&mono.records),
+        "canonical JSON differs"
+    );
+    let merged_dsr = DsrFile::from_report(&grid, &merged, 0, 1);
+    assert_eq!(
+        merged_dsr.encode(),
+        mono_dsr.encode(),
+        "packaged .dsr bytes differ"
+    );
 }
 
 /// Shards running against one shared cache dedup their work: the total
@@ -153,7 +147,7 @@ fn store_transport_merges_bit_identical_from_one_shared_directory() {
 fn store_transport_recovery_completes_a_partial_fleet() {
     let dir = temp_dir("store-recover");
     let grid = grid();
-    let manifest = plan(&grid, 4, ShardStrategy::Contiguous).expect("plan");
+    let manifest = plan(&grid, 4, ShardStrategy::Strided).expect("plan");
     let engine = SweepEngine::new(2).with_cache_dir(&dir);
 
     let mut transport = Transport::store(&dir).expect("transport");
@@ -191,7 +185,7 @@ fn on_disk_plan_run_merge_round_trip() {
     let work_dir = temp_dir("files");
     std::fs::create_dir_all(&work_dir).expect("work dir");
     let grid = grid();
-    let manifest = plan(&grid, 2, ShardStrategy::Contiguous).expect("plan");
+    let manifest = plan(&grid, 2, ShardStrategy::Strided).expect("plan");
     let manifest_path = work_dir.join("plan.json");
     manifest.save(&manifest_path).expect("save manifest");
 

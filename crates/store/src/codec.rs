@@ -17,7 +17,6 @@
 //! fields, first-use table order, shortest varints, exact float bits),
 //! encoding the same records always yields the same bytes.
 
-use bytes::{Buf, BufMut};
 use dsmt_isa::varint::{get_uvarint, put_uvarint, VarintError};
 use dsmt_isa::{get_ivarint, put_ivarint};
 use serde::Value;
@@ -117,36 +116,36 @@ impl StrTable {
 ///
 /// Panics if the tree contains a string missing from `table` (an encoder
 /// bug, not an input condition).
-pub fn put_value<B: BufMut>(buf: &mut B, value: &Value, table: &StrTable) {
+pub fn put_value(buf: &mut Vec<u8>, value: &Value, table: &StrTable) {
     match value {
-        Value::Null => buf.put_u8(TAG_NULL),
-        Value::Bool(false) => buf.put_u8(TAG_FALSE),
-        Value::Bool(true) => buf.put_u8(TAG_TRUE),
+        Value::Null => buf.push(TAG_NULL),
+        Value::Bool(false) => buf.push(TAG_FALSE),
+        Value::Bool(true) => buf.push(TAG_TRUE),
         Value::U64(n) => {
-            buf.put_u8(TAG_U64);
+            buf.push(TAG_U64);
             put_uvarint(buf, *n);
         }
         Value::I64(n) => {
-            buf.put_u8(TAG_I64);
+            buf.push(TAG_I64);
             put_ivarint(buf, *n);
         }
         Value::F64(x) => {
-            buf.put_u8(TAG_F64);
-            buf.put_u64_le(x.to_bits());
+            buf.push(TAG_F64);
+            buf.extend_from_slice(&x.to_bits().to_le_bytes());
         }
         Value::Str(s) => {
-            buf.put_u8(TAG_STR);
+            buf.push(TAG_STR);
             put_uvarint(buf, table.id(s));
         }
         Value::Array(items) => {
-            buf.put_u8(TAG_ARRAY);
+            buf.push(TAG_ARRAY);
             put_uvarint(buf, items.len() as u64);
             for item in items {
                 put_value(buf, item, table);
             }
         }
         Value::Object(entries) => {
-            buf.put_u8(TAG_OBJECT);
+            buf.push(TAG_OBJECT);
             put_uvarint(buf, entries.len() as u64);
             for (key, item) in entries {
                 put_uvarint(buf, table.id(key));
@@ -162,22 +161,15 @@ pub fn put_value<B: BufMut>(buf: &mut B, value: &Value, table: &StrTable) {
 /// # Errors
 ///
 /// [`CodecError::Truncated`] or [`CodecError::Malformed`].
-pub fn get_value<B: Buf>(buf: &mut B, strings: &[String]) -> Result<Value, CodecError> {
-    if !buf.has_remaining() {
-        return Err(CodecError::Truncated);
-    }
-    match buf.get_u8() {
+pub fn get_value(buf: &mut &[u8], strings: &[String]) -> Result<Value, CodecError> {
+    let &tag = buf.split_off_first().ok_or(CodecError::Truncated)?;
+    match tag {
         TAG_NULL => Ok(Value::Null),
         TAG_FALSE => Ok(Value::Bool(false)),
         TAG_TRUE => Ok(Value::Bool(true)),
         TAG_U64 => Ok(Value::U64(get_uvarint(buf)?)),
         TAG_I64 => Ok(Value::I64(get_ivarint(buf)?)),
-        TAG_F64 => {
-            if buf.remaining() < 8 {
-                return Err(CodecError::Truncated);
-            }
-            Ok(Value::F64(f64::from_bits(buf.get_u64_le())))
-        }
+        TAG_F64 => Ok(Value::F64(f64::from_bits(get_u64_le(buf)?))),
         TAG_STR => Ok(Value::Str(get_interned(buf, strings)?)),
         TAG_ARRAY => {
             let n = get_uvarint(buf)?;
@@ -200,7 +192,7 @@ pub fn get_value<B: Buf>(buf: &mut B, strings: &[String]) -> Result<Value, Codec
     }
 }
 
-fn get_interned<B: Buf>(buf: &mut B, strings: &[String]) -> Result<String, CodecError> {
+fn get_interned(buf: &mut &[u8], strings: &[String]) -> Result<String, CodecError> {
     let id = get_uvarint(buf)?;
     strings
         .get(usize::try_from(id).unwrap_or(usize::MAX))
@@ -218,21 +210,29 @@ fn get_interned<B: Buf>(buf: &mut B, strings: &[String]) -> Result<String, Codec
 /// # Errors
 ///
 /// [`CodecError::Truncated`] or [`CodecError::Malformed`] (non-UTF-8).
-pub fn get_raw_str<B: Buf>(buf: &mut B) -> Result<String, CodecError> {
+pub fn get_raw_str(buf: &mut &[u8]) -> Result<String, CodecError> {
     let len = usize::try_from(get_uvarint(buf)?)
         .map_err(|_| CodecError::Malformed("string length overflow".to_string()))?;
-    if buf.remaining() < len {
-        return Err(CodecError::Truncated);
-    }
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| CodecError::Malformed("string is not UTF-8".to_string()))
+    let bytes = buf.split_off(..len).ok_or(CodecError::Truncated)?;
+    String::from_utf8(bytes.to_vec())
+        .map_err(|_| CodecError::Malformed("string is not UTF-8".to_string()))
 }
 
 /// Appends a length-prefixed raw string (a string-table entry).
-pub fn put_raw_str<B: BufMut>(buf: &mut B, s: &str) {
+pub fn put_raw_str(buf: &mut Vec<u8>, s: &str) {
     put_uvarint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
+    buf.extend_from_slice(s.as_bytes());
+}
+
+/// Reads a little-endian `u64` from the front of `buf`.
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] when fewer than 8 bytes remain.
+pub fn get_u64_le(buf: &mut &[u8]) -> Result<u64, CodecError> {
+    let (raw, rest) = buf.split_first_chunk().ok_or(CodecError::Truncated)?;
+    *buf = rest;
+    Ok(u64::from_le_bytes(*raw))
 }
 
 #[cfg(test)]

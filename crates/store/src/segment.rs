@@ -44,11 +44,12 @@
 //! a batch rewrites the same file with a higher `seq`, re-asserting it as
 //! the shadow winner.
 
-use bytes::{Buf, BufMut};
 use dsmt_isa::varint::{get_uvarint, put_uvarint};
 use serde::Value;
 
-use crate::codec::{get_raw_str, get_value, put_raw_str, put_value, CodecError, StrTable};
+use crate::codec::{
+    get_raw_str, get_u64_le, get_value, put_raw_str, put_value, CodecError, StrTable,
+};
 use crate::{fnv1a64, Fnv64};
 
 /// Bumped on any change to the segment byte layout.
@@ -99,27 +100,24 @@ impl SegmentHeader {
     /// retry (unless the prefix already is the whole file, in which case
     /// the file is corrupt). Any other [`CodecError`] is fail-stop.
     pub fn parse(prefix: &[u8]) -> Result<Self, CodecError> {
-        let mut buf = prefix;
-        if buf.remaining() < PRELUDE_LEN {
+        if prefix.len() < PRELUDE_LEN {
             return Err(CodecError::Truncated);
         }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
+        let (magic, rest) = prefix.split_at(MAGIC.len());
         if magic != MAGIC {
             return Err(CodecError::Malformed(
                 "not a .dsrs segment (bad magic)".to_string(),
             ));
         }
-        let mut version = [0u8; 4];
-        buf.copy_to_slice(&mut version);
-        let version = u32::from_le_bytes(version);
+        let (version, mut buf) = rest.split_first_chunk().expect("prelude length checked");
+        let version = u32::from_le_bytes(*version);
         if version != SEGMENT_FORMAT_VERSION {
             return Err(CodecError::Malformed(format!(
                 "unsupported segment version {version} \
                  (this build reads v{SEGMENT_FORMAT_VERSION} only)"
             )));
         }
-        let seq = buf.get_u64_le();
+        let seq = get_u64_le(&mut buf)?;
         let n_strings = get_uvarint(&mut buf)?;
         let mut strings = Vec::new();
         for _ in 0..n_strings {
@@ -131,16 +129,10 @@ impl SegmentHeader {
         // bounded by the prefix actually read.
         let mut entries = Vec::new();
         for _ in 0..n_records {
-            if buf.remaining() < 8 {
-                return Err(CodecError::Truncated);
-            }
-            let key = buf.get_u64_le();
+            let key = get_u64_le(&mut buf)?;
             let offset = get_uvarint(&mut buf)?;
             let len = get_uvarint(&mut buf)?;
-            if buf.remaining() < 8 {
-                return Err(CodecError::Truncated);
-            }
-            let fnv = buf.get_u64_le();
+            let fnv = get_u64_le(&mut buf)?;
             entries.push(RecordEntry {
                 key,
                 offset,
@@ -148,11 +140,8 @@ impl SegmentHeader {
                 fnv,
             });
         }
-        let hashed = prefix.len() - buf.remaining();
-        if buf.remaining() < 8 {
-            return Err(CodecError::Truncated);
-        }
-        let stored = buf.get_u64_le();
+        let hashed = prefix.len() - buf.len();
+        let stored = get_u64_le(&mut buf)?;
         if fnv1a64(&prefix[..hashed]) != stored {
             return Err(CodecError::Malformed(
                 "segment header checksum mismatch (corrupt or truncated file)".to_string(),
@@ -233,9 +222,9 @@ impl Segment {
             bodies.push(body);
         }
         let mut buf = Vec::with_capacity(64 + 64 * self.records.len());
-        buf.put_slice(&MAGIC);
-        buf.put_slice(&SEGMENT_FORMAT_VERSION.to_le_bytes());
-        buf.put_u64_le(seq);
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&SEGMENT_FORMAT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&seq.to_le_bytes());
         put_uvarint(&mut buf, table.strings().len() as u64);
         for s in table.strings() {
             put_raw_str(&mut buf, s);
@@ -250,19 +239,19 @@ impl Segment {
                 len: body.len() as u64,
                 fnv: fnv1a64(body),
             };
-            buf.put_u64_le(entry.key);
+            buf.extend_from_slice(&entry.key.to_le_bytes());
             put_uvarint(&mut buf, entry.offset);
             put_uvarint(&mut buf, entry.len);
-            buf.put_u64_le(entry.fnv);
+            buf.extend_from_slice(&entry.fnv.to_le_bytes());
             offset += entry.len;
             entries.push(entry);
         }
-        buf.put_u64_le(fnv1a64(&buf));
+        buf.extend_from_slice(&fnv1a64(&buf).to_le_bytes());
         let records_base = buf.len() as u64;
         for body in &bodies {
-            buf.put_slice(body);
+            buf.extend_from_slice(body);
         }
-        buf.put_u64_le(fnv1a64(&buf));
+        buf.extend_from_slice(&fnv1a64(&buf).to_le_bytes());
         let header = SegmentHeader {
             version: SEGMENT_FORMAT_VERSION,
             seq,

@@ -399,7 +399,6 @@ impl Store {
                 ),
             ));
         }
-        dsmt_obs::counter!("store.header_index_hits").inc();
         Ok(LoadedSegment::new(name, path, bytes, modified, header))
     }
 
@@ -462,7 +461,6 @@ impl Store {
                 slice.len()
             )));
         }
-        dsmt_obs::counter!("store.records_lazy_decoded").inc();
         Ok(value)
     }
 
@@ -630,8 +628,9 @@ impl Store {
     /// Surviving segments keep their in-memory headers. Returns how many
     /// new segments were found.
     ///
-    /// Polling callers (`dsmt shard status --watch`) hit this every few seconds; re-statting every
-    /// segment each poll is wasted work when nothing changed. Adding or
+    /// The shard transport refreshes before every read and the sweep
+    /// engine at the start of each run, so most calls find nothing new;
+    /// re-listing the directory each time is wasted work. Adding or
     /// removing a segment file always bumps the `segments/` directory's
     /// own mtime, so an unchanged dir mtime means an unchanged listing —
     /// the scan is skipped (counted by `store.refresh_skipped`). Because

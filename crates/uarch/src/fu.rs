@@ -44,18 +44,6 @@ impl FuPool {
         }
     }
 
-    /// Number of units in the pool.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Operation latency in cycles.
-    #[must_use]
-    pub fn latency(&self) -> u64 {
-        self.latency
-    }
-
     /// Number of operations that could still be issued to this pool at
     /// `cycle` (units whose initiation interval has elapsed).
     ///
@@ -99,11 +87,11 @@ mod tests {
 
     #[test]
     fn paper_pools_construct() {
-        let ap = FuPool::new(4, 1);
-        let ep = FuPool::new(4, 4);
-        assert_eq!(ap.count(), 4);
-        assert_eq!(ap.latency(), 1);
-        assert_eq!(ep.latency(), 4);
+        let mut ap = FuPool::new(4, 1);
+        let mut ep = FuPool::new(4, 4);
+        assert_eq!(ap.available(0), 4);
+        assert_eq!(ap.try_issue(0), Some(1));
+        assert_eq!(ep.try_issue(0), Some(4));
     }
 
     #[test]

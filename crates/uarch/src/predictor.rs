@@ -36,12 +36,6 @@ impl BranchPredictor {
         }
     }
 
-    /// The paper's configuration: 2K entries × 2 bits.
-    #[must_use]
-    pub fn paper_default() -> Self {
-        BranchPredictor::new(2048)
-    }
-
     fn index(&self, pc: u64) -> usize {
         ((pc >> 2) as usize) % self.counters.len()
     }
@@ -86,11 +80,6 @@ impl BranchPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_default_size() {
-        assert_eq!(BranchPredictor::paper_default().counters.len(), 2048);
-    }
 
     #[test]
     fn initially_predicts_taken() {

@@ -5,16 +5,14 @@
 //!
 //! ```text
 //! dsmt asm inspect <file.s> [--expand N] [--seed S]
-//! dsmt shard plan <grid> --shards N [--strategy S] [--out plan.json]
+//! dsmt shard plan <grid> --shards N [--out plan.json]
 //! dsmt shard run <plan.json> --index I | --missing [--steal-after SECS]
 //!                --store DIR [--workers W]
-//! dsmt shard status <plan.json> --store DIR [--watch SECS]
-//! dsmt shard merge <plan.json> --store DIR [--wait SECS]
-//!                  [--out r.json] [--csv r.csv] [--dsr r.dsr]
+//! dsmt shard status <plan.json> --store DIR
+//! dsmt shard merge <plan.json> --store DIR [--out r.json] [--csv r.csv] [--dsr r.dsr]
 //! dsmt sweep run <grid> [--workers W] [--progress] [--out r.json] [--csv r.csv] [--dsr r.dsr]
 //! dsmt store stat <dir>
-//! dsmt store synth <dir> --records N [--per-segment M] [--schema S]
-//! dsmt report <file.dsr|report.json> [--json out.json] [--csv out.csv] [--canonical]
+//! dsmt report <file.dsr|report.json> [--out out.json] [--csv out.csv] [--canonical]
 //! ```
 //!
 //! `dsmt asm inspect` assembles a `.s` source, summarises it and, with
@@ -32,8 +30,8 @@
 //! merged back out of), keyed by grid content hash + shard index. Point it
 //! at the same directory as `DSMT_SWEEP_CACHE` and one shared directory
 //! carries the fleet's scenario cache *and* its shard outputs.
-//! `shard status` reports each shard as done / claimed-by-whom / missing
-//! (`--watch` polls until complete).
+//! `shard plan` assigns cell `c` to shard `c % N`. `shard status` reports
+//! each shard as done / claimed-by-whom / missing.
 //!
 //! `shard run --missing` is the fleet-healing path: it claims every shard
 //! that has no verified output yet (O_EXCL lockfiles) and executes the
@@ -64,15 +62,14 @@ dsmt — sharded sweeps, result-store tooling and report export
 
 USAGE:
   dsmt asm inspect <file.s> [--expand N] [--seed S]
-  dsmt shard plan <grid> --shards N [--strategy contiguous|strided|hashed] [--out plan.json]
+  dsmt shard plan <grid> --shards N [--out plan.json]
   dsmt shard run <plan.json> --index I | --missing [--steal-after SECS]
                  --store DIR [--workers W]
-  dsmt shard status <plan.json> --store DIR [--watch SECS] [--json]
-  dsmt shard merge <plan.json> --store DIR [--wait SECS] [--out report.json] [--csv report.csv] [--dsr merged.dsr]
+  dsmt shard status <plan.json> --store DIR
+  dsmt shard merge <plan.json> --store DIR [--out report.json] [--csv report.csv] [--dsr merged.dsr]
   dsmt sweep run <grid> [--workers W] [--progress] [--out report.json] [--csv report.csv] [--dsr report.dsr]
   dsmt store stat <dir>
-  dsmt store synth <dir> --records N [--per-segment M] [--schema S]
-  dsmt report <file.dsr|report.json> [--json out.json] [--csv out.csv] [--canonical]
+  dsmt report <file.dsr|report.json> [--out out.json] [--csv out.csv] [--canonical]
 
 SHARD OUTPUTS:
   --store DIR   publish/read shard outputs in a dsmt-store directory (keyed
@@ -171,13 +168,6 @@ impl Parsed {
 const BOOL_FLAGS: [&str; 3] = ["canonical", "missing", "progress"];
 
 fn parse(args: &[String], allowed: &[&str]) -> Result<Parsed, String> {
-    parse_with(args, allowed, &[])
-}
-
-/// Like [`parse`], but `extra_bools` names flags that are valueless *in
-/// this command only* (`--json` is a bool for `shard status` but takes a
-/// file path for `report`).
-fn parse_with(args: &[String], allowed: &[&str], extra_bools: &[&str]) -> Result<Parsed, String> {
     let mut parsed = Parsed {
         positional: Vec::new(),
         flags: HashMap::new(),
@@ -188,7 +178,7 @@ fn parse_with(args: &[String], allowed: &[&str], extra_bools: &[&str]) -> Result
             if !allowed.contains(&name) {
                 return Err(format!("unknown flag `--{name}`"));
             }
-            if BOOL_FLAGS.contains(&name) || extra_bools.contains(&name) {
+            if BOOL_FLAGS.contains(&name) {
                 parsed.flags.insert(name.to_string(), "1".to_string());
                 continue;
             }
@@ -317,20 +307,15 @@ fn transport_from(p: &Parsed, usage: &str) -> Result<Transport, String> {
 }
 
 fn shard_plan(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["shards", "strategy", "out"])?;
+    let p = parse(args, &["shards", "out"])?;
     let [grid_spec] = p.positional.as_slice() else {
-        return Err("usage: dsmt shard plan <grid> --shards N [--strategy S] [--out FILE]".into());
+        return Err("usage: dsmt shard plan <grid> --shards N [--out FILE]".into());
     };
     let grid = resolve_grid(grid_spec)?;
     let shards = p
         .usize_flag("shards")?
         .ok_or("--shards is required for `shard plan`")?;
-    let strategy = match p.flag("strategy") {
-        None => ShardStrategy::Contiguous,
-        Some(name) => ShardStrategy::from_name(name)
-            .ok_or_else(|| format!("unknown strategy `{name}` (contiguous|strided|hashed)"))?,
-    };
-    let manifest = plan(&grid, shards, strategy).map_err(|e| e.to_string())?;
+    let manifest = plan(&grid, shards, ShardStrategy::Strided).map_err(|e| e.to_string())?;
     let out = p
         .flag("out")
         .map(PathBuf::from)
@@ -339,11 +324,10 @@ fn shard_plan(args: &[String]) -> Result<(), String> {
         .save(&out)
         .map_err(|e| format!("{}: {e}", out.display()))?;
     outln!(
-        "planned `{}`: {} cells -> {} shards ({}), grid hash {}",
+        "planned `{}`: {} cells -> {} shards (strided), grid hash {}",
         grid.name,
         grid.len(),
         manifest.num_shards(),
-        strategy.name(),
         manifest.grid_hash,
     );
     for (i, cells) in manifest.shards.iter().enumerate() {
@@ -436,102 +420,62 @@ fn shard_run(args: &[String]) -> Result<(), String> {
 }
 
 fn shard_status(args: &[String]) -> Result<(), String> {
-    let p = parse_with(args, &["store", "watch", "json"], &["json"])?;
-    let usage = "usage: dsmt shard status <plan.json> --store DIR [--watch SECS] [--json]";
+    let p = parse(args, &["store"])?;
+    let usage = "usage: dsmt shard status <plan.json> --store DIR";
     let [plan_path] = p.positional.as_slice() else {
         return Err(usage.into());
     };
     let manifest = ShardManifest::load(plan_path).map_err(|e| e.to_string())?;
     let mut transport = transport_from(&p, usage)?;
-    let watch = p.usize_flag("watch")?;
-    let json = p.flag("json").is_some();
-    loop {
-        let report = transport.status(&manifest);
-        if json {
-            // One machine-readable document per poll (the shape
-            // `StatusReport::to_value` documents), for scripts that
-            // watch a fleet's progress instead of grepping the text form.
-            outln!("{}", serde::to_string_pretty(&report.to_value(&manifest)));
-            let Some(secs) = watch else { break };
-            if report.complete() {
-                break;
+    let report = transport.status(&manifest);
+    outln!(
+        "plan `{}` (grid hash {}, {} shards) via {}:",
+        manifest.grid.name,
+        manifest.grid_hash,
+        manifest.num_shards(),
+        transport.describe(),
+    );
+    for shard in &report.shards {
+        let cells = manifest.shards[shard.index].len();
+        match &shard.state {
+            ShardState::Done { records } => {
+                outln!("  shard {}: done ({records} records)", shard.index);
             }
-            std::thread::sleep(std::time::Duration::from_secs(secs.max(1) as u64));
-            continue;
-        }
-        outln!(
-            "plan `{}` (grid hash {}, {} shards) via {}:",
-            manifest.grid.name,
-            manifest.grid_hash,
-            manifest.num_shards(),
-            transport.describe(),
-        );
-        for shard in &report.shards {
-            let cells = manifest.shards[shard.index].len();
-            match &shard.state {
-                ShardState::Done { records } => {
-                    outln!("  shard {}: done ({records} records)", shard.index);
-                }
-                ShardState::Claimed(info) => {
-                    outln!(
-                        "  shard {}: claimed by {} ({cells} cells)",
-                        shard.index,
-                        info.describe(),
-                    );
-                }
-                ShardState::Missing => {
-                    outln!("  shard {}: missing ({cells} cells)", shard.index);
-                }
+            ShardState::Claimed(info) => {
+                outln!(
+                    "  shard {}: claimed by {} ({cells} cells)",
+                    shard.index,
+                    info.describe(),
+                );
+            }
+            ShardState::Missing => {
+                outln!("  shard {}: missing ({cells} cells)", shard.index);
             }
         }
-        outln!(
-            "{} done, {} claimed, {} missing{}",
-            report.done(),
-            report.claimed(),
-            report.missing(),
-            if report.complete() {
-                " — complete, ready to merge"
-            } else {
-                ""
-            },
-        );
-        let Some(secs) = watch else { break };
-        if report.complete() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_secs(secs.max(1) as u64));
     }
+    outln!(
+        "{} done, {} claimed, {} missing{}",
+        report.done(),
+        report.claimed(),
+        report.missing(),
+        if report.complete() {
+            " — complete, ready to merge"
+        } else {
+            ""
+        },
+    );
     Ok(())
 }
 
 fn shard_merge(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["store", "wait", "out", "csv", "dsr"])?;
-    let usage = "usage: dsmt shard merge <plan.json> --store DIR [--wait SECS] \
-                 [--out FILE] [--csv FILE] [--dsr FILE]";
+    let p = parse(args, &["store", "out", "csv", "dsr"])?;
+    let usage = "usage: dsmt shard merge <plan.json> --store DIR [--out FILE] [--csv FILE] \
+                 [--dsr FILE]";
     let [plan_path] = p.positional.as_slice() else {
         return Err(usage.into());
     };
     let manifest = ShardManifest::load(plan_path).map_err(|e| e.to_string())?;
     let mut transport = transport_from(&p, usage)?;
-    // --wait: the `status --watch` polling loop, inlined — block until
-    // every shard has a verified output, then merge in the same process.
-    if let Some(secs) = p.usize_flag("wait")? {
-        loop {
-            let status = transport.status(&manifest);
-            if status.complete() {
-                break;
-            }
-            outln!(
-                "waiting for `{}`: {} done, {} claimed, {} missing (poll every {}s)",
-                manifest.grid.name,
-                status.done(),
-                status.claimed(),
-                status.missing(),
-                secs.max(1),
-            );
-            std::thread::sleep(std::time::Duration::from_secs(secs.max(1) as u64));
-        }
-    }
     let report = merge_from(&manifest, &mut transport).map_err(|e| e.to_string())?;
     outln!(
         "merged {} shards ({}) -> {} cells of `{}`",
@@ -587,14 +531,12 @@ fn sweep_run(args: &[String]) -> Result<(), String> {
 fn store_cmd(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("stat") => store_stat(&args[1..]),
-        Some("synth") => store_synth(&args[1..]),
-        _ => Err(format!("usage: dsmt store stat|synth ...\n\n{USAGE}")),
+        _ => Err(format!("usage: dsmt store stat ...\n\n{USAGE}")),
     }
 }
 
-/// Opens the store, then prints the open cost, the header-index counters and a per-segment listing. The
-/// `open_us:` / `header_index_hits:` / `records_lazy_decoded:` lines are
-/// stable, machine-parseable output — CI's store-scale gate greps them.
+/// Opens the store, then prints a summary, the open cost (`open_us:`) and
+/// a per-segment listing.
 fn store_stat(args: &[String]) -> Result<(), String> {
     let p = parse(args, &[])?;
     let [dir] = p.positional.as_slice() else {
@@ -617,15 +559,6 @@ fn store_stat(args: &[String]) -> Result<(), String> {
         store.total_bytes(),
     );
     outln!("open_us: {open_us}");
-    let registry = dsmt_obs::registry();
-    outln!(
-        "header_index_hits: {}",
-        registry.counter("store.header_index_hits").get()
-    );
-    outln!(
-        "records_lazy_decoded: {}",
-        registry.counter("store.records_lazy_decoded").get()
-    );
     let now = std::time::SystemTime::now();
     for e in &segments {
         let age = now
@@ -644,117 +577,14 @@ fn store_stat(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Generates a synthetic store for scale testing: `--records N` records
-/// shaped like sweep cells (a handful of numeric stats plus a small
-/// string-coded enum, so record bodies dominate the segment and the
-/// header directory stays compact), published `--per-segment M` at a
-/// time. CI's store-scale gate uses this to check a header-only open at
-/// 10^5 records without running 10^5 simulations.
-fn store_synth(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["records", "per-segment", "schema"])?;
-    let [dir] = p.positional.as_slice() else {
-        return Err(
-            "usage: dsmt store synth <dir> --records N [--per-segment M] [--schema S]".into(),
-        );
-    };
-    let records = p
-        .usize_flag("records")?
-        .ok_or("--records is required (how many records to generate)")?;
-    let per_segment = p.usize_flag("per-segment")?.unwrap_or(4096).max(1);
-    let schema = match p.flag("schema") {
-        Some(v) => v
-            .parse::<u32>()
-            .map_err(|_| format!("--schema expects a number, got `{v}`"))?,
-        None => 1,
-    };
-    let mut store = Store::open(dir, schema).map_err(|e| format!("{dir}: {e}"))?;
-    let mut batch = Vec::with_capacity(per_segment.min(records));
-    let mut segments = 0usize;
-    for n in 0..records as u64 {
-        batch.push((synth_key(n), synth_value(n)));
-        if batch.len() == per_segment {
-            store
-                .publish(std::mem::take(&mut batch))
-                .map_err(|e| e.to_string())?;
-            segments += 1;
-        }
-    }
-    if !batch.is_empty() {
-        store.publish(batch).map_err(|e| e.to_string())?;
-        segments += 1;
-    }
-    outln!(
-        "synthesized {}: {} records in {} segments ({} bytes)",
-        store.dir().display(),
-        store.record_count(),
-        segments,
-        store.total_bytes(),
-    );
-    Ok(())
-}
-
-/// A well-mixed synthetic key (splitmix64 finalizer) so the index
-/// exercises realistic hash distribution rather than sequential keys.
-fn synth_key(n: u64) -> u64 {
-    let mut x = n.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// A record shaped like a cached sweep cell: mostly numeric stats under
-/// shared field names (interned once per segment), so a full decode pays
-/// a realistic per-record cost while the header stays small.
-fn synth_value(n: u64) -> serde::Value {
-    use serde::Value;
-    const MIXES: [&str; 4] = ["int", "fp", "mem", "branchy"];
-    let h = synth_key(n);
-    Value::Object(vec![
-        ("kind".to_string(), Value::Str("synth-cell".to_string())),
-        (
-            "mix".to_string(),
-            Value::Str(MIXES[(n % 4) as usize].to_string()),
-        ),
-        ("seed".to_string(), Value::U64(n)),
-        (
-            "ipc".to_string(),
-            Value::F64(0.5 + (h % 2048) as f64 / 1024.0),
-        ),
-        ("cycles".to_string(), Value::U64(h % 100_000_000)),
-        ("insts".to_string(), Value::U64(h % 10_000_000)),
-        (
-            "stats".to_string(),
-            Value::Object(vec![
-                ("l1_hits".to_string(), Value::U64(h % 1_000_000)),
-                ("l2_hits".to_string(), Value::U64(h % 65_536)),
-                ("mshr_stalls".to_string(), Value::U64(h % 4_096)),
-                ("bus_busy".to_string(), Value::F64((h % 97) as f64 / 97.0)),
-                ("fetch_mask".to_string(), Value::U64(h & 0xff)),
-            ]),
-        ),
-        (
-            "latency_hist".to_string(),
-            Value::Array((0..8).map(|i| Value::U64((h >> (i * 8)) & 0xff)).collect()),
-        ),
-        (
-            "unit_busy".to_string(),
-            Value::Array(
-                (0..6)
-                    .map(|i| Value::F64(((h >> i) % 101) as f64 / 101.0))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 // ---------------------------------------------------------------------------
 // dsmt report ...
 
 fn report_cmd(args: &[String]) -> Result<(), String> {
-    let p = parse(args, &["json", "csv", "canonical"])?;
+    let p = parse(args, &["out", "csv", "canonical"])?;
     let [path] = p.positional.as_slice() else {
         return Err(
-            "usage: dsmt report <file.dsr|report.json> [--json FILE] [--csv FILE] [--canonical]"
+            "usage: dsmt report <file.dsr|report.json> [--out FILE] [--csv FILE] [--canonical]"
                 .into(),
         );
     };
@@ -816,7 +646,7 @@ fn print_report_summary(report: &SweepReport) {
 
 /// Writes the report in whichever formats the flags asked for.
 fn write_outputs(report: &SweepReport, grid: Option<&SweepGrid>, p: &Parsed) -> Result<(), String> {
-    if let Some(out) = p.flag("out").or_else(|| p.flag("json")) {
+    if let Some(out) = p.flag("out") {
         export::write_json(report, out).map_err(|e| format!("{out}: {e}"))?;
         outln!("json: {out}");
     }
