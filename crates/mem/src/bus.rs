@@ -6,10 +6,8 @@
 //! threads and 98% with 16 at a 64-cycle L2 latency — so modelling queueing
 //! and utilisation is essential to reproduce that result.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple bandwidth-limited bus with FIFO queueing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Bus {
     bytes_per_cycle: u64,
     /// First cycle at which the bus is free to start a new transfer.

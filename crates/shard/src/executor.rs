@@ -218,7 +218,8 @@ pub fn recover(
             .heartbeat
             .and_then(|interval| claim.lock().map(|lock| lock.spawn_heartbeat(interval)));
         // Double-check under the claim: another worker may have finished
-        // between the probe and the acquire.
+        // between the probe and the acquire. The probe read this handle's
+        // snapshot; the won claim re-read the directory, so this sees it.
         if transport.read_verified(manifest, index).is_some() {
             dispositions.push(ShardDisposition::AlreadyDone);
             dsmt_obs::counter!("shard.shards_already_done").inc();
@@ -334,7 +335,7 @@ mod tests {
         assert!(outcome.steals.is_empty());
         assert!(outcome.complete());
         // The store now merges bit-identically to a monolithic run.
-        let merged = crate::merge_from(&m, &mut transport).expect("merge");
+        let merged = crate::merge_from(&m, &transport).expect("merge");
         let mono = engine.run(&m.grid);
         assert_eq!(merged.records, mono.records);
         assert_eq!(
@@ -346,6 +347,30 @@ mod tests {
             recover(&m, &mut transport, &engine, &RecoverOptions::default()).expect("idempotent");
         assert_eq!(again.executed(), Vec::<usize>::new());
         assert_eq!(again.already_done(), vec![0, 1, 2]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stale_transport_executes_no_shard_another_recovered() {
+        // A's snapshot predates every publish, so each of its probes
+        // misses; each claim it wins re-reads the directory and finds B's
+        // output.
+        let m = manifest();
+        let dir = temp_dir("stale-snapshot");
+        let engine = SweepEngine::new(2).without_cache();
+        let mut a = Transport::store(&dir).expect("transport a");
+        let mut b = Transport::store(&dir).expect("transport b");
+        let first = recover(&m, &mut b, &engine, &RecoverOptions::default()).expect("pass b");
+        assert_eq!(first.executed(), vec![0, 1, 2]);
+        let stale = recover(&m, &mut a, &engine, &RecoverOptions::default()).expect("pass a");
+        assert_eq!(stale.executed(), Vec::<usize>::new());
+        assert_eq!(stale.already_done(), vec![0, 1, 2]);
+        let merged = crate::merge_from(&m, &a).expect("merge through a");
+        let mono = engine.run(&m.grid);
+        assert_eq!(
+            DsrFile::from_report(&m.grid, &merged, 0, 1).encode(),
+            DsrFile::from_report(&m.grid, &mono, 0, 1).encode(),
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -366,7 +391,7 @@ mod tests {
         assert!(!outcome.complete());
         assert!(transport.read_verified(&m, 1).is_none());
         // The holder is identifiable for stale-claim diagnostics.
-        assert!(LockFile::holder(transport.locks_dir(), &m.claim_name(1)).is_some());
+        assert!(LockFile::inspect(transport.locks_dir(), &m.claim_name(1)).is_some());
         drop(held);
         let retry =
             recover(&m, &mut transport, &engine, &RecoverOptions::default()).expect("retry");
@@ -479,7 +504,7 @@ mod tests {
         assert_eq!(executed, 1, "the shard must be executed exactly once");
         assert_eq!(stolen, 1, "exactly one recoverer may steal the claim");
         // Whoever won, the output is now verified and merges.
-        let mut transport = Transport::store(&dir).expect("transport");
+        let transport = Transport::store(&dir).expect("transport");
         assert!(transport.read_verified(&m, 0).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }

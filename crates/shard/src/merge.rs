@@ -173,9 +173,10 @@ pub fn merge_shards(
 }
 
 /// Collects every shard of the plan from `transport` and merges them —
-/// the transport-aware face of [`merge_shards`]. The transport refreshes
-/// its handle first (via [`Transport::read_for_merge`]), so a merger can
-/// run the moment `dsmt shard status` reports the store complete.
+/// the transport-aware face of [`merge_shards`]. It reads the transport's
+/// snapshot (via [`Transport::read_for_merge`]): a transport opened after
+/// `dsmt shard status` reports the store complete, or one that published
+/// or recovered every shard itself, sees every shard.
 ///
 /// Diagnostics stay precise: an absent shard reports
 /// [`MergeError::MissingShard`], while an output that *exists* but cannot
@@ -189,7 +190,7 @@ pub fn merge_shards(
 /// unavailable shard, plus everything [`merge_shards`] checks.
 pub fn merge_from(
     manifest: &ShardManifest,
-    transport: &mut Transport,
+    transport: &Transport,
 ) -> Result<SweepReport, MergeError> {
     manifest.validate()?;
     let _span = dsmt_obs::span("shard.merge")
@@ -299,10 +300,7 @@ mod tests {
         let mut transport = Transport::store(&dir).expect("store transport");
 
         // Nothing in the store: the first absent shard is named.
-        assert_eq!(
-            merge_from(&m, &mut transport),
-            Err(MergeError::MissingShard(0))
-        );
+        assert_eq!(merge_from(&m, &transport), Err(MergeError::MissingShard(0)));
         // Shards 0 and 2 published, a foreign value under shard 1's key:
         // shard 1 is reported as unusable (with the reason), not missing.
         for file in [&files[0], &files[2]] {
@@ -315,7 +313,9 @@ mod tests {
                 serde::Value::Str("junk".to_string()),
             )])
             .unwrap();
-        match merge_from(&m, &mut transport) {
+        // A transport is a snapshot: the merger opens after the publishes.
+        let mut transport = Transport::store(&dir).expect("store transport");
+        match merge_from(&m, &transport) {
             Err(MergeError::UnusableShard {
                 shard_index: 1,
                 why,
@@ -326,7 +326,7 @@ mod tests {
         }
         // Healed: the merge goes through.
         transport.publish(&m, &files[1]).unwrap();
-        let merged = merge_from(&m, &mut transport).expect("merge");
+        let merged = merge_from(&m, &transport).expect("merge");
         assert_eq!(merged.records.len(), m.grid.len());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -11,8 +11,13 @@
 //! * the whole fleet protocol reduces to **one store directory** — point
 //!   the transport at the same directory as `DSMT_SWEEP_CACHE` and
 //!   scenario results and shard outputs share segments and claims;
-//! * the merger and `dsmt shard status` observe other hosts' publishes on
-//!   a live handle via [`dsmt_store::Store::refresh`].
+//! * a transport is a snapshot: it sees the store as it was at open, plus
+//!   its own publishes. [`Transport::claim`] is the one place it re-reads
+//!   the directory ([`dsmt_store::Store::refresh`]), right after it wins a
+//!   recovery claim, so `recover`'s double-check sees every output
+//!   published before the claim and each shard runs exactly once.
+//!   `dsmt shard status` and `dsmt shard merge` open a fresh transport per
+//!   command, so they see everything published before they start.
 //!
 //! Recovery claims are [`LockFile`]s in the store's `locks/` directory,
 //! named by [`ShardManifest::claim_name`] so unrelated plans can share one
@@ -80,17 +85,6 @@ impl Transport {
         format!("store at {}", self.store.dir().display())
     }
 
-    /// Picks up segments other workers published (and drops segments they
-    /// removed) since open or the last refresh. Errors (e.g. a corrupt
-    /// foreign segment) are reported as a warning event and otherwise
-    /// ignored: the snapshot stays usable, and the cost is re-running a
-    /// shard, never a wrong merge.
-    pub fn refresh(&mut self) {
-        if let Err(e) = self.store.refresh() {
-            dsmt_obs::warn!("shard.store_refresh_failed", error = e.to_string());
-        }
-    }
-
     /// The directory recovery claims live in (`<store>/locks`).
     #[must_use]
     pub fn locks_dir(&self) -> PathBuf {
@@ -100,30 +94,42 @@ impl Transport {
     /// Tries to claim shard `index`, stealing a stale claim when
     /// `steal_after` says so (see [`LockFile::acquire_or_steal`]).
     ///
+    /// A won claim (acquired or stolen) re-reads the store directory, so
+    /// this handle then sees every output other workers published before
+    /// they released the claim. A failed re-read is reported as a warning
+    /// event and otherwise ignored: the snapshot stays usable, and the
+    /// cost is re-running a shard, never a wrong merge.
+    ///
     /// # Errors
     ///
     /// Any I/O error other than the expected claim races.
     pub fn claim(
-        &self,
+        &mut self,
         manifest: &ShardManifest,
         index: usize,
         steal_after: Option<Duration>,
     ) -> std::io::Result<Claim> {
-        LockFile::acquire_or_steal(self.locks_dir(), &manifest.claim_name(index), steal_after)
+        let claim =
+            LockFile::acquire_or_steal(self.locks_dir(), &manifest.claim_name(index), steal_after)?;
+        if claim.lock().is_some() {
+            if let Err(e) = self.store.refresh() {
+                dsmt_obs::warn!("shard.store_refresh_failed", error = e.to_string());
+            }
+        }
+        Ok(claim)
     }
 
-    /// The verified output of shard `index`, or `None` when it is absent,
-    /// corrupt, or belongs to a different plan. Refreshes first, so
-    /// publishes by other live workers are observed.
+    /// The verified output of shard `index` in this handle's snapshot, or
+    /// `None` when it is absent, corrupt, or belongs to a different plan.
     #[must_use]
-    pub fn read_verified(&mut self, manifest: &ShardManifest, index: usize) -> Option<DsrFile> {
-        self.refresh();
+    pub fn read_verified(&self, manifest: &ShardManifest, index: usize) -> Option<DsrFile> {
         shard_from_value(manifest, index, &self.store.get(manifest.shard_key(index))?)
     }
 
-    /// Reads shard `index` for a merge, preserving precise diagnostics
-    /// instead of [`Transport::read_verified`]'s everything-is-missing
-    /// collapse: "nothing under this shard's key" is `Ok(None)`, while a
+    /// Reads shard `index` from this handle's snapshot for a merge,
+    /// preserving precise diagnostics instead of
+    /// [`Transport::read_verified`]'s everything-is-missing collapse:
+    /// "nothing under this shard's key" is `Ok(None)`, while a
     /// record that exists but does not verify as this plan's shard output
     /// explains itself — so a merger can report a collision, a foreign
     /// record, or byte-level corruption (surfaced by the store's lazy
@@ -133,11 +139,10 @@ impl Transport {
     ///
     /// Why a *present* output could not be used.
     pub fn read_for_merge(
-        &mut self,
+        &self,
         manifest: &ShardManifest,
         index: usize,
     ) -> Result<Option<DsrFile>, String> {
-        self.refresh();
         match self.store.try_get(manifest.shard_key(index)) {
             Ok(None) => Ok(None),
             Err(e) => Err(format!(
@@ -170,10 +175,10 @@ impl Transport {
     }
 
     /// One status probe over every shard of the plan: done / claimed (by
-    /// whom, how long ago) / missing. Refreshes first, so publishes by
-    /// other workers since open are seen.
+    /// whom, how long ago) / missing. Outputs come from this handle's
+    /// snapshot; claims are read from the `locks/` directory as they stand.
     #[must_use]
-    pub fn status(&mut self, manifest: &ShardManifest) -> StatusReport {
+    pub fn status(&self, manifest: &ShardManifest) -> StatusReport {
         let shards = (0..manifest.num_shards())
             .map(|index| {
                 let state = match self.read_verified(manifest, index) {
@@ -393,7 +398,6 @@ mod tests {
         let run = run_shard(&m, 1, &engine).unwrap();
 
         let mut writer = Transport::store(&dir).expect("open writer");
-        let mut reader = Transport::store(&dir).expect("open reader");
         writer.publish(&m, &run.dsr).expect("publish");
         writer.publish(&m, &run.dsr).expect("republish");
         assert_eq!(
@@ -403,8 +407,8 @@ mod tests {
             1,
             "identical outputs collapse to one segment"
         );
-        // The reader opened before the publish; its reads refresh first.
-        assert_eq!(reader.read_verified(&m, 1).expect("refreshed"), run.dsr);
+        let reader = Transport::store(&dir).expect("open reader");
+        assert_eq!(reader.read_verified(&m, 1).expect("published"), run.dsr);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -432,7 +436,7 @@ mod tests {
         let dir = temp_dir("corrupt");
         let m = manifest();
         publish_then_corrupt_shard_0(&dir, &m);
-        let mut transport = Transport::store(&dir).expect("headers still verify");
+        let transport = Transport::store(&dir).expect("headers still verify");
         assert!(transport.read_verified(&m, 0).is_none());
         assert!(transport.read_verified(&m, 1).is_none());
         let _ = std::fs::remove_dir_all(&dir);
@@ -466,7 +470,7 @@ mod tests {
         let dir = temp_dir("merge-diag");
         let m = manifest();
         publish_then_corrupt_shard_0(&dir, &m);
-        let mut transport = Transport::store(&dir).expect("headers still verify");
+        let transport = Transport::store(&dir).expect("headers still verify");
         // The store's verify-on-read error, naming the segment, survives.
         let why = transport.read_for_merge(&m, 0).expect_err("corrupt record");
         assert!(why.contains("failed verification"), "{why}");

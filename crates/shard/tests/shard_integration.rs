@@ -101,9 +101,9 @@ fn shards_share_and_dedup_the_result_cache() {
 
 /// The store transport end-to-end, sharing **one** directory between the
 /// sweep cache and the shard outputs (the one-directory fleet protocol):
-/// shards publish into the store, the merger reads them back out via
-/// refresh on a live handle, and the merged `.dsr` is byte-identical to a
-/// monolithic run's.
+/// shards publish into the store, a merger opened afterwards reads them
+/// back out, and the merged `.dsr` is byte-identical to a monolithic
+/// run's.
 #[test]
 fn store_transport_merges_bit_identical_from_one_shared_directory() {
     let dir = temp_dir("store-transport");
@@ -113,16 +113,14 @@ fn store_transport_merges_bit_identical_from_one_shared_directory() {
     // Workers simulate through the store-as-cache AND publish their shard
     // outputs into the same store directory.
     let engine = SweepEngine::new(2).with_cache_dir(&dir);
-    // The merger's handle is opened *before* any worker publishes:
-    // read_verified refreshes, so it still observes everything.
-    let mut merger = Transport::store(&dir).expect("merger transport");
     for index in [2, 0, 1] {
         let run = run_shard(&manifest, index, &engine).expect("shard run");
         let mut worker = Transport::store(&dir).expect("worker transport");
         worker.publish(&manifest, &run.dsr).expect("publish");
     }
 
-    let merged = merge_from(&manifest, &mut merger).expect("merge from store");
+    let merger = Transport::store(&dir).expect("merger transport");
+    let merged = merge_from(&manifest, &merger).expect("merge from store");
     let mono = SweepEngine::new(1).without_cache().run(&grid);
     assert_eq!(merged.records, mono.records);
     assert_eq!(
@@ -155,7 +153,7 @@ fn store_transport_recovery_completes_a_partial_fleet() {
     transport.publish(&manifest, &run.dsr).expect("publish");
 
     assert_eq!(
-        merge_from(&manifest, &mut transport),
+        merge_from(&manifest, &transport),
         Err(MergeError::MissingShard(0)),
         "merging a partial store names the missing shard"
     );
@@ -172,7 +170,7 @@ fn store_transport_recovery_completes_a_partial_fleet() {
     assert_eq!(outcome.executed(), vec![0, 2, 3]);
     assert!(transport.status(&manifest).complete());
 
-    let merged = merge_from(&manifest, &mut transport).expect("merge");
+    let merged = merge_from(&manifest, &transport).expect("merge");
     let mono = SweepEngine::new(1).without_cache().run(&grid);
     assert_eq!(merged.records, mono.records);
     let _ = std::fs::remove_dir_all(&dir);
@@ -238,7 +236,7 @@ fn telemetry_enabled_fleet_merges_byte_identical() {
     )
     .expect("traced recovery pass");
     assert_eq!(outcome.executed(), vec![0, 1, 2]);
-    let merged = merge_from(&manifest, &mut transport).expect("merge");
+    let merged = merge_from(&manifest, &transport).expect("merge");
     dsmt_obs::init_from_spec("off");
 
     let merged_dsr = DsrFile::from_report(&grid, &merged, 0, 1);

@@ -59,7 +59,7 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()>
 /// or panicked-but-unwound — worker frees the name for the next claimant.
 ///
 /// A claimant that dies without unwinding (SIGKILL, power loss) leaves the
-/// lockfile behind; [`LockFile::acquire`] reports the holder recorded in
+/// lockfile behind; [`LockFile::inspect`] reads the holder recorded in
 /// the file so an operator can decide whether the claim is stale, and
 /// [`LockFile::acquire_or_steal`] automates that decision: a claim whose
 /// lockfile mtime is older than a caller-chosen deadline is reaped and
@@ -227,18 +227,6 @@ impl LockFile {
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The recorded holder of an existing lock on `name`, if any — for
-    /// "who has this claim?" diagnostics when [`LockFile::acquire`]
-    /// returns `None`. Only the holder line is returned; the ownership
-    /// token stays an implementation detail.
-    #[must_use]
-    pub fn holder(dir: impl AsRef<Path>, name: &str) -> Option<String> {
-        let path = dir.as_ref().join(format!("{name}.lock"));
-        std::fs::read_to_string(path)
-            .ok()
-            .map(|s| s.lines().next().unwrap_or("").trim().to_string())
     }
 
     /// Holder record and age of an existing claim on `name`, if any — the
@@ -513,7 +501,9 @@ mod tests {
         assert!(LockFile::acquire(&dir, "shard-0").expect("io").is_none());
         // A different name is independent.
         assert!(LockFile::acquire(&dir, "shard-1").expect("io").is_some());
-        let holder = LockFile::holder(&dir, "shard-0").expect("holder recorded");
+        let holder = LockFile::inspect(&dir, "shard-0")
+            .expect("holder recorded")
+            .holder;
         assert!(holder.contains(&std::process::id().to_string()));
         drop(first);
         assert!(LockFile::acquire(&dir, "shard-0").expect("io").is_some());

@@ -10,7 +10,7 @@
 //! a handle's memory is its headers, however long it lives and however
 //! many records it serves.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
@@ -165,6 +165,13 @@ pub struct SegmentInfo {
 /// other: distinct batches get distinct names, identical batches collapse
 /// to one file.
 ///
+/// A handle is a **snapshot**: it sees the segments that were on disk when
+/// it opened plus the ones it published itself. Another handle's publish
+/// becomes visible only through [`Store::refresh`]. Clients key records
+/// by a hash of what determines them, so a stale snapshot can only miss a
+/// record another handle has since written (the client recomputes it, to
+/// the same bytes), never return a wrong one.
+///
 /// # Example
 ///
 /// ```
@@ -177,8 +184,8 @@ pub struct SegmentInfo {
 /// store.publish(vec![(7, Value::U64(42))]).unwrap();
 /// assert_eq!(store.get(7), Some(Value::U64(42)));
 ///
-/// // A second handle sees the open-time snapshot, and picks up foreign
-/// // segments on refresh().
+/// // Every handle is a snapshot: a second handle sees what was on disk
+/// // when it opened, and another handle's later publish only on refresh().
 /// let mut other = Store::open(&dir, 1).unwrap();
 /// store.publish(vec![(8, Value::Bool(true))]).unwrap();
 /// assert!(other.get(8).is_none());
@@ -191,20 +198,10 @@ pub struct Store {
     dir: PathBuf,
     segments: Vec<LoadedSegment>,
     index: HashMap<u64, (usize, usize)>,
-    /// Mtime of `segments/` observed just before the last full scan, used
-    /// by [`Store::refresh`] to skip rescanning an unchanged directory.
-    scanned_dir_mtime: Option<SystemTime>,
     /// Highest sequence number seen across loaded segments; the next
     /// publish stamps `max_seq + 1`.
     max_seq: u64,
 }
-
-/// How much older than "now" the segments directory's mtime must be before
-/// [`Store::refresh`] trusts an unchanged mtime and skips the rescan.
-/// Directory mtimes can be coarse (whole seconds on some filesystems), so a
-/// publish landing within the same mtime granule as our scan would be
-/// invisible to a pure mtime compare; within this window we always rescan.
-const REFRESH_MTIME_GUARD: std::time::Duration = std::time::Duration::from_secs(2);
 
 /// First read issued against a segment at open. Headers are ~20 bytes
 /// per record plus the string table, so one 64 KiB read covers segments of
@@ -261,10 +258,9 @@ impl Store {
             dir,
             segments: Vec::new(),
             index: HashMap::new(),
-            scanned_dir_mtime: None,
             max_seq: 0,
         };
-        store.load_segments()?;
+        store.refresh()?;
         let open_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         dsmt_obs::counter!("store.opens").inc();
         dsmt_obs::info!(
@@ -319,40 +315,6 @@ impl Store {
     #[must_use]
     pub fn locks_dir(&self) -> PathBuf {
         self.dir.join("locks")
-    }
-
-    /// Header-indexes every segment on disk.
-    fn load_segments(&mut self) -> Result<(), StoreError> {
-        self.segments.clear();
-        self.index.clear();
-        self.max_seq = 0;
-        self.scanned_dir_mtime = self.stat_segments_dir();
-        let mut files: Vec<(SystemTime, String, PathBuf, u64)> = Vec::new();
-        for entry in std::fs::read_dir(self.segments_dir())?.filter_map(Result::ok) {
-            let path = entry.path();
-            if path.extension().is_none_or(|x| x != "dsrs") {
-                continue;
-            }
-            let meta = entry.metadata()?;
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            files.push((
-                meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
-                name,
-                path,
-                meta.len(),
-            ));
-        }
-        // Deterministic segment numbering even on coarse-mtime filesystems
-        // (precedence itself is handled per-key in attach).
-        files.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        for (modified, name, path, bytes) in files {
-            let loaded = self.load_segment_file(name, path, bytes, modified)?;
-            self.attach(loaded);
-        }
-        Ok(())
     }
 
     /// Builds a header-indexed [`LoadedSegment`] from one on-disk file.
@@ -467,11 +429,11 @@ impl Store {
     /// Looks up the record stored under `key` with the highest precedence,
     /// decoding an owned copy from disk.
     ///
-    /// A record whose bytes fail verification at this point reads as
-    /// *absent*: the
-    /// corruption is counted (`store.record_corrupt`) and logged, and
-    /// callers that re-simulate on miss heal the store by publishing a
-    /// fresh copy. Callers that must distinguish corrupt from missing use
+    /// A record whose bytes fail verification at this point, or whose
+    /// segment file was deleted after this handle indexed it, reads as
+    /// *absent*: the failure is counted (`store.record_corrupt`) and
+    /// logged, and callers that re-simulate on miss heal the store by
+    /// publishing a fresh copy. Callers that must distinguish corrupt from missing use
     /// [`Store::try_get`].
     #[must_use]
     pub fn get(&self, key: u64) -> Option<Value> {
@@ -523,7 +485,7 @@ impl Store {
         self.index.len()
     }
 
-    /// Number of segments on disk.
+    /// Number of segments this handle indexes.
     #[must_use]
     pub fn segment_count(&self) -> usize {
         self.segments.len()
@@ -613,49 +575,20 @@ impl Store {
         }
     }
 
-    /// Mtime of the segments directory itself, which the kernel bumps on
-    /// every entry add/remove — a one-stat change detector for publishes.
-    fn stat_segments_dir(&self) -> Option<SystemTime> {
-        std::fs::metadata(self.segments_dir())
-            .and_then(|m| m.modified())
-            .ok()
-    }
-
-    /// Brings the handle up to date with the segments directory: picks up
-    /// segments other processes published since open (or the last
-    /// refresh), and drops segments whose files are gone (a peer deleted
-    /// them), re-resolving their keys from the segments that remain.
-    /// Surviving segments keep their in-memory headers. Returns how many
-    /// new segments were found.
+    /// Attaches every segment file in `segments/` that this handle has not
+    /// indexed yet, and returns how many it found. [`Store::open`] is one
+    /// refresh of an empty handle.
     ///
-    /// The shard transport refreshes before every read and the sweep
-    /// engine at the start of each run, so most calls find nothing new;
-    /// re-listing the directory each time is wasted work. Adding or
-    /// removing a segment file always bumps the `segments/` directory's
-    /// own mtime, so an unchanged dir mtime means an unchanged listing —
-    /// the scan is skipped (counted by `store.refresh_skipped`). Because
-    /// directory mtimes can be coarse, the skip only triggers once the
-    /// mtime is at least `REFRESH_MTIME_GUARD` old: a change racing our
-    /// previous scan inside one mtime granule is rescanned, never missed.
+    /// Refresh is the only way a handle sees another handle's publishes:
+    /// between refreshes a handle is a snapshot. The shard transport
+    /// refreshes once per recovery claim, the one point where a stale
+    /// view could run a shard twice.
     ///
     /// # Errors
     ///
     /// As for [`Store::open`] (a newly appeared corrupt segment fails).
     pub fn refresh(&mut self) -> Result<usize, StoreError> {
-        let dir_mtime = self.stat_segments_dir();
-        if let (Some(prev), Some(cur)) = (self.scanned_dir_mtime, dir_mtime) {
-            let settled = SystemTime::now()
-                .duration_since(cur)
-                .is_ok_and(|age| age >= REFRESH_MTIME_GUARD);
-            if prev == cur && settled {
-                dsmt_obs::counter!("store.refresh_skipped").inc();
-                return Ok(0);
-            }
-        }
-        self.scanned_dir_mtime = dir_mtime;
-        let known: std::collections::HashSet<String> =
-            self.segments.iter().map(|s| s.name.clone()).collect();
-        let mut listed: std::collections::HashSet<String> = std::collections::HashSet::new();
+        let known: HashSet<&str> = self.segments.iter().map(|s| s.name.as_str()).collect();
         let mut fresh: Vec<(SystemTime, String, PathBuf, u64)> = Vec::new();
         for entry in std::fs::read_dir(self.segments_dir())?.filter_map(Result::ok) {
             let path = entry.path();
@@ -666,55 +599,28 @@ impl Store {
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_default();
-            if !known.contains(&name) {
+            if !known.contains(name.as_str()) {
                 let meta = entry.metadata()?;
                 fresh.push((
                     meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
-                    name.clone(),
+                    name,
                     path,
                     meta.len(),
                 ));
             }
-            listed.insert(name);
         }
-        let before = self.segments.len();
-        self.segments.retain(|s| listed.contains(&s.name));
-        if self.segments.len() < before {
-            dsmt_obs::counter!("store.segments_vanished")
-                .add((before - self.segments.len()) as u64);
-            self.reindex();
-        }
+        // Deterministic segment numbering even on coarse-mtime filesystems;
+        // attach() compares precedence per key, so a segment found late
+        // with an older seq cannot steal keys it already lost.
         fresh.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         let found = fresh.len();
         for (modified, name, path, bytes) in fresh {
             dsmt_obs::counter!("store.segments_read").inc();
             dsmt_obs::counter!("store.bytes_read").add(bytes);
             let loaded = self.load_segment_file(name, path, bytes, modified)?;
-            // attach() compares precedence per key, so a freshly
-            // discovered segment with an *older* seq (published before
-            // ours but seen late) cannot steal keys it already lost.
             self.attach(loaded);
         }
         Ok(found)
-    }
-
-    /// Rebuilds the key index under the store's one precedence rule:
-    /// highest `(seq, mtime, name)` wins — the same order [`Store::open`]
-    /// applies, so the in-memory view and a reopen always resolve a
-    /// duplicated key identically.
-    fn reindex(&mut self) {
-        let mut order: Vec<usize> = (0..self.segments.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.segments[a]
-                .precedence()
-                .cmp(&self.segments[b].precedence())
-        });
-        self.index.clear();
-        for seg_idx in order {
-            for (rec_idx, entry) in self.segments[seg_idx].entries.iter().enumerate() {
-                self.index.insert(entry.key, (seg_idx, rec_idx));
-            }
-        }
     }
 }
 
@@ -974,91 +880,6 @@ mod tests {
         assert_eq!(b.refresh().expect("refresh"), 1);
         assert_eq!(b.get(1), Some(value(1)));
         assert_eq!(b.refresh().expect("refresh again"), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The counts and lookups a live handle must agree with a fresh open on.
-    fn view(store: &Store, keys: std::ops::Range<u64>) -> (usize, usize, Vec<bool>) {
-        (
-            store.record_count(),
-            store.segment_count(),
-            keys.map(|k| store.contains(k)).collect(),
-        )
-    }
-
-    #[test]
-    fn refresh_drops_segments_a_peer_removed() {
-        for peer_replaces in [false, true] {
-            let dir = temp_store(&format!("refresh-vanish-{peer_replaces}"));
-            let mut a = Store::open(&dir, 1).expect("open a");
-            for n in 0..4 {
-                a.publish(vec![(n, value(n)), (9, value(n))]).unwrap();
-            }
-            // A decodes from disk, as a long-lived daemon handle would.
-            let mut a = Store::open(&dir, 1).expect("reopen a");
-            assert_eq!(a.get(9), Some(value(3)));
-            // The peer removes every segment file; when it replaces them,
-            // it first publishes the live records as one new segment.
-            let mut b = Store::open(&dir, 1).expect("open b");
-            let old = b.segment_infos();
-            if peer_replaces {
-                let live = [0, 1, 2, 3, 9].map(|k| (k, b.get(k).expect("live record")));
-                b.publish(live.to_vec()).unwrap();
-            }
-            for info in &old {
-                std::fs::remove_file(dir.join("segments").join(&info.name)).unwrap();
-            }
-            a.refresh().expect("refresh");
-            let fresh = Store::open(&dir, 1).expect("fresh open");
-            assert_eq!(fresh.segment_count(), usize::from(peer_replaces));
-            assert_eq!(
-                view(&a, 0..10),
-                view(&fresh, 0..10),
-                "replaced: {peer_replaces}"
-            );
-            assert_eq!(a.get(9), fresh.get(9));
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    /// Forces the segments directory's mtime into the past so the refresh
-    /// short-circuit's settle guard is satisfied without sleeping.
-    fn backdate_segments_dir(dir: &Path) {
-        let seg_dir = dir.join("segments");
-        let f = std::fs::File::open(&seg_dir).expect("open segments dir");
-        f.set_modified(SystemTime::now() - std::time::Duration::from_secs(30))
-            .expect("backdate dir mtime");
-    }
-
-    #[test]
-    fn refresh_short_circuits_on_unchanged_dir_mtime() {
-        let dir = temp_store("refresh-skip");
-        let mut a = Store::open(&dir, 1).expect("open a");
-        let mut b = Store::open(&dir, 1).expect("open b");
-        a.publish(vec![(1, value(1))]).unwrap();
-        assert_eq!(b.refresh().expect("refresh"), 1);
-
-        // The publish just bumped the dir mtime, so the mtime is too fresh
-        // to trust; a refresh now must still rescan (finding nothing new).
-        assert_eq!(b.refresh().expect("fresh-mtime refresh"), 0);
-
-        // Settle the mtime into the past: the next refresh rescans once
-        // (mtime changed), then the one after short-circuits.
-        backdate_segments_dir(&dir);
-        assert_eq!(b.refresh().expect("post-backdate rescan"), 0);
-        let skipped = dsmt_obs::registry().counter("store.refresh_skipped");
-        let before = skipped.get();
-        assert_eq!(b.refresh().expect("short-circuit"), 0);
-        assert!(
-            skipped.get() > before,
-            "unchanged settled dir mtime should skip the scan"
-        );
-
-        // A new publish bumps the dir mtime, which defeats the
-        // short-circuit: the publish is observed, never missed.
-        a.publish(vec![(2, value(2))]).unwrap();
-        assert_eq!(b.refresh().expect("sees new segment"), 1);
-        assert_eq!(b.get(2), Some(value(2)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,18 +16,17 @@
 //! scenario ([`crate::Scenario::cache_identity`]), computed once per lookup or
 //! store.
 //!
-//! **Visibility contract**: one handle per engine, refreshed at the start
-//! of every run. A [`crate::SweepEngine`] opens its cache on its first
-//! cached run and keeps the handle; every later run begins with
-//! [`ResultCache::refresh`], which picks up segments other handles and
-//! processes published since (and drops segments a peer deleted).
-//! Segments published *while* a run is going are not consulted until the
-//! next run; the cost of that race is re-simulating a cell another host
-//! just finished, never a wrong result. The handle keeps
-//! no decoded records (the store reads each hit from disk), so its memory
-//! stays bounded however many runs it serves. The shard transport
-//! (`dsmt_shard::transport`) refreshes before every read instead, because
-//! a merger must observe other hosts' publishes on a live handle.
+//! **Visibility contract**: one handle per engine, and the handle is a
+//! snapshot. A [`crate::SweepEngine`] opens its cache on its first cached
+//! run and keeps the handle for its life. The handle sees the segments
+//! that were on disk when it opened, plus every segment it published
+//! itself. A cell that another handle or process published later is a
+//! miss here and re-simulates to the same bytes: a stale view costs time,
+//! never a wrong result. The handle keeps no decoded records (the store
+//! reads each hit from disk), so its memory stays bounded however many
+//! runs it serves. The shard transport (`dsmt_shard::transport`) re-reads
+//! the directory once per recovery claim, the one point where exactly-once
+//! execution needs other workers' publishes.
 //!
 //! **Shared directory contract**: the cache keys records by the raw
 //! scenario hash; the shard transport keys its outputs through the
@@ -78,9 +77,14 @@ impl CacheMode {
     /// Resolves the mode from `DSMT_SWEEP_CACHE` (see module docs).
     #[must_use]
     pub fn from_env() -> Self {
-        match std::env::var("DSMT_SWEEP_CACHE") {
-            Ok(v) if v.eq_ignore_ascii_case("off") => CacheMode::Disabled,
-            Ok(v) if !v.trim().is_empty() => CacheMode::Dir(PathBuf::from(v)),
+        Self::parse(std::env::var("DSMT_SWEEP_CACHE").ok().as_deref())
+    }
+
+    /// The mode a `DSMT_SWEEP_CACHE` value selects (`None`: unset).
+    fn parse(value: Option<&str>) -> Self {
+        match value {
+            Some(v) if v.eq_ignore_ascii_case("off") => CacheMode::Disabled,
+            Some(v) if !v.trim().is_empty() => CacheMode::Dir(PathBuf::from(v)),
             _ => CacheMode::Dir(PathBuf::from("target/sweep-cache")),
         }
     }
@@ -88,7 +92,7 @@ impl CacheMode {
 
 /// Hit/miss counters for one sweep run.
 #[derive(Debug, Default)]
-pub struct CacheStats {
+pub(crate) struct CacheStats {
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -137,14 +141,15 @@ fn decode_entry(value: &Value, id: CacheIdentity) -> Option<SimResults> {
 /// Shared by reference across the sweep pool's workers: lookups take a
 /// read lock on the store, misses buffer into a pending map and are
 /// published as one segment on [`ResultCache::flush`] (called
-/// automatically at the threshold, on refresh and on drop).
+/// automatically at the threshold, at the end of each engine run and on
+/// drop).
 ///
-/// A handle is meant to live as long as its [`crate::SweepEngine`]: call
-/// [`ResultCache::refresh`] before each run to see what other handles
-/// published since. Hits decode from disk every time, so a long-lived
-/// handle holds segment headers, never result values.
+/// A handle lives as long as its [`crate::SweepEngine`] and is a snapshot
+/// (see the module's visibility contract). Hits decode from disk every
+/// time, so a long-lived handle holds segment headers, never result
+/// values.
 #[derive(Debug)]
-pub struct ResultCache {
+pub(crate) struct ResultCache {
     store: RwLock<Store>,
     pending: Mutex<HashMap<u64, Value>>,
 }
@@ -162,32 +167,6 @@ impl ResultCache {
             store: RwLock::new(store),
             pending: Mutex::new(HashMap::new()),
         })
-    }
-
-    /// Readies a long-lived handle for its next run: publishes pending
-    /// misses and brings the store up to date with the directory
-    /// ([`Store::refresh`]: segments published elsewhere appear, segments a
-    /// peer deleted disappear).
-    ///
-    /// # Errors
-    ///
-    /// An `InvalidData` error carrying the store's error: a newly appeared
-    /// segment that fails verification (as [`ResultCache::open`] would on
-    /// the same directory), or a failure to list the directory.
-    pub fn refresh(&self) -> std::io::Result<()> {
-        self.flush();
-        self.store
-            .write()
-            .expect("store lock")
-            .refresh()
-            .map_err(invalid_data)?;
-        Ok(())
-    }
-
-    /// The cache directory.
-    #[must_use]
-    pub fn dir(&self) -> PathBuf {
-        self.store.read().expect("store lock").dir().to_path_buf()
     }
 
     /// The entry for the scenario `id` identifies, from the pending buffer
@@ -255,13 +234,6 @@ impl ResultCache {
         dsmt_obs::counter!("sweep.cells_simulated").inc();
         dsmt_obs::debug!("sweep.cache.miss", key = id.key_hex());
     }
-
-    /// Number of distinct cached scenarios (published + pending).
-    #[must_use]
-    pub fn record_count(&self) -> usize {
-        let published = self.store.read().expect("store lock").record_count();
-        published + self.pending.lock().expect("pending lock").len()
-    }
 }
 
 fn invalid_data(e: dsmt_store::StoreError) -> std::io::Error {
@@ -298,10 +270,6 @@ mod tests {
         dir
     }
 
-    fn temp_cache(tag: &str) -> ResultCache {
-        ResultCache::open(temp_dir(tag)).expect("cache dir")
-    }
-
     /// A hit for `s`, counted on a throwaway tally.
     fn lookup(cache: &ResultCache, s: &Scenario) -> Option<SimResults> {
         cache.try_hit(s.cache_identity(), &CacheStats::default())
@@ -309,32 +277,32 @@ mod tests {
 
     #[test]
     fn store_then_lookup_round_trips_exactly() {
-        let cache = temp_cache("roundtrip");
+        let dir = temp_dir("roundtrip");
+        let cache = ResultCache::open(&dir).expect("cache dir");
         let s = scenario(1);
         assert!(lookup(&cache, &s).is_none());
         let results = s.execute();
         cache.publish_miss(s.cache_identity(), &results, &CacheStats::default());
         // Served from the pending buffer before any flush...
         assert_eq!(lookup(&cache, &s).expect("pending hit"), results);
-        let segments = || {
-            Store::open(cache.dir(), CACHE_SCHEMA_VERSION)
-                .unwrap()
-                .segment_count()
+        let on_disk = || {
+            let store = Store::open(&dir, CACHE_SCHEMA_VERSION).unwrap();
+            (store.segment_count(), store.record_count())
         };
-        assert_eq!(segments(), 0);
+        assert_eq!(on_disk(), (0, 0));
         cache.flush();
         // ...and from the published segment afterwards.
         assert_eq!(lookup(&cache, &s).expect("hit"), results);
-        assert_eq!(cache.record_count(), 1);
-        assert_eq!(segments(), 1);
+        assert_eq!(on_disk(), (1, 1));
         // A different scenario misses.
         assert!(lookup(&cache, &scenario(2)).is_none());
-        let _ = std::fs::remove_dir_all(cache.dir());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn run_cached_counts_hits_and_misses() {
-        let cache = temp_cache("counters");
+        let dir = temp_dir("counters");
+        let cache = ResultCache::open(&dir).expect("cache dir");
         let stats = CacheStats::default();
         let s = scenario(3);
         let id = s.cache_identity();
@@ -345,7 +313,7 @@ mod tests {
         let second = cache.try_hit(id, &stats).expect("hit");
         assert_eq!(first, second);
         assert_eq!((stats.hits(), stats.misses()), (1, 1));
-        let _ = std::fs::remove_dir_all(cache.dir());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -363,11 +331,19 @@ mod tests {
     }
 
     #[test]
-    fn cache_mode_from_env_is_isolated_per_value() {
-        // Not testing the env var itself (global state); just the parsing
-        // contract via explicit values.
-        assert_eq!(CacheMode::Disabled, CacheMode::Disabled);
-        let d = CacheMode::Dir(PathBuf::from("x"));
-        assert_ne!(d, CacheMode::Disabled);
+    fn cache_mode_parses_dsmt_sweep_cache_values() {
+        for off in ["off", "OFF", "Off"] {
+            assert_eq!(CacheMode::parse(Some(off)), CacheMode::Disabled, "{off}");
+        }
+        let default = CacheMode::Dir(PathBuf::from("target/sweep-cache"));
+        for unset in [None, Some(""), Some("  ")] {
+            assert_eq!(CacheMode::parse(unset), default, "{unset:?}");
+        }
+        for dir in ["/tmp/cells", "offline"] {
+            assert_eq!(
+                CacheMode::parse(Some(dir)),
+                CacheMode::Dir(PathBuf::from(dir))
+            );
+        }
     }
 }

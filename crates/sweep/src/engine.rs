@@ -1,6 +1,6 @@
 //! The sweep engine: grid → cells → pool (→ cache, → execute) → report.
 
-use std::sync::{Arc, Mutex};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::cache::{CacheMode, CacheStats, ResultCache};
@@ -14,27 +14,27 @@ type Job<'a> = (&'a str, &'a CacheStats, &'a Cell);
 /// Every cell runs alone through [`Scenario::execute`](crate::Scenario::execute)
 /// on the worker that claimed it.
 ///
-/// An engine keeps **one** [`ResultCache`] handle for its whole life: it
-/// opens the cache directory on its first cached run and, on every later
-/// run, refreshes that handle instead of reopening the store (see the
-/// cache module's visibility contract). Pointing [`SweepEngine::cache`] at
-/// another directory makes the next run open that one instead. Reuse an
-/// engine across the runs of one job — the figures of a binary, the
-/// shards of a recovery pass — rather than building one per run.
+/// An engine keeps **one** cache handle for its whole life: it opens the
+/// cache directory on its first cached run and every later run reuses
+/// that handle. The handle is a snapshot of the directory at open plus
+/// the engine's own publishes: a cell another process published since is
+/// re-simulated, to the same bytes (see the cache module's visibility
+/// contract). Reuse an engine across the runs of one job — the figures of
+/// a binary, the shards of a recovery pass — rather than building one per
+/// run.
 #[derive(Debug)]
 pub struct SweepEngine {
     /// Maximum concurrent cells.
     pub workers: usize,
     /// The most cells one pool claim takes.
     batch: usize,
-    /// Cache policy.
-    pub cache: CacheMode,
+    /// Cache policy; set by the builders, which also reset `handle`.
+    cache: CacheMode,
     /// Render a live `cells/s + ETA` progress line on stderr while running
     /// (`dsmt sweep run --progress`).
-    pub progress: bool,
-    /// The cache handle, opened on the first cached run; its directory is
-    /// the one it was opened on.
-    handle: Mutex<Option<Arc<ResultCache>>>,
+    progress: bool,
+    /// The cache handle, opened on the first cached run.
+    handle: OnceLock<ResultCache>,
 }
 
 impl SweepEngine {
@@ -48,7 +48,7 @@ impl SweepEngine {
             batch: batch::DEFAULT_BATCH,
             cache: CacheMode::from_env(),
             progress: false,
-            handle: Mutex::new(None),
+            handle: OnceLock::new(),
         }
     }
 
@@ -73,13 +73,15 @@ impl SweepEngine {
     #[must_use]
     pub fn without_cache(mut self) -> Self {
         self.cache = CacheMode::Disabled;
+        self.handle = OnceLock::new();
         self
     }
 
-    /// Caches under an explicit directory.
+    /// Caches under an explicit directory; the next cached run opens it.
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.cache = CacheMode::Dir(dir.into());
+        self.handle = OnceLock::new();
         self
     }
 
@@ -100,7 +102,7 @@ impl SweepEngine {
     ///
     /// Panics if a cell's configuration is invalid or a workload names an
     /// unknown benchmark (grid construction bugs), or if the cache
-    /// directory cannot be created, opened or refreshed.
+    /// directory cannot be created or opened.
     #[must_use]
     pub fn run(&self, grid: &SweepGrid) -> SweepReport {
         self.run_many(std::slice::from_ref(grid))
@@ -231,10 +233,8 @@ impl SweepEngine {
             .then(|| crate::ProgressLine::start(jobs.len()));
         let done = progress.as_ref().map(crate::ProgressLine::counter);
         let records = pool::run_batched(jobs, self.workers, self.batch, |_, slice| {
-            let records: Vec<RunRecord> = slice
-                .iter()
-                .map(|job| build_record(cache.as_deref(), job))
-                .collect();
+            let records: Vec<RunRecord> =
+                slice.iter().map(|job| build_record(cache, job)).collect();
             if let Some(done) = &done {
                 done.fetch_add(slice.len(), std::sync::atomic::Ordering::Relaxed);
             }
@@ -244,31 +244,21 @@ impl SweepEngine {
             progress.finish();
         }
         drop(span);
-        if let Some(cache) = cache.as_deref() {
+        if let Some(cache) = cache {
             cache.flush();
         }
         records
     }
 
-    /// The cache handle for the next run: the engine's handle, refreshed,
-    /// while it is open on the directory [`SweepEngine::cache`] names; a
-    /// freshly opened one (kept for later runs) on the first cached run or
-    /// after the cache was pointed elsewhere.
-    fn cache_handle(&self) -> Option<Arc<ResultCache>> {
+    /// The engine's cache handle, opened on the first cached run.
+    fn cache_handle(&self) -> Option<&ResultCache> {
         let CacheMode::Dir(dir) = &self.cache else {
             return None;
         };
-        let fail = |what: &str, e: std::io::Error| -> ! {
-            panic!("cannot {what} sweep cache at {}: {e}", dir.display())
-        };
-        let mut slot = self.handle.lock().expect("cache handle lock");
-        if let Some(cache) = slot.as_ref().filter(|c| c.dir() == *dir) {
-            cache.refresh().unwrap_or_else(|e| fail("refresh", e));
-            return Some(Arc::clone(cache));
-        }
-        let cache = Arc::new(ResultCache::open(dir).unwrap_or_else(|e| fail("open", e)));
-        *slot = Some(Arc::clone(&cache));
-        Some(cache)
+        Some(self.handle.get_or_init(|| {
+            ResultCache::open(dir)
+                .unwrap_or_else(|e| panic!("cannot open sweep cache at {}: {e}", dir.display()))
+        }))
     }
 }
 

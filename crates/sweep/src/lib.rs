@@ -54,7 +54,7 @@ pub mod record;
 pub mod scenario;
 pub mod telemetry;
 
-pub use cache::{CacheMode, CacheStats, ResultCache};
+pub use cache::CacheMode;
 pub use engine::SweepEngine;
 pub use grid::{Axis, Cell, SeedMode, Setting, SweepGrid};
 pub use record::{CellPerf, RunRecord, SweepReport};

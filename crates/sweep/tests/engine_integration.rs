@@ -9,8 +9,7 @@ use std::time::{Duration, SystemTime};
 use dsmt_core::SimConfig;
 use dsmt_store::Store;
 use dsmt_sweep::{
-    Axis, CacheStats, ResultCache, SeedMode, SweepEngine, SweepGrid, SweepReport, WorkloadSpec,
-    CACHE_SCHEMA_VERSION,
+    Axis, SeedMode, SweepEngine, SweepGrid, SweepReport, WorkloadSpec, CACHE_SCHEMA_VERSION,
 };
 use serde::{Serialize, Value};
 
@@ -256,25 +255,22 @@ fn reuse_grid() -> SweepGrid {
 }
 
 #[test]
-fn a_reused_engine_hits_cells_a_peer_published_between_its_runs() {
+fn a_reused_engine_re_simulates_cells_a_peer_published_between_its_runs() {
     let dir = temp_dir("reuse-peer-publish");
     let grid = reuse_grid();
     let engine = SweepEngine::new(2).with_cache_dir(&dir);
     let first = engine.run_subset(&grid, &[0, 1]);
     assert_eq!((first.cache_hits, first.cache_misses), (0, 2));
-    // A peer handle simulates and publishes the other two cells.
-    let peer = ResultCache::open(&dir).expect("peer handle");
-    for cell in &grid.cells()[2..] {
-        let results = cell.scenario.execute();
-        peer.publish_miss(
-            cell.scenario.cache_identity(),
-            &results,
-            &CacheStats::default(),
-        );
-    }
-    peer.flush();
+    // A peer engine simulates and publishes the other two cells.
+    let peer = SweepEngine::new(1)
+        .with_cache_dir(&dir)
+        .run_subset(&grid, &[2, 3]);
+    assert_eq!((peer.cache_hits, peer.cache_misses), (0, 2));
+    // The reused engine's handle is a snapshot of the directory at its
+    // first run plus its own publishes: its own cells hit, the peer's
+    // re-simulate, and the records are those of an uncached run.
     let second = engine.run(&grid);
-    assert_eq!((second.cache_hits, second.cache_misses), (4, 0));
+    assert_eq!((second.cache_hits, second.cache_misses), (2, 2));
     assert_eq!(
         second.records,
         SweepEngine::new(1).without_cache().run(&grid).records
@@ -311,10 +307,11 @@ fn a_reused_engine_survives_a_peer_compacting_or_collecting_its_store() {
         for info in &old {
             std::fs::remove_file(dir.join("segments").join(&info.name)).unwrap();
         }
+        // The engine's snapshot still indexes the deleted files: their
+        // records read as absent, so every cell re-simulates.
         let next = engine.run(&grid);
         assert_eq!(next.records, fresh, "compact: {compact}");
-        let expected = if compact { (4, 0) } else { (0, 4) };
-        assert_eq!((next.cache_hits, next.cache_misses), expected);
+        assert_eq!((next.cache_hits, next.cache_misses), (0, 4));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -333,7 +330,7 @@ fn an_engine_pointed_at_another_directory_writes_there() {
         grid.len(),
         "the second directory is cold"
     );
-    assert_eq!(ResultCache::open(&second_dir).unwrap().record_count(), 4);
+    assert_eq!(open_store(&second_dir).record_count(), 4);
     assert_eq!(
         open_store(&first_dir).segment_infos(),
         first_segments,

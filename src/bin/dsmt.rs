@@ -426,7 +426,7 @@ fn shard_status(args: &[String]) -> Result<(), String> {
         return Err(usage.into());
     };
     let manifest = ShardManifest::load(plan_path).map_err(|e| e.to_string())?;
-    let mut transport = transport_from(&p, usage)?;
+    let transport = transport_from(&p, usage)?;
     let report = transport.status(&manifest);
     outln!(
         "plan `{}` (grid hash {}, {} shards) via {}:",
@@ -475,8 +475,8 @@ fn shard_merge(args: &[String]) -> Result<(), String> {
         return Err(usage.into());
     };
     let manifest = ShardManifest::load(plan_path).map_err(|e| e.to_string())?;
-    let mut transport = transport_from(&p, usage)?;
-    let report = merge_from(&manifest, &mut transport).map_err(|e| e.to_string())?;
+    let transport = transport_from(&p, usage)?;
+    let report = merge_from(&manifest, &transport).map_err(|e| e.to_string())?;
     outln!(
         "merged {} shards ({}) -> {} cells of `{}`",
         manifest.num_shards(),
